@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -412,29 +411,25 @@ def _bench_setup(seed: int):
 def cmd_bench(args) -> int:
     cfg, gts, rig, features, (bank, coeff_w, heads) = _bench_setup(args.seed)
 
-    def one_frame(_: int) -> float:
+    start = time.perf_counter()
+    for _ in range(args.frames):
         result = run_pipeline(
             features, None, rig, bank, coeff_w, heads, cfg.plan,
             cfg.profile.y_samples, cfg.meta_ranges,
         )
         lanes = [p.to_lane(cfg.profile.y_samples) for p in result.proposals]
-        report = evaluate_openlane([(gts, lanes)], cfg.eval_openlane)
-        return report.f1
-
-    start = time.perf_counter()
-    if args.threads <= 1:
-        for i in range(args.frames):
-            one_frame(i)
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(one_frame, range(args.frames)))
+        evaluate_openlane([(gts, lanes)], cfg.eval_openlane)
     elapsed = time.perf_counter() - start
     fps = args.frames / elapsed if elapsed > 0 else float("inf")
-    _print_json(
-        {"frames": args.frames, "threads": args.threads,
-         "seconds": round(elapsed, 4), "fps": round(fps, 2)}
-    )
+    _print_json({"frames": args.frames, "seconds": round(elapsed, 4), "fps": round(fps, 2)})
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,8 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("bench", help="forward+evaluate throughput on synthetic frames")
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--frames", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -17,6 +17,7 @@ counts rather than per-frame averages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,10 +70,12 @@ class EvalConfigOL:
 class EvalConfigONCE:
     """ONCE-style protocol constants.
 
-    Lanes are drawn on the top view by filling every grid cell within
-    ``lane_width`` meters of the polyline (a stroke of that radius); with
-    the narrower reading a sub-threshold lateral shift could never pass
-    the IoU gate, contradicting the protocol's own expected behavior.
+    Lanes are drawn on the top view as a stroke of radius ``lane_width``:
+    the polyline is sampled at most ``grid_cell / 2`` apart and every grid
+    cell whose center lies within ``lane_width`` of a sample is filled.
+    With the narrower reading (width, not radius) a sub-threshold lateral
+    shift could never pass the IoU gate, contradicting the protocol's own
+    expected behavior.
     """
 
     iou_threshold: float = 0.3
@@ -98,6 +101,14 @@ class EvalConfigONCE:
         return cls(**{k: float(v) for k, v in d.items()})
 
 
+def _rates(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """(precision, recall, F1) as fractions; 0.0 where undefined."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 @dataclass
 class ThresholdCounts:
     """TP/FP/FN and derived rates at one score threshold."""
@@ -109,16 +120,15 @@ class ThresholdCounts:
 
     @property
     def precision(self) -> float:
-        return self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
+        return _rates(self.tp, self.fp, self.fn)[0]
 
     @property
     def recall(self) -> float:
-        return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
+        return _rates(self.tp, self.fp, self.fn)[1]
 
     @property
     def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
+        return _rates(self.tp, self.fp, self.fn)[2]
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,44 +199,50 @@ def resample_lane(lane: Lane3D, y_eval: np.ndarray) -> ResampledLane:
     )
 
 
-def lane_pair_cost(
-    gt: ResampledLane, pred: ResampledLane, cfg: EvalConfigOL
-) -> tuple[float, np.ndarray]:
-    """Matching cost between two resampled lanes plus per-point distances.
+def _cost_matrix(
+    gts: list[ResampledLane], preds: list[ResampledLane], cfg: EvalConfigOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """(G, P) matching costs and (G, P, N) per-point distances of all pairs.
 
     Points where either lane is invisible get the capped distance (the TP
     point threshold) so partially overlapping lanes are penalized but stay
-    matchable; the cost is the square root of the distance sum.
+    matchable; a pair's cost is the square root of its distance sum.
     """
-    mutual = gt.vis & pred.vis
-    d = np.full(gt.x.shape[0], cfg.tp_point_threshold, dtype=np.float64)
-    d[mutual] = np.sqrt(
-        (gt.x[mutual] - pred.x[mutual]) ** 2 + (gt.z[mutual] - pred.z[mutual]) ** 2
-    )
-    return float(np.sqrt(d.sum())), d
+    shape = (-1, cfg.y_eval_samples.shape[0])
+
+    def stack(lanes):
+        return (
+            np.array([r.x for r in lanes], dtype=np.float64).reshape(shape),
+            np.array([r.z for r in lanes], dtype=np.float64).reshape(shape),
+            np.array([r.vis for r in lanes], dtype=bool).reshape(shape),
+        )
+
+    gx, gz, gv = stack(gts)
+    px, pz, pv = stack(preds)
+    dist = np.sqrt((gx[:, None] - px[None]) ** 2 + (gz[:, None] - pz[None]) ** 2)
+    d = np.where(gv[:, None] & pv[None], dist, cfg.tp_point_threshold)
+    return np.sqrt(d.sum(axis=2)), d
 
 
-def _pair_is_tp(gt: ResampledLane, d: np.ndarray, cfg: EvalConfigOL) -> bool:
+def _tp_matrix(gts: list[ResampledLane], d: np.ndarray, cfg: EvalConfigOL) -> np.ndarray:
+    """(G, P) bool: whether each pair, if matched, is a true positive.
+
+    Every GT lane must have a visible point (``_prepare_frame`` drops the
+    others).
+    """
     # Denominator is the GT-visible point count: a perfect prediction of a
     # partially visible lane must still count as a hit.
-    visible = int(np.count_nonzero(gt.vis))
-    if visible == 0:
-        return False
-    close = int(np.count_nonzero(d < cfg.tp_point_threshold))
+    visible = np.array([np.count_nonzero(g.vis) for g in gts], dtype=np.int64)[:, None]
+    close = np.count_nonzero(d < cfg.tp_point_threshold, axis=2)
     return close / visible > cfg.tp_fraction
 
 
-def _match_resampled(
-    gts: list[ResampledLane], preds: list[ResampledLane], cfg: EvalConfigOL
-) -> list[tuple[int, int, np.ndarray]]:
-    if not gts or not preds:
+def _match_resampled(cost: np.ndarray, d: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """Minimum-total-cost pairs (row, column, per-point distances) of a
+    :func:`_cost_matrix` result or a column subset of one."""
+    if cost.size == 0:
         return []
-    cost = np.empty((len(gts), len(preds)))
-    dists: dict[tuple[int, int], np.ndarray] = {}
-    for i, g in enumerate(gts):
-        for j, p in enumerate(preds):
-            cost[i, j], dists[i, j] = lane_pair_cost(g, p, cfg)
-    return [(i, j, dists[i, j]) for i, j in solve_assignment(cost)]
+    return [(i, j, d[i, j]) for i, j in solve_assignment(cost)]
 
 
 def match_lanes(
@@ -234,13 +250,30 @@ def match_lanes(
 ) -> list[tuple[int, int]]:
     """Minimum-total-cost one-to-one pairing between GT and predictions."""
     y = cfg.y_eval_samples
-    pairs = _match_resampled(
+    cost, d = _cost_matrix(
         [resample_lane(g, y) for g in gts], [resample_lane(p, y) for p in preds], cfg
     )
-    return [(i, j) for i, j, _ in pairs]
+    return [(i, j) for i, j, _ in _match_resampled(cost, d)]
 
 
-def _prepare_frame(gts, preds, cfg):
+def _check_finite(frame: int, gts: list[Lane3D], preds: list[Lane3D]) -> None:
+    """Raise ValueError naming the first lane of the frame with a NaN or inf."""
+    lanes = [*gts, *preds]
+    values = [a for ln in lanes for a in (ln.x, ln.y, ln.z, ln.visibility)]
+    values.append(np.array([ln.score for ln in lanes if ln.score is not None], dtype=np.float64))
+    if np.isfinite(np.concatenate(values)).all():
+        return
+    for kind, lanes in (("ground-truth", gts), ("predicted", preds)):
+        for j, lane in enumerate(lanes):
+            for name in ("x", "y", "z", "visibility"):
+                if not np.isfinite(getattr(lane, name)).all():
+                    raise ValueError(f"frame {frame}: {kind} lane {j}: non-finite {name}")
+            if lane.score is not None and not math.isfinite(lane.score):
+                raise ValueError(f"frame {frame}: {kind} lane {j}: non-finite score")
+
+
+def _prepare_frame(frame, gts, preds, cfg):
+    _check_finite(frame, gts, preds)
     y = cfg.y_eval_samples
     gt_rs = [r for r in (resample_lane(g, y) for g in gts) if np.any(r.vis)]
     pred_rs = []
@@ -253,31 +286,56 @@ def _prepare_frame(gts, preds, cfg):
     return gt_rs, pred_rs
 
 
-def _counts_at(prepared, threshold, cfg):
-    tp = fp = fn = 0
-    for gt_rs, pred_rs in prepared:
-        kept = [p for p in pred_rs if p.score >= threshold]
-        pairs = _match_resampled(gt_rs, kept, cfg)
-        hit_gt = set()
-        hit_pred = set()
-        for gi, pi, d in pairs:
-            if _pair_is_tp(gt_rs[gi], d, cfg):
-                tp += 1
-                hit_gt.add(gi)
-                hit_pred.add(pi)
-        fn += len(gt_rs) - len(hit_gt)
-        fp += len(kept) - len(hit_pred)
-    return tp, fp, fn
+@dataclass
+class _FrameSteps:
+    """One frame's (tp, fp, fn) as a step function of the score threshold.
+
+    Row k of ``counts`` keeps the predictions scoring at least the k-th
+    highest of ``levels`` (row 0 keeps none); ``hits[k]`` lists that row's
+    true-positive (GT index, prediction index) pairs.
+    """
+
+    levels: np.ndarray  # the frame's distinct prediction scores, ascending
+    counts: np.ndarray  # (len(levels) + 1, 3) int64
+    hits: list[list[tuple[int, int]]]
+
+    def rows(self, thresholds):
+        """Row in effect at each threshold: the number of levels >= it."""
+        return self.levels.shape[0] - np.searchsorted(self.levels, thresholds, side="left")
+
+
+def _frame_steps(gt_rs, pred_rs, cfg: EvalConfigOL) -> _FrameSteps:
+    cost, d = _cost_matrix(gt_rs, pred_rs, cfg)
+    hit = _tp_matrix(gt_rs, d, cfg)
+    scores = np.array([p.score for p in pred_rs], dtype=np.float64)
+    levels = np.unique(scores)
+    counts = [(0, 0, len(gt_rs))]
+    hits = [[]]
+    for level in levels[::-1]:
+        keep = np.flatnonzero(scores >= level)
+        tp_pairs = [
+            (gi, int(keep[pi]))
+            for gi, pi, _ in _match_resampled(cost[:, keep], d[:, keep])
+            if hit[gi, keep[pi]]
+        ]
+        tp = len(tp_pairs)
+        counts.append((tp, keep.shape[0] - tp, len(gt_rs) - tp))
+        hits.append(tp_pairs)
+    return _FrameSteps(levels, np.array(counts, dtype=np.int64), hits)
 
 
 def _average_precision(counts: list[ThresholdCounts]) -> float:
-    points = [(c.recall, c.precision) for c in counts]
-    recalls = sorted({r for r, _ in points})
+    """Area under the precision envelope: at each distinct recall, the best
+    precision reached at that recall or above."""
+    envelope = {}
+    best = 0.0
+    for r, p in sorted(((c.recall, c.precision) for c in counts), reverse=True):
+        best = max(best, p)
+        envelope[r] = best
     ap = 0.0
     prev = 0.0
-    for r in recalls:
-        envelope = max(p for rr, p in points if rr >= r)
-        ap += (r - prev) * envelope
+    for r in sorted(envelope):
+        ap += (r - prev) * envelope[r]
         prev = r
     return ap
 
@@ -290,23 +348,33 @@ def evaluate_openlane(frames, cfg: EvalConfigOL) -> EvalReport:
     pooling mutually visible points across all true-positive pairs.
     Frames with neither usable ground truth nor predictions are skipped
     and flagged in the report.
+
+    The thresholds are the corpus's distinct prediction scores.  A frame's
+    kept set changes only at the frame's own scores, so each frame is
+    matched once per distinct score of its own, on one cost matrix, and
+    its (tp, fp, fn) become a step function of the threshold.  The corpus
+    counts at every threshold are the sums of the frames' steps, looked up
+    with ``searchsorted``: a sweep of sum over frames of P_f matchings
+    instead of frames x thresholds.
     """
-    prepared = []
+    steps = []
     empty_frames = []
     for idx, (gts, preds) in enumerate(frames):
-        gt_rs, pred_rs = _prepare_frame(gts, preds, cfg)
+        gt_rs, pred_rs = _prepare_frame(idx, gts, preds, cfg)
         if not gt_rs:
             empty_frames.append(idx)
             if not pred_rs:
                 continue
-        prepared.append((gt_rs, pred_rs))
+        steps.append((gt_rs, pred_rs, _frame_steps(gt_rs, pred_rs, cfg)))
 
-    thresholds = sorted(
-        {p.score for gt_rs, pred_rs in prepared for p in pred_rs}, reverse=True
-    )
+    thresholds = sorted({p.score for _, pred_rs, _ in steps for p in pred_rs}, reverse=True)
     if not thresholds:
         thresholds = [1.0]
-    counts = [ThresholdCounts(t, *_counts_at(prepared, t, cfg)) for t in thresholds]
+    at = np.array(thresholds, dtype=np.float64)
+    total = np.zeros((len(thresholds), 3), dtype=np.int64)
+    for _, _, fs in steps:
+        total += fs.counts[fs.rows(at)]
+    counts = [ThresholdCounts(t, *row) for t, row in zip(thresholds, total.tolist())]
 
     best = counts[0]
     for c in counts:
@@ -318,15 +386,9 @@ def evaluate_openlane(frames, cfg: EvalConfigOL) -> EvalReport:
     far = (y >= cfg.far_range[0]) & (y <= cfg.far_range[1])
     ex_near, ex_far, ez_near, ez_far = [], [], [], []
     cat_hits = 0
-    tp_total = 0
-    for gt_rs, pred_rs in prepared:
-        kept = [p for p in pred_rs if p.score >= best.threshold]
-        pairs = _match_resampled(gt_rs, kept, cfg)
-        for gi, pi, d in pairs:
-            g, p = gt_rs[gi], kept[pi]
-            if not _pair_is_tp(g, d, cfg):
-                continue
-            tp_total += 1
+    for gt_rs, pred_rs, fs in steps:
+        for gi, pj in fs.hits[fs.rows(best.threshold)]:
+            g, p = gt_rs[gi], pred_rs[pj]
             if p.category == g.category:
                 cat_hits += 1
             mutual = g.vis & p.vis
@@ -343,7 +405,7 @@ def evaluate_openlane(frames, cfg: EvalConfigOL) -> EvalReport:
     return EvalReport(
         f1=100.0 * best.f1,
         ap=100.0 * _average_precision(counts),
-        category_accuracy=100.0 * cat_hits / tp_total if tp_total else 0.0,
+        category_accuracy=100.0 * cat_hits / best.tp if best.tp else 0.0,
         ex_near=mean(ex_near),
         ex_far=mean(ex_far),
         ez_near=mean(ez_near),
@@ -363,31 +425,69 @@ def _visible_polyline(lane: Lane3D) -> np.ndarray:
     return np.stack([lane.x[mask], lane.y[mask]], axis=1)
 
 
+def _stroke_samples(poly: np.ndarray, spacing: float) -> np.ndarray:
+    """The first vertex, then every segment cut into the fewest equal steps
+    no longer than ``spacing``; (S, 2) step ends in polyline order."""
+    a = poly[:-1]
+    seg = poly[1:] - a
+    steps = np.maximum(1, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / spacing).astype(np.int64))
+    which = np.repeat(np.arange(seg.shape[0]), steps)
+    s = np.arange(1, which.shape[0] + 1) - np.repeat(np.cumsum(steps) - steps, steps)
+    return np.concatenate([poly[:1], a[which] + seg[which] * (s / steps[which])[:, None]])
+
+
+# Sample-cell tests per block of the rasterizer, which bounds its
+# temporaries to a few MB whatever the lane length or stroke radius.
+_RASTER_BLOCK = 1 << 16
+# Cell indices are exact in float64 (and int64) below this magnitude.
+_MAX_CELL_INDEX = 2.0 ** 52
+
+
 def rasterize_top_view(poly: np.ndarray, cfg: EvalConfigONCE) -> set:
-    """Cells of the top-view grid within ``lane_width`` of the polyline."""
+    """Top-view (ix, iy) grid cells of the lane stroke.
+
+    The polyline is sampled at most ``grid_cell / 2`` apart; cell (ix, iy),
+    centered at (ix, iy) * ``grid_cell``, is filled when its center lies
+    within ``lane_width`` of a sample.  Raises ValueError for NaN, inf or
+    coordinates beyond the int64 grid.
+    """
     cells: set = set()
     if poly.shape[0] == 0:
         return cells
     cell = cfg.grid_cell
+    if not np.all(np.abs(poly) < _MAX_CELL_INDEX * cell):
+        raise ValueError("top-view polyline has non-finite or out-of-range coordinates")
     reach = int(np.ceil(cfg.lane_width / cell))
-    offsets = [
-        (di, dj)
-        for di in range(-reach, reach + 1)
-        for dj in range(-reach, reach + 1)
-    ]
-    samples = [poly[0]]
-    for a, b in zip(poly[:-1], poly[1:]):
-        seg = b - a
-        length = float(np.hypot(*seg))
-        steps = max(1, int(np.ceil(length / (cell * 0.5))))
-        for s in range(1, steps + 1):
-            samples.append(a + seg * (s / steps))
-    for px, py in samples:
-        ci, cj = round(px / cell), round(py / cell)
-        for di, dj in offsets:
-            ix, iy = ci + di, cj + dj
-            if (ix * cell - px) ** 2 + (iy * cell - py) ** 2 <= cfg.lane_width ** 2:
-                cells.add((ix, iy))
+    r2 = cfg.lane_width ** 2
+    offsets = np.arange(-reach, reach + 1, dtype=np.float64)
+    di = np.repeat(offsets, offsets.shape[0])
+    dj = np.tile(offsets, offsets.shape[0])
+    samples = _stroke_samples(poly, cell * 0.5)
+    per_block = max(1, _RASTER_BLOCK // di.shape[0])
+    for start in range(0, samples.shape[0], per_block):
+        px, py = samples[start:start + per_block, :1], samples[start:start + per_block, 1:]
+        # Whole-number cell indices, held as floats (exact below 2**52).
+        ix = np.rint(px / cell) + di
+        iy = np.rint(py / cell) + dj
+        dx = ix * cell - px
+        dy = iy * cell - py
+        d2 = dx * dx + dy * dy
+        inside = d2 <= r2
+        # The disk test is defined by v ** 2 on scalars, which calls the C
+        # library's pow; that may differ from v * v in the last bit, so the
+        # rare tests that close to the edge are settled the scalar way.
+        for k in np.flatnonzero(np.abs(d2 - r2) <= 1e-12 * r2):
+            inside.flat[k] = dx.flat[k] ** 2 + dy.flat[k] ** 2 <= r2
+        ix, iy = ix[inside].astype(np.int64), iy[inside].astype(np.int64)
+        if ix.size == 0:
+            continue
+        # Samples lie at most half a cell apart, so those of one block span
+        # at most per_block / 2 cells and its occupancy grid stays small.
+        x0, y0 = ix.min(), iy.min()
+        grid = np.zeros((ix.max() - x0 + 1, iy.max() - y0 + 1), dtype=bool)
+        grid[ix - x0, iy - y0] = True
+        gx, gy = np.nonzero(grid)
+        cells.update(zip((gx + x0).tolist(), (gy + y0).tolist()))
     return cells
 
 
@@ -442,10 +542,15 @@ _NON_CANDIDATE = 1e9
 
 
 def evaluate_once(frames, cfg: EvalConfigONCE) -> OnceReport:
-    """Evaluate frames under the top-view IoU + Chamfer-distance protocol."""
+    """Evaluate frames under the top-view IoU + Chamfer-distance protocol.
+
+    Chamfer distances are computed only for pairs that pass the IoU gate;
+    the others cannot be matched.
+    """
     tp = fp = fn = 0
     cd_hits: list[float] = []
-    for gts, preds in frames:
+    for idx, (gts, preds) in enumerate(frames):
+        _check_finite(idx, gts, preds)
         gts = [g for g in gts if g.num_visible() > 0]
         preds = [p for p in preds if p.num_visible() > 0]
         if not gts and not preds:
@@ -456,31 +561,25 @@ def evaluate_once(frames, cfg: EvalConfigONCE) -> OnceReport:
             continue
         gt_cells = [rasterize_top_view(_visible_polyline(g), cfg) for g in gts]
         pred_cells = [rasterize_top_view(_visible_polyline(p), cfg) for p in preds]
-        cd = np.empty((len(gts), len(preds)))
+        cost = np.full((len(gts), len(preds)), _NON_CANDIDATE)
         candidate = np.zeros((len(gts), len(preds)), dtype=bool)
         for i, g in enumerate(gts):
             for j, p in enumerate(preds):
-                union = len(gt_cells[i] | pred_cells[j])
-                iou = len(gt_cells[i] & pred_cells[j]) / union if union else 0.0
-                candidate[i, j] = iou >= cfg.iou_threshold
-                cd[i, j] = unilateral_chamfer(p, g)
-        cost = np.where(candidate, cd, _NON_CANDIDATE)
-        matched_gt = set()
-        matched_pred = set()
+                inter = len(gt_cells[i] & pred_cells[j])
+                union = len(gt_cells[i]) + len(pred_cells[j]) - inter
+                if union and inter / union >= cfg.iou_threshold:
+                    candidate[i, j] = True
+                    cost[i, j] = unilateral_chamfer(p, g)
+        matched = 0
         for i, j in solve_assignment(cost):
-            if not candidate[i, j]:
-                continue
-            if cd[i, j] < cfg.tau_cd:
-                tp += 1
-                cd_hits.append(float(cd[i, j]))
-                matched_gt.add(i)
-                matched_pred.add(j)
-        fn += len(gts) - len(matched_gt)
-        fp += len(preds) - len(matched_pred)
+            if candidate[i, j] and cost[i, j] < cfg.tau_cd:
+                matched += 1
+                cd_hits.append(float(cost[i, j]))
+        tp += matched
+        fn += len(gts) - matched
+        fp += len(preds) - matched
 
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    precision, recall, f1 = _rates(tp, fp, fn)
     return OnceReport(
         f1=100.0 * f1,
         precision=100.0 * precision,

@@ -11,12 +11,14 @@ Document shape::
 
 ``score`` is absent on ground truth; ``class_probs`` is written by the
 forward command so losses can be recomputed from disk.  Validation errors
-carry a JSON-pointer-style location.
+carry a JSON-pointer-style location; NaN and infinite numbers are
+rejected at the element that holds them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +50,12 @@ def _lane_to_dict(lane: Lane3D) -> dict:
     return d
 
 
+def _check_finite(values: np.ndarray, path, ptr: str) -> None:
+    if not np.isfinite(values).all():
+        where = np.argwhere(~np.isfinite(values))[0]
+        raise FileFormatError(path, "/".join([ptr, *map(str, where)]), "non-finite value")
+
+
 def _lane_from_dict(d: dict, path, ptr: str) -> Lane3D:
     for key in ("category", "points", "visibility"):
         if key not in d:
@@ -61,17 +69,25 @@ def _lane_from_dict(d: dict, path, ptr: str) -> Lane3D:
             path, f"{ptr}/visibility",
             f"length {vis.shape[0]} does not match {points.shape[0]} points",
         )
+    _check_finite(points, path, f"{ptr}/points")
+    _check_finite(vis, path, f"{ptr}/visibility")
     if points.shape[0] >= 2 and not np.all(np.diff(points[:, 1]) > 0):
         raise FileFormatError(path, f"{ptr}/points", "y must be strictly increasing")
+    score = None if d.get("score") is None else float(d["score"])
+    if score is not None and not math.isfinite(score):
+        raise FileFormatError(path, f"{ptr}/score", "non-finite value")
     probs = d.get("class_probs")
+    if probs is not None:
+        probs = np.asarray(probs, dtype=np.float64)
+        _check_finite(probs, path, f"{ptr}/class_probs")
     return Lane3D(
         x=points[:, 0],
         y=points[:, 1],
         z=points[:, 2],
         visibility=vis,
         category=int(d["category"]),
-        score=None if d.get("score") is None else float(d["score"]),
-        class_probs=None if probs is None else np.asarray(probs, dtype=np.float64),
+        score=score,
+        class_probs=probs,
     )
 
 

@@ -6,8 +6,8 @@ from lane3d_kit.evaluation import (
     EvalConfigOL,
     evaluate_once,
     evaluate_openlane,
+    _cost_matrix,
     format_report_table,
-    lane_pair_cost,
     match_lanes,
     rasterize_top_view,
     resample_lane,
@@ -36,30 +36,52 @@ def cfg_ol():
     return EvalConfigOL(y_eval_samples=Y20)
 
 
-def test_lane_pair_cost_identical():
-    cfg = cfg_ol()
-    g = resample_lane(lane(0.0), Y20)
-    p = resample_lane(lane(0.0), Y20)
-    cost, d = lane_pair_cost(g, p, cfg)
+def pair_cost(g, p, cfg):
+    """The matching cost of one (GT, prediction) pair, and its distances."""
+    cost, d = _cost_matrix([resample_lane(g, Y20)], [resample_lane(p, Y20)], cfg)
+    assert cost.shape == (1, 1) and d.shape == (1, 1, Y20.shape[0])
+    return cost[0, 0], d[0, 0]
+
+
+def test_cost_matrix_identical():
+    cost, d = pair_cost(lane(0.0), lane(0.0), cfg_ol())
     assert cost == 0.0
     np.testing.assert_array_equal(d, 0.0)
 
 
-def test_lane_pair_cost_uniform_offset():
-    cfg = cfg_ol()
-    cost, d = lane_pair_cost(
-        resample_lane(lane(0.0), Y20), resample_lane(lane(0.5), Y20), cfg
-    )
+def test_cost_matrix_uniform_offset():
+    cost, d = pair_cost(lane(0.0), lane(0.5), cfg_ol())
     np.testing.assert_allclose(d, 0.5, atol=1e-12)
     assert cost == pytest.approx(np.sqrt(10.0), abs=1e-12)
 
 
-def test_lane_pair_cost_invisible_prediction_capped():
-    cfg = cfg_ol()
-    cost, d = lane_pair_cost(
-        resample_lane(lane(0.0), Y20), resample_lane(lane(0.0, vis=0.0), Y20), cfg
-    )
+def test_cost_matrix_invisible_prediction_capped():
+    cost, d = pair_cost(lane(0.0), lane(0.0, vis=0.0), cfg_ol())
     np.testing.assert_array_equal(d, 1.5)
+
+
+def test_cost_matrix_equals_the_per_pair_formula(rng):
+    # Every entry is the elementwise formula on that one pair, bit for bit.
+    cfg = cfg_ol()
+    for _ in range(10):
+        lanes = []
+        for _ in range(int(rng.integers(0, 5))):
+            ln = lane(0.0, x=rng.normal(scale=2.0, size=20), z=rng.normal(scale=0.5, size=20))
+            ln.visibility = (rng.random(20) < 0.7).astype(float)
+            lanes.append(resample_lane(ln, Y20))
+        gts, preds = lanes[: len(lanes) // 2], lanes[len(lanes) // 2:]
+        cost, d = _cost_matrix(gts, preds, cfg)
+        assert cost.shape == (len(gts), len(preds))
+        assert d.shape == (len(gts), len(preds), 20)
+        for i, g in enumerate(gts):
+            for j, p in enumerate(preds):
+                mutual = g.vis & p.vis
+                want = np.full(20, cfg.tp_point_threshold)
+                want[mutual] = np.sqrt(
+                    (g.x[mutual] - p.x[mutual]) ** 2 + (g.z[mutual] - p.z[mutual]) ** 2
+                )
+                np.testing.assert_array_equal(d[i, j], want)
+                assert cost[i, j] == np.sqrt(want.sum())
 
 
 def test_match_lanes_coincident():
@@ -72,18 +94,20 @@ def test_match_lanes_crossed_costs_vs_brute_force(rng):
     for _ in range(20):
         gts = [lane(v) for v in rng.uniform(-8, 8, size=int(rng.integers(1, 5)))]
         preds = [lane(v, score=1.0) for v in rng.uniform(-8, 8, size=int(rng.integers(1, 5)))]
-        cost = np.array(
-            [
-                [
-                    lane_pair_cost(resample_lane(g, Y20), resample_lane(p, Y20), cfg)[0]
-                    for p in preds
-                ]
-                for g in gts
-            ]
+        cost, _ = _cost_matrix(
+            [resample_lane(g, Y20) for g in gts], [resample_lane(p, Y20) for p in preds], cfg
         )
         pairs = match_lanes(gts, preds, cfg)
         total = sum(cost[i, j] for i, j in pairs)
         assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
+
+
+@pytest.mark.parametrize("close, tp", [(15, 0), (16, 1)])
+def test_tp_needs_more_than_tp_fraction_of_points_close(close, tp):
+    # 15 of 20 points is exactly tp_fraction = 0.75, which is not enough.
+    x = np.where(np.arange(20) < close, 0.0, 2.0)
+    report = evaluate_openlane([([lane(0.0)], [lane(0.0, x=x, score=1.0)])], cfg_ol())
+    assert report.counts[0].tp == tp
 
 
 def test_far_offset_matched_but_not_tp():
@@ -234,3 +258,31 @@ def test_once_equal_cost_swap_invariance():
     r21 = evaluate_once([(gts, [p2, p1])], EvalConfigONCE(lane_width=1.0))
     assert r12.tp == r21.tp
     assert r12.cd_error == pytest.approx(r21.cd_error, abs=1e-12)
+
+
+# --- non-finite input ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("evaluate, cfg", [(evaluate_openlane, cfg_ol()),
+                                           (evaluate_once, EvalConfigONCE())])
+@pytest.mark.parametrize(
+    "where, field, message",
+    [
+        ("gt", "x", "frame 1: ground-truth lane 1: non-finite x"),
+        ("gt", "visibility", "frame 1: ground-truth lane 1: non-finite visibility"),
+        ("pred", "z", "frame 1: predicted lane 1: non-finite z"),
+        ("pred", "score", "frame 1: predicted lane 1: non-finite score"),
+    ],
+)
+def test_non_finite_lane_values_are_located(evaluate, cfg, where, field, message):
+    bad = lane(1.0, score=0.5)
+    if field == "score":
+        bad.score = float("inf")
+    else:
+        getattr(bad, field)[3] = np.nan
+    gts = [lane(0.0), lane(1.0)]
+    preds = [lane(0.0, score=0.5), lane(1.0, score=0.5)]
+    (gts if where == "gt" else preds)[1] = bad
+    frames = [([lane(0.0)], [lane(0.0, score=1.0)]), (gts, preds)]
+    with pytest.raises(ValueError, match=message):
+        evaluate(frames, cfg)

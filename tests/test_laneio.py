@@ -92,3 +92,36 @@ def test_non_monotone_y_rejected(tmp_path):
     with pytest.raises(FileFormatError) as exc:
         read_lane_file(path)
     assert "increasing" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "field, index, pointer",
+    [
+        ("points", (1, 0), "/frames/0/lanes/1/points/1/0"),
+        ("points", (2, 1), "/frames/0/lanes/1/points/2/1"),
+        ("visibility", (0,), "/frames/0/lanes/1/visibility/0"),
+        ("score", (), "/frames/0/lanes/1/score"),
+        ("class_probs", (1,), "/frames/0/lanes/1/class_probs/1"),
+    ],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_value_reports_its_pointer(tmp_path, field, index, pointer, bad):
+    path = tmp_path / "lanes.json"
+    good, lane = (
+        {"category": 0, "score": 0.5, "class_probs": [0.5, 0.5],
+         "points": [[0, 5, 0], [0, 6, 0], [0, 7, 0]], "visibility": [1, 1, 1]}
+        for _ in range(2)
+    )
+    if index:
+        target = lane[field]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = bad
+    else:
+        lane[field] = bad
+    doc = {"frames": [{"id": "0", "camera": None, "lanes": [good, lane]}]}
+    path.write_text(json.dumps(doc))  # writes the NaN / Infinity literals
+    with pytest.raises(FileFormatError) as exc:
+        read_lane_file(path)
+    assert exc.value.location == pointer
+    assert "non-finite" in str(exc.value)
