@@ -22,7 +22,7 @@ from . import (
     tensorio,
 )
 from .config import DatasetProfile, RunConfig, make_profile
-from .geometry import CameraRig, FeaturePoint, GroundPoint
+from .geometry import CameraRig
 from .lanes import Lane3D
 
 __version__ = "0.1.0"
@@ -30,8 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CameraRig",
     "DatasetProfile",
-    "FeaturePoint",
-    "GroundPoint",
     "Lane3D",
     "RunConfig",
     "__version__",

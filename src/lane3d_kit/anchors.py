@@ -207,25 +207,16 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _scale_to_range(clipped: np.ndarray, lo: float, hi: float, literal: bool) -> np.ndarray:
-    if literal:
-        # Verbatim affine: maps -1 below lo, kept only for fidelity studies.
-        return clipped * (hi - lo) + lo
-    return (clipped + 1.0) * 0.5 * (hi - lo) + lo
-
-
 def combine_metas(
     bank: PrototypeBank,
     coeffs: CoefficientMatrices,
     ranges: MetaRanges,
-    literal_scale: bool = False,
 ) -> list[AnchorMetas]:
     """Mix prototypes into anchor metas and map them into their ranges.
 
     For each anchor the raw meta is the coefficient-weighted sum of the
     prototype vector, truncated to [-1, 1] and then affinely mapped onto
-    [lo, hi].  ``literal_scale`` selects ``clipped * (hi - lo) + lo``
-    instead, which can leave the range and exists only for comparison.
+    [lo, hi], so every meta stays inside its range.
     """
     if coeffs.xs.shape[1] != bank.xs.shape[0]:
         raise ShapeMismatch("xs coefficients", bank.xs.shape[0], coeffs.xs.shape[1])
@@ -237,7 +228,7 @@ def combine_metas(
     def mix(q, w, lo, hi):
         raw = w @ q
         clipped = np.clip(raw, -1.0, 1.0)
-        return _scale_to_range(clipped, lo, hi, literal_scale)
+        return (clipped + 1.0) * 0.5 * (hi - lo) + lo
 
     xs = mix(bank.xs, coeffs.xs, ranges.xs_min, ranges.xs_max)
     phi = mix(bank.phi, coeffs.phi, ranges.phi_min, ranges.phi_max)
@@ -289,9 +280,8 @@ def generate_anchors(
     weights: CoefficientHeadWeights,
     ranges: MetaRanges,
     y_samples: np.ndarray,
-    literal_scale: bool = False,
 ) -> list[Anchor3D]:
     """Full adaptive generation: pool, mix, and materialize all anchors."""
     coeffs = pool_and_weigh(feature, weights)
-    metas = combine_metas(bank, coeffs, ranges, literal_scale=literal_scale)
+    metas = combine_metas(bank, coeffs, ranges)
     return [materialize(m, y_samples) for m in metas]

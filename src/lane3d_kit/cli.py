@@ -61,7 +61,7 @@ def _load_config(path: str | None) -> RunConfig:
     try:
         return RunConfig.from_json_dict(doc)
     except FileFormatError as e:
-        raise FileFormatError(path, e.location, "missing field") from e
+        raise FileFormatError(path, e.location, e.message) from e
 
 
 def _print_json(obj) -> None:
@@ -234,7 +234,7 @@ def cmd_anchors(args) -> int:
     if 5 not in maps:
         raise FileFormatError(args.features, "F5", "missing level-5 feature map")
     coeffs = pool_and_weigh(maps[5], coeff_w)
-    metas = combine_metas(bank, coeffs, cfg.meta_ranges, literal_scale=cfg.literal_meta_scale)
+    metas = combine_metas(bank, coeffs, cfg.meta_ranges)
     anchors = [materialize(m, cfg.profile.y_samples) for m in metas]
     doc = {
         "metas": [{"xs": m.xs, "phi": m.phi, "theta": m.theta} for m in metas],
@@ -260,7 +260,6 @@ def _forward_frame(cfg: RunConfig, frame: Frame, tensors: dict, weights):
     return run_pipeline(
         maps, vols, rig, bank, coeff_w, heads, cfg.plan,
         cfg.profile.y_samples, cfg.meta_ranges,
-        literal_scale=cfg.literal_meta_scale,
     )
 
 

@@ -7,7 +7,7 @@ needs and round-trips through JSON with every default spelled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +67,28 @@ def make_profile(name: str) -> DatasetProfile:
     raise ValueError(f"unknown profile {name!r} (expected openlane, apollosim, or once)")
 
 
+_CONFIG = "<run config>"
+
+# Object sections: each is parsed by, and may only hold the fields of, its dataclass.
+_SECTIONS = {
+    "profile": DatasetProfile,
+    "meta_ranges": MetaRanges,
+    "loss": LossConfig,
+    "eval_openlane": EvalConfigOL,
+    "eval_once": EvalConfigONCE,
+}
+
+
+def _check_object(doc, cls, where: str) -> None:
+    """Reject a non-object ``doc`` or a key that is not a field of ``cls``."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(_CONFIG, where or "/", "expected an object")
+    names = {f.name for f in fields(cls) if f.init}
+    for key in doc:
+        if key not in names:
+            raise FileFormatError(_CONFIG, f"{where}/{key}", "unknown field")
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, JSON-serializable with explicit defaults."""
@@ -84,7 +106,6 @@ class RunConfig:
     num_prototypes: tuple[int, int, int] = (30, 15, 5)
     image_size: tuple[int, int] = (360, 480)
     feature_stride: int = 8
-    literal_meta_scale: bool = False
 
     def __post_init__(self):
         if self.eval_openlane is None:
@@ -114,30 +135,39 @@ class RunConfig:
             "num_prototypes": list(self.num_prototypes),
             "image_size": list(self.image_size),
             "feature_stride": self.feature_stride,
-            "literal_meta_scale": self.literal_meta_scale,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
-        try:
-            return cls(
-                profile=DatasetProfile.from_json_dict(d["profile"]),
-                meta_ranges=MetaRanges.from_json_dict(d["meta_ranges"]),
-                loss=LossConfig.from_json_dict(d["loss"]),
-                eval_openlane=EvalConfigOL.from_json_dict(d["eval_openlane"]),
-                eval_once=EvalConfigONCE.from_json_dict(d["eval_once"]),
-                plan=StagePlan.from_json_list(d["plan"]),
-                fusion=bool(d["fusion"]),
-                num_anchors=int(d["num_anchors"]),
-                feature_channels=int(d["feature_channels"]),
-                lidar_channels=int(d["lidar_channels"]),
-                num_prototypes=tuple(d["num_prototypes"]),
-                image_size=tuple(d["image_size"]),
-                feature_stride=int(d["feature_stride"]),
-                literal_meta_scale=bool(d["literal_meta_scale"]),
-            )
-        except KeyError as e:
-            raise FileFormatError("<run config>", f"/{e.args[0]}", "missing field") from e
+        """Parse a config document that spells out every field.  Unknown,
+        missing and malformed fields raise :class:`FileFormatError` at
+        their JSON pointer, keeping the underlying message."""
+        _check_object(d, cls, "")
+        parsers = {
+            **{name: kind.from_json_dict for name, kind in _SECTIONS.items()},
+            "plan": StagePlan.from_json_list,
+            "fusion": bool,
+            "num_anchors": int,
+            "feature_channels": int,
+            "lidar_channels": int,
+            "num_prototypes": tuple,
+            "image_size": tuple,
+            "feature_stride": int,
+        }
+        kwargs = {}
+        for name, parse in parsers.items():
+            where = f"/{name}"
+            if name not in d:
+                raise FileFormatError(_CONFIG, where, "missing field")
+            if name in _SECTIONS:
+                _check_object(d[name], _SECTIONS[name], where)
+            try:
+                kwargs[name] = parse(d[name])
+            except KeyError as e:
+                raise FileFormatError(_CONFIG, f"{where}/{e.args[0]}", "missing field") from e
+            except (TypeError, ValueError) as e:
+                raise FileFormatError(_CONFIG, where, str(e)) from e
+        return cls(**kwargs)
 
     @classmethod
     def default(cls, profile_name: str = "openlane") -> "RunConfig":

@@ -5,10 +5,6 @@ class Lane3DKitError(Exception):
     """Base class for all errors raised by lane3d-kit."""
 
 
-class DepthNonPositive(Lane3DKitError):
-    """A point projects at or behind the camera plane (depth <= 1e-6 m)."""
-
-
 class MissingLidarExtrinsics(Lane3DKitError):
     """An operation needs the ground-to-LiDAR transform but the rig has none."""
 
@@ -39,10 +35,6 @@ class DegenerateSegment(Lane3DKitError):
     """Two consecutive y-samples coincide; lane direction is undefined there."""
 
 
-class EmptyGroundTruth(Lane3DKitError):
-    """A frame has no usable ground-truth lanes."""
-
-
 class FileFormatError(Lane3DKitError):
     """A lane/config/tensor file is malformed.
 
@@ -54,6 +46,7 @@ class FileFormatError(Lane3DKitError):
         super().__init__(f"{path}: at {location}: {message}")
         self.path = str(path)
         self.location = location
+        self.message = message
 
 
 class PipelineStageError(Lane3DKitError):

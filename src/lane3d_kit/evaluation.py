@@ -245,17 +245,6 @@ def _match_resampled(cost: np.ndarray, d: np.ndarray) -> list[tuple[int, int, np
     return [(i, j, d[i, j]) for i, j in solve_assignment(cost)]
 
 
-def match_lanes(
-    gts: list[Lane3D], preds: list[Lane3D], cfg: EvalConfigOL
-) -> list[tuple[int, int]]:
-    """Minimum-total-cost one-to-one pairing between GT and predictions."""
-    y = cfg.y_eval_samples
-    cost, d = _cost_matrix(
-        [resample_lane(g, y) for g in gts], [resample_lane(p, y) for p in preds], cfg
-    )
-    return [(i, j) for i, j, _ in _match_resampled(cost, d)]
-
-
 def _check_finite(frame: int, gts: list[Lane3D], preds: list[Lane3D]) -> None:
     """Raise ValueError naming the first lane of the frame with a NaN or inf."""
     lanes = [*gts, *preds]

@@ -18,41 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DepthNonPositive, InvalidRig, MissingLidarExtrinsics
+from .errors import InvalidRig, MissingLidarExtrinsics
 
 #: Depth below which a point counts as being on/behind the camera plane.
 MIN_DEPTH = 1e-6
 
 _ORTHO_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class GroundPoint:
-    """A point in the ground frame (meters)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
-            raise ValueError(f"ground point has non-finite component: {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class FeaturePoint:
-    """A projected point in feature-grid coordinates plus its camera depth.
-
-    The depth is recorded even when (u, v) falls outside the grid; whether
-    the point is usable is decided by the sampler, not here.
-    """
-
-    u: float
-    v: float
-    depth: float
 
 
 @dataclass
@@ -129,32 +100,16 @@ class CameraRig:
         )
 
 
-def project_to_feature(p: GroundPoint, rig: CameraRig) -> FeaturePoint:
-    """Project a ground point into feature-grid coordinates.
-
-    Applies the pinhole projection K @ T_gc to the homogeneous point and
-    scales the pixel result down to the feature grid.  Raises
-    :class:`DepthNonPositive` when the point is at or behind the camera
-    plane; the caller decides whether that makes a sample invalid.
-    """
-    hom = rig._P @ np.array([p.x, p.y, p.z, 1.0])
-    d = hom[2]
-    if d <= MIN_DEPTH:
-        raise DepthNonPositive(f"depth {d} <= {MIN_DEPTH} for point {p}")
-    return FeaturePoint(
-        u=rig.scale_u * hom[0] / d,
-        v=rig.scale_v * hom[1] / d,
-        depth=d,
-    )
-
-
 def project_points_to_feature(
     xyz: np.ndarray, rig: CameraRig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized form of :func:`project_to_feature` over an (N, 3) array.
+    """Project (N, 3) ground points into feature-grid coordinates.
 
-    Returns (uv, depth, in_front) where points failing the depth test get
-    in_front=False and their uv is left at 0 rather than raising.
+    Applies the pinhole projection K @ T_gc to the homogeneous points and
+    scales the pixel results down to the feature grid.  Returns (uv (N, 2),
+    depth (N,), in_front (N,)); points at or behind the camera plane
+    (depth <= MIN_DEPTH) get in_front=False and uv left at 0, and the
+    caller decides whether that makes a sample invalid.
     """
     xyz = np.asarray(xyz, dtype=np.float64)
     hom = xyz @ rig._P[:, :3].T + rig._P[:, 3]
@@ -167,32 +122,9 @@ def project_points_to_feature(
     return uv, depth, in_front
 
 
-def project_to_lidar(p: GroundPoint, rig: CameraRig) -> GroundPoint:
-    """Transform a ground point into the LiDAR frame via T_gl."""
-    if rig.T_gl is None:
-        raise MissingLidarExtrinsics("rig has no ground-to-LiDAR transform")
-    out = rig.T_gl @ np.array([p.x, p.y, p.z, 1.0])
-    return GroundPoint(out[0], out[1], out[2])
-
-
 def project_points_to_lidar(xyz: np.ndarray, rig: CameraRig) -> np.ndarray:
-    """Vectorized form of :func:`project_to_lidar` over an (N, 3) array."""
+    """Transform (N, 3) ground points into the LiDAR frame via T_gl."""
     if rig.T_gl is None:
         raise MissingLidarExtrinsics("rig has no ground-to-LiDAR transform")
     xyz = np.asarray(xyz, dtype=np.float64)
     return xyz @ rig.T_gl[:, :3].T + rig.T_gl[:, 3]
-
-
-def back_project(fp: FeaturePoint, rig: CameraRig) -> GroundPoint:
-    """Invert :func:`project_to_feature` given the recorded depth.
-
-    The projection matrix restricted to the rotation part is K @ R, which
-    is invertible for any valid rig, so the ground point is unique.
-    """
-    if fp.depth <= MIN_DEPTH:
-        raise DepthNonPositive(f"cannot back-project depth {fp.depth}")
-    rhs = np.array(
-        [fp.u / rig.scale_u * fp.depth, fp.v / rig.scale_v * fp.depth, fp.depth]
-    )
-    p = np.linalg.solve(rig._P[:, :3], rhs - rig._P[:, 3])
-    return GroundPoint(p[0], p[1], p[2])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .head import Proposal
 from .lanes import Lane3D
-from .losses import Assignment, LossConfig, ew_loss, ew_pair_loss, regression_loss
+from .losses import Assignment, LossConfig, ew_loss, ew_pair_loss, ew_pair_widths, regression_loss
 
 KINK_MARGIN = 1e-3
 FD_STEP = 1e-6
@@ -73,19 +73,10 @@ def _instance_clear_of_kinks(gts, props, y, tau):
         for jp in range(len(props)):
             if j == jp:
                 continue
-            x_ref, x_other = props[j].x, props[jp].x
-            gap = x_other - x_ref
-            if np.abs(gap).min() < KINK_MARGIN:
+            *_, gap, dev, delta_w = ew_pair_widths(props[j].x, props[jp].x, y)
+            if np.abs(gap).min() < KINK_MARGIN or np.abs(dev).min() < KINK_MARGIN:
                 return False
-            dxo = np.diff(x_other)
-            dy = np.diff(y)
-            seg = np.minimum(np.arange(y.shape[0]), y.shape[0] - 2)
-            cos = dy[seg] / np.sqrt(dy[seg] ** 2 + dxo[seg] ** 2)
-            widths = np.abs(cos * gap)
-            dev = widths - widths.mean()
-            if np.abs(dev).min() < KINK_MARGIN:
-                return False
-            if abs(np.abs(dev).mean() - tau) < KINK_MARGIN:
+            if abs(delta_w - tau) < KINK_MARGIN:
                 return False
     return True
 

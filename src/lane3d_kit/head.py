@@ -196,16 +196,13 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(features, anchors: list[Anchor3D], w: HeadWeights) -> list[Proposal]:
+def predict(features: np.ndarray, anchors: list[Anchor3D], w: HeadWeights) -> list[Proposal]:
     """Run the head on per-anchor features and build proposals.
 
-    ``features`` is either a list of AnchorFeature or an (M, C) matrix of
-    their flattened values, aligned with ``anchors``.
+    ``features`` is the (M, C) matrix whose rows are the anchors' flattened
+    :class:`~lane3d_kit.sampling.AnchorFeature` values, aligned with ``anchors``.
     """
-    if isinstance(features, np.ndarray):
-        x = np.asarray(features, dtype=np.float64)
-    else:
-        x = np.stack([f.flat for f in features], axis=0)
+    x = np.asarray(features, dtype=np.float64)
     if x.shape[0] != len(anchors):
         raise ShapeMismatch("features vs anchors", len(anchors), x.shape[0])
     if x.shape[1] != w.feature_len:
@@ -273,7 +270,6 @@ def run_pipeline(
     plan: StagePlan,
     y_samples: np.ndarray,
     ranges: MetaRanges,
-    literal_scale: bool = False,
     predict_fn: Callable[[int, int, list[Anchor3D], np.ndarray], list[Proposal]] | None = None,
 ) -> PipelineResult:
     """Run all refinement stages and return final proposals plus the trace.
@@ -293,9 +289,7 @@ def run_pipeline(
         if predict_fn is None and wid not in head_weights:
             raise KeyError(f"stage plan references unknown head weights id {wid!r}")
 
-    anchors = generate_anchors(
-        features[5], bank, coeff_weights, ranges, y_samples, literal_scale=literal_scale
-    )
+    anchors = generate_anchors(features[5], bank, coeff_weights, ranges, y_samples)
     trace: list[StageTrace] = []
     proposals: list[Proposal] = []
     for idx, (level, wid) in enumerate(plan.stages):

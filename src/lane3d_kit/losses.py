@@ -76,29 +76,29 @@ class Assignment:
     non_lane_class: int
 
 
-def matching_distance(gt: Lane3D, prop: Proposal) -> float:
-    """Visibility-weighted mean pointwise (x, z) distance between a GT lane
-    and a proposal sharing its y-samples."""
-    vis = gt.visibility
-    total = vis.sum()
-    if total <= 0:
-        raise AllInvisible("ground-truth lane has no visible points")
-    d = np.sqrt((gt.x - prop.x) ** 2 + (gt.z - prop.z) ** 2)
-    return float((vis * d).sum() / total)
-
-
-def matching_cost(gt: Lane3D, prop: Proposal, cfg: LossConfig) -> float:
-    """Combined cost: low when the proposal is near the lane and confident
-    in the lane's class."""
-    return float(-cfg.beta_cls * prop.class_probs[gt.category]
-                 + cfg.beta_dis * matching_distance(gt, prop))
-
-
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost injective row-to-column assignment (rectangular)."""
     cost = np.asarray(cost, dtype=np.float64)
     rows, cols = linear_sum_assignment(cost)
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _pair_costs(gts: list[Lane3D], props: list[Proposal], cfg: LossConfig) -> np.ndarray:
+    """(G, P) matching costs: ``beta_dis`` times the visibility-weighted mean
+    pointwise (x, z) distance, minus ``beta_cls`` times the proposal's
+    probability of the lane's class.  Low when a proposal is near the lane
+    and confident in its class."""
+    vis = np.array([gt.visibility for gt in gts])
+    total = vis.sum(axis=1)
+    if np.any(total <= 0):
+        raise AllInvisible("ground-truth lane has no visible points")
+    gx = np.array([gt.x for gt in gts])[:, None]
+    gz = np.array([gt.z for gt in gts])[:, None]
+    d = np.sqrt((gx - np.array([p.x for p in props])) ** 2
+                + (gz - np.array([p.z for p in props])) ** 2)
+    dist = (vis[:, None] * d).sum(axis=2) / total[:, None]
+    probs = np.array([p.class_probs for p in props])[:, [gt.category for gt in gts]].T
+    return -cfg.beta_cls * probs + cfg.beta_dis * dist
 
 
 def assign(gts: list[Lane3D], props: list[Proposal], cfg: LossConfig) -> Assignment:
@@ -109,11 +109,7 @@ def assign(gts: list[Lane3D], props: list[Proposal], cfg: LossConfig) -> Assignm
     labels = np.full(len(props), non_lane, dtype=np.intp)
     if not gts:
         return Assignment(sigma={}, positives=[], labels=labels, non_lane_class=non_lane)
-    cost = np.empty((len(gts), len(props)), dtype=np.float64)
-    for i, gt in enumerate(gts):
-        for j, p in enumerate(props):
-            cost[i, j] = matching_cost(gt, p, cfg)
-    pairs = solve_assignment(cost)
+    pairs = solve_assignment(_pair_costs(gts, props, cfg))
     sigma = {i: j for i, j in pairs}
     positives = [sigma[i] for i in sorted(sigma)]
     for i, j in sigma.items():
@@ -175,18 +171,14 @@ def regression_loss(
     return loss, GradBundle(d_x=d_x, d_z=d_z, d_vis=d_vis)
 
 
-def ew_pair_loss(
-    x_ref: np.ndarray, x_other: np.ndarray, y: np.ndarray, tau: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Equal-width loss for one ordered lane pair and its x-gradients.
+def ew_pair_widths(x_ref: np.ndarray, x_other: np.ndarray, y: np.ndarray) -> tuple:
+    """Widths from ``x_ref`` measured along the normals of ``x_other``.
 
-    Widths are measured along the normals of the *other* lane: at each
-    point the x-gap is scaled by the cosine of that lane's local heading,
-    taken from its forward segment (the last point reuses the final
-    segment).  The loss is the mean absolute deviation of the widths,
-    gated to zero at or above ``tau`` so forks are exempt.
-
-    Returns (loss, grad wrt x_ref, grad wrt x_other).
+    At each point the x-gap is scaled by the cosine of the other lane's
+    local heading, taken from its forward segment (the last point reuses
+    the final segment).  Returns per point (segment index, its y step, its
+    other-lane x step, its squared length, cosine, gap, width minus the
+    mean width), then the mean absolute deviation of the widths.
     """
     x_ref = np.asarray(x_ref, dtype=np.float64)
     x_other = np.asarray(x_other, dtype=np.float64)
@@ -201,10 +193,22 @@ def ew_pair_loss(
     cos = dy[seg] / np.sqrt(hyp2)
     gap = x_other - x_ref
     widths = np.abs(cos * gap)
-    mean_w = widths.mean()
-    dev = widths - mean_w
-    delta_w = np.abs(dev).mean()
+    dev = widths - widths.mean()
+    return seg, dy[seg], dxo[seg], hyp2, cos, gap, dev, np.abs(dev).mean()
 
+
+def ew_pair_loss(
+    x_ref: np.ndarray, x_other: np.ndarray, y: np.ndarray, tau: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Equal-width loss for one ordered lane pair and its x-gradients.
+
+    The loss is the mean absolute deviation of the :func:`ew_pair_widths`,
+    gated to zero at or above ``tau`` so forks are exempt.
+
+    Returns (loss, grad wrt x_ref, grad wrt x_other).
+    """
+    seg, dy, dxo, hyp2, cos, gap, dev, delta_w = ew_pair_widths(x_ref, x_other, y)
+    n = gap.shape[0]
     g_ref = np.zeros(n)
     g_other = np.zeros(n)
     if delta_w >= tau:
@@ -219,7 +223,7 @@ def ew_pair_loss(
     g_ref -= d_gap
     # Through the cosine, which depends on the other lane's segment slope.
     d_cos = d_w * np.abs(gap)
-    d_dxo = d_cos * (-dy[seg] * dxo[seg] / hyp2 ** 1.5)
+    d_dxo = d_cos * (-dy * dxo / hyp2 ** 1.5)
     np.add.at(g_other, seg + 1, d_dxo)
     np.add.at(g_other, seg, -d_dxo)
     return float(delta_w), g_ref, g_other

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import Anchor3D
-from .errors import LengthMismatch, MissingLidarExtrinsics, ShapeMismatch
+from .errors import LengthMismatch, ShapeMismatch
 from .geometry import CameraRig, project_points_to_feature, project_points_to_lidar
 
 
@@ -89,11 +89,15 @@ class AnchorFeature:
         return self.values.reshape(-1)
 
 
-def _bilinear_batch(data: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Bilinear interpolation of (H, W, C) data at fractional (u, v) points.
+def bilinear_sample(
+    fm: FeatureMap, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear interpolation of a feature map at (M,) fractional (u, v) points.
 
-    Returns (values (M, C), valid (M,)); out-of-grid points are zeroed.
+    Returns (values (M, C), valid (M,)); points outside the grid are zeroed
+    and flagged invalid.
     """
+    data = fm.data
     h, w, _ = data.shape
     valid = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
     uc = np.clip(u, 0.0, w - 1.0)
@@ -114,13 +118,6 @@ def _bilinear_batch(data: np.ndarray, u: np.ndarray, v: np.ndarray):
     return out, valid
 
 
-def bilinear_sample(fm: FeatureMap, u: float, v: float) -> tuple[np.ndarray, bool]:
-    """Sample one feature vector at fractional grid coordinates (u, v)."""
-    values, valid = _bilinear_batch(fm.data, np.array([u], dtype=np.float64),
-                                    np.array([v], dtype=np.float64))
-    return values[0], bool(valid[0])
-
-
 def _volume_fractional_coords(fv: FeatureVolume, xyz: np.ndarray) -> np.ndarray:
     """Map ground/LiDAR-frame points to fractional (iz, iy, ix) cell coords."""
     d, h, w, _ = fv.data.shape
@@ -137,7 +134,12 @@ def _volume_fractional_coords(fv: FeatureVolume, xyz: np.ndarray) -> np.ndarray:
     return rel[:, ::-1]  # -> (iz, iy, ix)
 
 
-def _trilinear_batch(fv: FeatureVolume, xyz: np.ndarray):
+def trilinear_sample(fv: FeatureVolume, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trilinear interpolation of a feature volume at (M, 3) LiDAR-frame points.
+
+    Returns (values (M, C), valid (M,)); points outside the extent are
+    zeroed and flagged invalid.
+    """
     d, h, w, _ = fv.data.shape
     frac = _volume_fractional_coords(fv, np.asarray(xyz, dtype=np.float64))
     iz, iy, ix = frac[:, 0], frac[:, 1], frac[:, 2]
@@ -170,33 +172,12 @@ def _trilinear_batch(fv: FeatureVolume, xyz: np.ndarray):
     return out, valid
 
 
-def trilinear_sample(fv: FeatureVolume, point) -> tuple[np.ndarray, bool]:
-    """Sample one voxel-feature vector at a LiDAR-frame point.
-
-    ``point`` is a GroundPoint or any (3,) xyz sequence; out-of-extent
-    points return zeros flagged invalid.
-    """
-    xyz = point.as_array() if hasattr(point, "as_array") else np.asarray(point, dtype=np.float64)
-    values, valid = _trilinear_batch(fv, xyz[None, :])
-    return values[0], bool(valid[0])
-
-
-def sample_anchor(anchor: Anchor3D, fm: FeatureMap, rig: CameraRig) -> AnchorFeature:
-    """Project an anchor's points into the feature grid and sample each one.
-
-    Behind-camera and out-of-grid points contribute zeros with a False mask.
-    """
-    if rig.feature_size != fm.data.shape[:2]:
-        raise ShapeMismatch("feature grid", rig.feature_size, fm.data.shape[:2])
-    uv, _, in_front = project_points_to_feature(anchor.points, rig)
-    values, in_grid = _bilinear_batch(fm.data, uv[:, 0], uv[:, 1])
-    valid = in_front & in_grid
-    values[~valid] = 0.0
-    return AnchorFeature(values=values, valid=valid)
-
-
 def sample_anchors(anchors: list[Anchor3D], fm: FeatureMap, rig: CameraRig) -> list[AnchorFeature]:
-    """Batch :func:`sample_anchor` over many anchors with one projection pass."""
+    """Project every anchor's points into the feature grid and sample them.
+
+    One projection pass covers all anchors.  Behind-camera and out-of-grid
+    points contribute zeros with a False mask.
+    """
     if rig.feature_size != fm.data.shape[:2]:
         raise ShapeMismatch("feature grid", rig.feature_size, fm.data.shape[:2])
     if not anchors:
@@ -204,7 +185,7 @@ def sample_anchors(anchors: list[Anchor3D], fm: FeatureMap, rig: CameraRig) -> l
     n = len(anchors[0])
     pts = np.concatenate([a.points for a in anchors], axis=0)
     uv, _, in_front = project_points_to_feature(pts, rig)
-    values, in_grid = _bilinear_batch(fm.data, uv[:, 0], uv[:, 1])
+    values, in_grid = bilinear_sample(fm, uv[:, 0], uv[:, 1])
     valid = in_front & in_grid
     values[~valid] = 0.0
     return [
@@ -215,10 +196,8 @@ def sample_anchors(anchors: list[Anchor3D], fm: FeatureMap, rig: CameraRig) -> l
 
 def sample_anchor_lidar(anchor: Anchor3D, fv: FeatureVolume, rig: CameraRig) -> AnchorFeature:
     """Transform an anchor into the LiDAR frame and sample the voxel grid."""
-    if rig.T_gl is None:
-        raise MissingLidarExtrinsics("LiDAR sampling needs T_gl on the rig")
     pts = project_points_to_lidar(anchor.points, rig)
-    values, valid = _trilinear_batch(fv, pts)
+    values, valid = trilinear_sample(fv, pts)
     return AnchorFeature(values=values, valid=valid)
 
 

@@ -69,10 +69,10 @@ def test_combine_symmetric_prototypes_give_midpoint():
 
 
 def test_combine_one_hot_hits_range_endpoint():
-    bank = bank_with([1.0, -0.2])
-    coeffs = coeffs_with(np.array([[1.0, 0.0]]))
+    bank = bank_with([1.0, -1.0])
+    coeffs = coeffs_with(np.array([[1.0, 0.0], [0.0, 1.0]]))
     ranges = MetaRanges(xs_min=-10.0, xs_max=10.0)
-    assert combine_metas(bank, coeffs, ranges)[0].xs == 10.0
+    assert [m.xs for m in combine_metas(bank, coeffs, ranges)] == [10.0, -10.0]
 
 
 def test_combine_hand_case():
@@ -81,15 +81,6 @@ def test_combine_hand_case():
     coeffs = coeffs_with(np.array([[0.5, 0.25, 0.25]]))
     ranges = MetaRanges(xs_min=-12.0, xs_max=12.0)
     assert combine_metas(bank, coeffs, ranges)[0].xs == pytest.approx(7.5, abs=1e-12)
-
-
-def test_combine_literal_scale_escapes_range():
-    bank = bank_with([-1.0])
-    coeffs = coeffs_with(np.array([[1.0]]))
-    ranges = MetaRanges(xs_min=-10.0, xs_max=10.0)
-    assert combine_metas(bank, coeffs, ranges)[0].xs == -10.0
-    literal = combine_metas(bank, coeffs, ranges, literal_scale=True)
-    assert literal[0].xs == -30.0  # 2*min - max: why the remap is the default
 
 
 def test_range_containment_property(rng):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from lane3d_kit.cli import EXIT_INPUT, EXIT_OK, main
+from lane3d_kit.config import RunConfig, make_profile
+from lane3d_kit.head import StagePlan
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -66,3 +70,106 @@ def test_evaluate_rejects_a_nan_lane_with_its_location(capsys, tmp_path, protoco
     assert code == EXIT_INPUT and out == ""
     assert "/frames/3/lanes/1/points/0/0" in err and "non-finite" in err
     assert "Traceback" not in err
+
+
+# --- the whole chain on a tiny scene ---------------------------------------------
+
+CHAIN = GOLDEN / "chain"
+CHAIN_FILES = ("anchors.json", "preds.json", "trace.json", "loss.json", "grad_check.json")
+
+# Three lanes on the ONCE profile (10 points) in a 96x128 image with LiDAR
+# volumes, so one forward pass runs bilinear and trilinear sampling and fuse.
+CHAIN_SPEC = {
+    "profile": "once", "n_lanes": 3, "curvature": [0.0, 0.01], "slope": [0.0, 0.004],
+    "focal": 90.0, "image_size": [96, 128], "feature_stride": 8, "seed": 3,
+    "feature_channels": 2, "lidar": True, "lidar_channels": 2,
+}
+
+
+def chain_config() -> dict:
+    cfg = RunConfig(
+        profile=make_profile("once"), plan=StagePlan(((5, "s1"), (4, "s2"), (3, "s1"))),
+        fusion=True, num_anchors=6, feature_channels=2, lidar_channels=2,
+        num_prototypes=(6, 5, 3), image_size=(96, 128), feature_stride=8,
+    )
+    return cfg.to_json_dict()
+
+
+def call(*argv) -> tuple[int, str, str]:
+    """Run one CLI command in-process, returning (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_chain(work: Path) -> dict[str, tuple[int, str, str]]:
+    """gen-scene -> gen-weights -> anchors -> forward --trace -> loss ->
+    grad-check in ``work``; the last two write their stdout to files."""
+    (work / "spec.json").write_text(json.dumps(CHAIN_SPEC))
+    config = work / "config.json"
+    config.write_text(json.dumps(chain_config()))
+    scene, weights = work / "scene", work / "weights.a3t"
+    steps = {
+        "gen-scene": ("gen-scene", "--spec", work / "spec.json", "--out", scene),
+        "gen-weights": ("gen-weights", "--config", config, "--seed", 1, "--out", weights),
+        "anchors": ("anchors", "--config", config, "--features", scene / "features.a3t",
+                    "--weights", weights, "--out", work / "anchors.json"),
+        "forward": ("forward", "--config", config, "--scene", scene, "--weights", weights,
+                    "--out", work / "preds.json", "--trace", work / "trace.json"),
+        "loss": ("loss", "--config", config, "--gt", scene / "gt.json",
+                 "--pred", work / "preds.json"),
+        "grad-check": ("grad-check", "--config", config, "--trials", 5, "--seed", 0),
+    }
+    results = {name: call(*argv) for name, argv in steps.items()}
+    (work / "loss.json").write_text(results["loss"][1])
+    (work / "grad_check.json").write_text(results["grad-check"][1])
+    return results
+
+
+def test_chain_outputs_match_golden(tmp_path):
+    results = run_chain(tmp_path)
+    for name, (code, _, err) in results.items():
+        assert code == EXIT_OK, (name, err)
+        assert err == "", name
+    for name in CHAIN_FILES:
+        assert (tmp_path / name).read_bytes() == (CHAIN / name).read_bytes(), name
+
+
+def _bad_config(tmp_path, edit) -> Path:
+    doc = chain_config()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("edit, pointer, message", [
+    (lambda d: d["loss"].update(lamda_ew=0.1), "/loss/lamda_ew", "unknown field"),
+    (lambda d: d.update(fusoin=True), "/fusoin", "unknown field"),
+    (lambda d: d.update(literal_meta_scale=False), "/literal_meta_scale", "unknown field"),
+    (lambda d: d["profile"].update(num_points=10), "/profile/num_points", "unknown field"),
+    (lambda d: d.update(loss=3), "/loss", "expected an object"),
+    (lambda d: d.update(eval_once=[0.3]), "/eval_once", "expected an object"),
+    (lambda d: d.pop("plan"), "/plan", "missing field"),
+    (lambda d: d["eval_openlane"].pop("tp_fraction"), "/eval_openlane/tp_fraction",
+     "missing field"),
+    (lambda d: d["loss"].update(tau=-1.0), "/loss", "tau must be > 0"),
+    (lambda d: d["meta_ranges"].update(xs_min=None), "/meta_ranges", "float()"),
+    (lambda d: d.update(num_prototypes=5), "/num_prototypes", "not iterable"),
+    (lambda d: d.update(plan=[[5]]), "/plan", "not enough values"),
+    (lambda d: d.update(num_anchors="thirty"), "/num_anchors", "invalid literal"),
+])
+def test_bad_config_exits_2_with_its_pointer(tmp_path, edit, pointer, message):
+    config = _bad_config(tmp_path, edit)
+    code, out, err = call("grad-check", "--config", config, "--trials", 1)
+    assert code == EXIT_INPUT and out == ""
+    assert f"{config}: at {pointer}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path):
+    config = tmp_path / "bad.json"
+    config.write_text("[]")
+    code, _, err = call("gen-weights", "--config", config, "--out", tmp_path / "w.a3t")
+    assert code == EXIT_INPUT and f"{config}: at /: expected an object" in err

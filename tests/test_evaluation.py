@@ -7,8 +7,8 @@ from lane3d_kit.evaluation import (
     evaluate_once,
     evaluate_openlane,
     _cost_matrix,
+    _match_resampled,
     format_report_table,
-    match_lanes,
     rasterize_top_view,
     resample_lane,
     unilateral_chamfer,
@@ -84,9 +84,17 @@ def test_cost_matrix_equals_the_per_pair_formula(rng):
                 assert cost[i, j] == np.sqrt(want.sum())
 
 
+def resampled_costs(gts, preds, cfg):
+    return _cost_matrix(
+        [resample_lane(g, Y20) for g in gts], [resample_lane(p, Y20) for p in preds], cfg
+    )
+
+
 def test_match_lanes_coincident():
-    pairs = match_lanes([lane(0.0)], [lane(0.0, score=1.0)], cfg_ol())
-    assert pairs == [(0, 0)]
+    cost, d = resampled_costs([lane(0.0)], [lane(0.0, score=1.0)], cfg_ol())
+    [(i, j, dist)] = _match_resampled(cost, d)
+    assert (i, j) == (0, 0)
+    np.testing.assert_array_equal(dist, 0.0)
 
 
 def test_match_lanes_crossed_costs_vs_brute_force(rng):
@@ -94,11 +102,11 @@ def test_match_lanes_crossed_costs_vs_brute_force(rng):
     for _ in range(20):
         gts = [lane(v) for v in rng.uniform(-8, 8, size=int(rng.integers(1, 5)))]
         preds = [lane(v, score=1.0) for v in rng.uniform(-8, 8, size=int(rng.integers(1, 5)))]
-        cost, _ = _cost_matrix(
-            [resample_lane(g, Y20) for g in gts], [resample_lane(p, Y20) for p in preds], cfg
-        )
-        pairs = match_lanes(gts, preds, cfg)
-        total = sum(cost[i, j] for i, j in pairs)
+        cost, d = resampled_costs(gts, preds, cfg)
+        pairs = _match_resampled(cost, d)
+        assert len(pairs) == min(len(gts), len(preds))
+        assert len({i for i, _, _ in pairs}) == len({j for _, j, _ in pairs}) == len(pairs)
+        total = sum(cost[i, j] for i, j, _ in pairs)
         assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
 
 

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from lane3d_kit.errors import DepthNonPositive, InvalidRig, MissingLidarExtrinsics
+from lane3d_kit.errors import InvalidRig, MissingLidarExtrinsics
 from lane3d_kit.geometry import (
+    MIN_DEPTH,
     CameraRig,
-    FeaturePoint,
-    GroundPoint,
-    back_project,
     project_points_to_feature,
-    project_to_feature,
-    project_to_lidar,
+    project_points_to_lidar,
 )
 
 from conftest import random_rig, random_rotation, unit_rig
@@ -21,29 +18,45 @@ def hand_project(k, t_gc, p, su, sv):
     return su * hom[0] / hom[2], sv * hom[1] / hom[2], hom[2]
 
 
+def hand_back_project(rig, u, v, depth):
+    """Independent inverse of the projection given the depth: the camera
+    point is depth * K^-1 (u / su, v / sv, 1), then undo T_gc."""
+    cam = depth * np.linalg.solve(rig.K, [u / rig.scale_u, v / rig.scale_v, 1.0])
+    return rig.T_gc[:, :3].T @ (cam - rig.T_gc[:, 3])
+
+
+def project_one(p, rig):
+    """(u, v, depth, in_front) of a single ground point."""
+    uv, depth, in_front = project_points_to_feature(np.array([p], dtype=np.float64), rig)
+    return uv[0, 0], uv[0, 1], depth[0], bool(in_front[0])
+
+
 def test_optical_axis_maps_to_principal_point():
-    fp = project_to_feature(GroundPoint(0.0, 10.0, 1.5), unit_rig())
-    assert (fp.u, fp.v, fp.depth) == (240.0, 180.0, 10.0)
+    assert project_one((0.0, 10.0, 1.5), unit_rig()) == (240.0, 180.0, 10.0, True)
 
 
 def test_projection_matches_hand_matrix_product():
     rig = unit_rig()
-    fp = project_to_feature(GroundPoint(2.0, 10.0, 0.0), rig)
+    u, v, depth, _ = project_one((2.0, 10.0, 0.0), rig)
     # Oracle: camera coords (2, 1.5, 10) -> pixel (2600/10, 1950/10).
     expected = hand_project(rig.K, rig.T_gc, (2.0, 10.0, 0.0), 1.0, 1.0)
     assert expected == (260.0, 195.0, 10.0)
-    assert (fp.u, fp.v, fp.depth) == pytest.approx(expected, abs=1e-12)
+    assert (u, v, depth) == pytest.approx(expected, abs=1e-12)
 
 
 def test_projection_applies_feature_ratio():
-    rig = unit_rig(ratio=8)
-    fp = project_to_feature(GroundPoint(2.0, 10.0, 0.0), rig)
-    assert (fp.u, fp.v, fp.depth) == pytest.approx((260.0 / 8, 195.0 / 8, 10.0), abs=1e-12)
+    u, v, depth, _ = project_one((2.0, 10.0, 0.0), unit_rig(ratio=8))
+    assert (u, v, depth) == pytest.approx((260.0 / 8, 195.0 / 8, 10.0), abs=1e-12)
 
 
 def test_point_behind_camera_raises():
-    with pytest.raises(DepthNonPositive):
-        project_to_feature(GroundPoint(0.0, -1.0, 0.0), unit_rig())
+    # Depth equals the ground y here; at or below MIN_DEPTH a point is not
+    # in front of the camera and its uv stays at 0.
+    pts = np.array([[0.0, -1.0, 0.0], [0.0, MIN_DEPTH, 0.0], [0.0, 2 * MIN_DEPTH, 0.0]])
+    uv, depth, ok = project_points_to_feature(pts, unit_rig())
+    assert depth.tolist() == [-1.0, MIN_DEPTH, 2 * MIN_DEPTH]
+    assert ok.tolist() == [False, False, True]
+    assert uv[:2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_batch_projection_flags_behind_camera(rng):
@@ -58,52 +71,48 @@ def test_batch_projection_flags_behind_camera(rng):
 def test_lidar_identity_and_translation():
     rig = unit_rig()
     rig.T_gl = np.hstack([np.eye(3), np.zeros((3, 1))])
-    p = project_to_lidar(GroundPoint(1.0, 2.0, 3.0), rig)
-    assert (p.x, p.y, p.z) == (1.0, 2.0, 3.0)
+    pts = np.array([[1.0, 2.0, 3.0]])
+    assert project_points_to_lidar(pts, rig).tolist() == [[1.0, 2.0, 3.0]]
     rig.T_gl = np.hstack([np.eye(3), np.array([[0.0], [0.0], [-0.5]])])
-    p = project_to_lidar(GroundPoint(1.0, 2.0, 3.0), rig)
-    assert (p.x, p.y, p.z) == (1.0, 2.0, 2.5)
+    assert project_points_to_lidar(pts, rig).tolist() == [[1.0, 2.0, 2.5]]
 
 
 def test_lidar_matches_homogeneous_oracle(rng):
     for _ in range(20):
         rig = random_rig(rng, with_lidar=True)
-        p = rng.normal(scale=10.0, size=3)
-        got = project_to_lidar(GroundPoint(*p), rig)
+        pts = rng.normal(scale=10.0, size=(3, 3))
+        got = project_points_to_lidar(pts, rig)
         t44 = np.vstack([rig.T_gl, [0.0, 0.0, 0.0, 1.0]])
-        expected = (t44 @ np.append(p, 1.0))[:3]
-        np.testing.assert_allclose([got.x, got.y, got.z], expected, atol=1e-12)
+        for p, row in zip(pts, got):
+            np.testing.assert_allclose(row, (t44 @ np.append(p, 1.0))[:3], atol=1e-12)
 
 
 def test_missing_lidar_extrinsics():
     with pytest.raises(MissingLidarExtrinsics):
-        project_to_lidar(GroundPoint(0.0, 1.0, 0.0), unit_rig())
+        project_points_to_lidar(np.array([[0.0, 1.0, 0.0]]), unit_rig())
 
 
 def test_back_project_inverts_example():
-    p = back_project(FeaturePoint(240.0, 180.0, 10.0), unit_rig())
-    np.testing.assert_allclose([p.x, p.y, p.z], [0.0, 10.0, 1.5], atol=1e-12)
+    rig = unit_rig()
+    np.testing.assert_allclose(hand_back_project(rig, 240.0, 180.0, 10.0), [0.0, 10.0, 1.5],
+                               atol=1e-12)
+    assert project_one((0.0, 10.0, 1.5), rig) == (240.0, 180.0, 10.0, True)
 
 
 def test_back_project_rejects_zero_depth():
-    with pytest.raises(DepthNonPositive):
-        back_project(FeaturePoint(240.0, 180.0, 0.0), unit_rig())
+    # A point on the camera plane has no inverse: the projection flags it.
+    _, _, depth, in_front = project_one((240.0, 0.0, 180.0), unit_rig())
+    assert depth == 0.0 and not in_front
 
 
 def test_round_trip_random_points(rng):
     rig = random_rig(rng)
-    count = 0
-    while count < 1000:
-        p = GroundPoint(*rng.normal(scale=15.0, size=3))
-        try:
-            fp = project_to_feature(p, rig)
-        except DepthNonPositive:
-            continue
-        if fp.depth <= 0.1:
-            continue
-        back = back_project(fp, rig)
-        np.testing.assert_allclose([back.x, back.y, back.z], [p.x, p.y, p.z], atol=1e-9)
-        count += 1
+    pts = rng.normal(scale=15.0, size=(4000, 3))
+    uv, depth, in_front = project_points_to_feature(pts, rig)
+    keep = np.flatnonzero(in_front & (depth > 0.1))[:1000]
+    assert keep.shape[0] == 1000
+    for i in keep:
+        np.testing.assert_allclose(hand_back_project(rig, *uv[i], depth[i]), pts[i], atol=1e-9)
 
 
 def test_projection_linear_in_homogeneous_space(rng):
@@ -119,11 +128,9 @@ def test_projection_linear_in_homogeneous_space(rng):
         # Slide b along the camera plane's normal so its depth matches a's.
         depth_b = r3 @ b + rig.T_gc[2, 3]
         b = b + (depth_a - depth_b) * r3 / (r3 @ r3)
-        fa = project_to_feature(GroundPoint(*a), rig)
-        fb = project_to_feature(GroundPoint(*b), rig)
-        fm = project_to_feature(GroundPoint(*(0.5 * (a + b))), rig)
-        assert fm.u == pytest.approx(0.5 * (fa.u + fb.u), abs=1e-9)
-        assert fm.v == pytest.approx(0.5 * (fa.v + fb.v), abs=1e-9)
+        uv, _, ok = project_points_to_feature(np.array([a, b, 0.5 * (a + b)]), rig)
+        assert ok.all()
+        np.testing.assert_allclose(uv[2], 0.5 * (uv[0] + uv[1]), rtol=0, atol=1e-9)
 
 
 def test_depth_equals_projection_third_row(rng):
@@ -134,8 +141,9 @@ def test_depth_equals_projection_third_row(rng):
         expected = (P @ np.append(p, 1.0))[2]
         if expected <= 1e-6:
             continue
-        fp = project_to_feature(GroundPoint(*p), rig)
-        assert fp.depth == expected
+        # The batch projection adds the translation after the 3-term product,
+        # so it may differ from the 4-term oracle in the last bits.
+        assert project_one(p, rig)[2] == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_rig_invariants():

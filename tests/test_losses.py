@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lane3d_kit import losses
 from lane3d_kit.errors import AllInvisible, DegenerateSegment, ProbabilityUnderflow
 from lane3d_kit.head import Proposal
 from lane3d_kit.lanes import Lane3D
@@ -16,8 +18,6 @@ from lane3d_kit.losses import (
     classification_loss,
     ew_loss,
     ew_pair_loss,
-    matching_cost,
-    matching_distance,
     regression_loss,
     solve_assignment,
     total_loss,
@@ -60,36 +60,87 @@ def brute_force_min_cost(cost):
     return best
 
 
+def reference_cost(gt, p, cfg):
+    """Per-pair matching cost, the reference for assign's broadcast matrix:
+    beta_dis times the visibility-weighted mean pointwise (x, z) distance,
+    minus beta_cls times the proposal's probability of the lane's class."""
+    vis = gt.visibility
+    total = vis.sum()
+    if total <= 0:
+        raise AllInvisible("ground-truth lane has no visible points")
+    d = np.sqrt((gt.x - p.x) ** 2 + (gt.z - p.z) ** 2)
+    distance = float((vis * d).sum() / total)
+    return float(-cfg.beta_cls * p.class_probs[gt.category] + cfg.beta_dis * distance)
+
+
+def assign_costs(gts, props, cfg):
+    """The (G, P) cost matrix that assign hands to solve_assignment."""
+    with mock.patch.object(losses, "solve_assignment", wraps=losses.solve_assignment) as solve:
+        assign(gts, props, cfg)
+    return solve.call_args.args[0]
+
+
+# With these coefficients a cost is the matching distance itself.
+DIST = LossConfig(beta_cls=0.0, beta_dis=1.0)
+
+
 def test_matching_distance_coincident():
-    assert matching_distance(lane([0, 1, 2]), prop([0, 1, 2])) == 0.0
+    assert assign_costs([lane([0, 1, 2])], [prop([0, 1, 2])], DIST)[0, 0] == 0.0
 
 
 def test_matching_distance_pythagoras():
     gt = lane([0.0, 0.0, 0.0])
     p = prop([0.3, 0.3, 0.3], z=[0.4, 0.4, 0.4])
-    assert matching_distance(gt, p) == pytest.approx(0.5, abs=1e-12)
+    assert assign_costs([gt], [p], DIST)[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_matching_distance_single_visible_point():
     gt = lane([0.0, 0.0, 0.0], vis=[0, 1, 0])
     p = prop([5.0, 1.2, -7.0])
-    assert matching_distance(gt, p) == pytest.approx(1.2, abs=1e-12)
+    assert assign_costs([gt], [p], DIST)[0, 0] == pytest.approx(1.2, abs=1e-12)
 
 
 def test_matching_distance_all_invisible():
+    gts = [lane([0, 0, 0]), lane([0, 0, 0], vis=[0, 0, 0])]
     with pytest.raises(AllInvisible):
-        matching_distance(lane([0, 0, 0], vis=[0, 0, 0]), prop([0, 0, 0]))
+        assign(gts, [prop([0, 0, 0])], LossConfig())
 
 
 def test_matching_cost_values():
-    cfg = LossConfig()
     gt = lane([0, 0, 0], category=0)
-    assert matching_cost(gt, prop([0, 0, 0], probs=(0.8, 0.2)), cfg) == pytest.approx(-0.8)
     # D = 0.5 from the 3-4-5 case
-    p = prop([0.3, 0.3, 0.3], z=[0.4, 0.4, 0.4], probs=(0.8, 0.2))
-    assert matching_cost(gt, p, cfg) == pytest.approx(0.7, abs=1e-12)
-    cfg0 = LossConfig(beta_cls=0.0)
-    assert matching_cost(gt, p, cfg0) == pytest.approx(1.5, abs=1e-12)
+    props = [prop([0, 0, 0], probs=(0.8, 0.2)),
+             prop([0.3, 0.3, 0.3], z=[0.4, 0.4, 0.4], probs=(0.8, 0.2))]
+    cost = assign_costs([gt], props, LossConfig())
+    np.testing.assert_allclose(cost, [[-0.8, 0.7]], rtol=0, atol=1e-12)
+    cost0 = assign_costs([gt], props, LossConfig(beta_cls=0.0))
+    np.testing.assert_allclose(cost0, [[0.0, 1.5]], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.integers(1, 5), p=st.integers(1, 6), n=st.integers(1, 12), s=st.integers(1, 4),
+       beta_cls=st.floats(0.0, 10.0), beta_dis=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_assign_costs_equal_per_pair_reference_bitwise(g, p, n, s, beta_cls, beta_dis, seed):
+    rng = np.random.default_rng(seed)
+    y = np.cumsum(rng.uniform(0.5, 5.0, n))
+    scale = rng.uniform(0.1, 50.0)
+    # Hard and fractional visibilities; with few points a GT lane may be
+    # wholly invisible, which assign must reject like the reference.
+    vis = rng.choice([0.0, 0.3, 1.0], size=(g, n))
+    gts = [Lane3D(x=rng.normal(0, scale, n), y=y, z=rng.normal(0, 1, n), visibility=vis[i],
+                  category=int(rng.integers(s))) for i in range(g)]
+    props = [Proposal(class_probs=rng.dirichlet(np.ones(s + 1)), x=rng.normal(0, scale, n),
+                      z=rng.normal(0, 1, n), vis=rng.uniform(0, 1, n)) for _ in range(p)]
+    cfg = LossConfig(beta_cls=beta_cls, beta_dis=beta_dis)
+    if not vis.any(axis=1).all():
+        with pytest.raises(AllInvisible):
+            assign(gts, props, cfg)
+        return
+    want = np.array([[reference_cost(gt, pr, cfg) for pr in props] for gt in gts])
+    got = assign_costs(gts, props, cfg)
+    assert got.dtype == np.float64 and got.shape == (g, p)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_assign_diagonal():
@@ -127,7 +178,7 @@ def test_assign_total_matches_brute_force_on_lanes(rng):
         gts = [lane(rng.uniform(-5, 5, 3), category=int(rng.integers(0, 2)),
                     ) for _ in range(n_gt)]
         props = [prop(rng.uniform(-5, 5, 3), probs=(0.5, 0.3, 0.2)) for _ in range(n_p)]
-        cost = np.array([[matching_cost(g, p, cfg) for p in props] for g in gts])
+        cost = np.array([[reference_cost(g, p, cfg) for p in props] for g in gts])
         a = assign(gts, props, cfg)
         total = sum(cost[i, j] for i, j in a.sigma.items())
         assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)

@@ -10,7 +10,6 @@ from lane3d_kit.sampling import (
     FeatureVolume,
     bilinear_sample,
     fuse,
-    sample_anchor,
     sample_anchor_lidar,
     sample_anchors,
     trilinear_sample,
@@ -26,50 +25,51 @@ def grid2x2():
 
 def test_bilinear_exact_on_cell():
     fm = FeatureMap(data=np.arange(24, dtype=float).reshape(3, 4, 2))
-    values, valid = bilinear_sample(fm, 3.0, 2.0)
-    assert valid
-    np.testing.assert_array_equal(values, fm.data[2, 3])
+    values, valid = bilinear_sample(fm, np.array([3.0, 0.0, 1.0]), np.array([2.0, 0.0, 1.0]))
+    assert valid.all()
+    np.testing.assert_array_equal(values, fm.data[[2, 0, 1], [3, 0, 1]])
 
 
 def test_bilinear_center_average():
-    values, valid = bilinear_sample(grid2x2(), 0.5, 0.5)
-    assert valid and values[0] == 1.5
+    values, valid = bilinear_sample(grid2x2(), np.array([0.5]), np.array([0.5]))
+    assert valid[0] and values[0, 0] == 1.5
 
 
 def test_bilinear_hand_weights():
-    values, _ = bilinear_sample(grid2x2(), 0.25, 0.75)
+    values, _ = bilinear_sample(grid2x2(), np.array([0.25, 0.75]), np.array([0.75, 0.25]))
     # (0.75*0.25)*0 + (0.25*0.25)*1 + (0.75*0.75)*2 + (0.25*0.75)*3
-    assert values[0] == pytest.approx(1.75, abs=1e-12)
+    assert values[0, 0] == pytest.approx(1.75, abs=1e-12)
+    # (0.25*0.75)*0 + (0.75*0.75)*1 + (0.25*0.25)*2 + (0.75*0.25)*3
+    assert values[1, 0] == pytest.approx(1.25, abs=1e-12)
 
 
 def test_bilinear_out_of_range_is_zero_invalid():
-    values, valid = bilinear_sample(grid2x2(), -0.01, 0.5)
-    assert not valid and values[0] == 0.0
-    values, valid = bilinear_sample(grid2x2(), 0.5, 1.01)
-    assert not valid and values[0] == 0.0
+    u = np.array([-0.01, 0.5, 0.5, 1.01, 1.0])
+    v = np.array([0.5, 1.01, -0.01, 0.5, 1.0])
+    values, valid = bilinear_sample(grid2x2(), u, v)
+    assert valid.tolist() == [False, False, False, False, True]
+    assert values[:, 0].tolist() == [0.0, 0.0, 0.0, 0.0, 3.0]
 
 
 def test_bilinear_linear_in_data(rng):
     f1 = rng.normal(size=(4, 5, 3))
     f2 = rng.normal(size=(4, 5, 3))
     a, b = 0.7, -1.3
-    for _ in range(20):
-        u, v = rng.uniform(0, 4), rng.uniform(0, 3)
-        s1, _ = bilinear_sample(FeatureMap(data=f1), u, v)
-        s2, _ = bilinear_sample(FeatureMap(data=f2), u, v)
-        s, _ = bilinear_sample(FeatureMap(data=a * f1 + b * f2), u, v)
-        np.testing.assert_allclose(s, a * s1 + b * s2, atol=1e-12)
+    u, v = rng.uniform(0, 4, size=20), rng.uniform(0, 3, size=20)
+    s1, _ = bilinear_sample(FeatureMap(data=f1), u, v)
+    s2, _ = bilinear_sample(FeatureMap(data=f2), u, v)
+    s, _ = bilinear_sample(FeatureMap(data=a * f1 + b * f2), u, v)
+    np.testing.assert_allclose(s, a * s1 + b * s2, atol=1e-12)
 
 
 def test_bilinear_bounded_by_neighbors(rng):
     data = rng.normal(size=(5, 6, 1))
-    fm = FeatureMap(data=data)
-    for _ in range(50):
-        u, v = rng.uniform(0, 5), rng.uniform(0, 4)
-        value, _ = bilinear_sample(fm, u, v)
-        u0, v0 = int(u), int(v)
+    u, v = rng.uniform(0, 5, size=50), rng.uniform(0, 4, size=50)
+    values, _ = bilinear_sample(FeatureMap(data=data), u, v)
+    for ui, vi, value in zip(u, v, values[:, 0]):
+        u0, v0 = int(ui), int(vi)
         block = data[v0:v0 + 2, u0:u0 + 2, 0]
-        assert block.min() - 1e-12 <= value[0] <= block.max() + 1e-12
+        assert block.min() - 1e-12 <= value <= block.max() + 1e-12
 
 
 def volume_2x2x2():
@@ -80,25 +80,25 @@ def volume_2x2x2():
 
 def test_trilinear_exact_on_voxel_center():
     fv = volume_2x2x2()
-    values, valid = trilinear_sample(fv, (1.0, 0.0, 1.0))  # ix=1, iy=0, iz=1
-    assert valid
-    assert values[0] == fv.data[1, 0, 1, 0]
+    values, valid = trilinear_sample(fv, np.array([[1.0, 0.0, 1.0]]))  # ix=1, iy=0, iz=1
+    assert valid[0]
+    assert values[0, 0] == fv.data[1, 0, 1, 0]
 
 
 def test_trilinear_center_of_block():
-    values, valid = trilinear_sample(volume_2x2x2(), (0.5, 0.5, 0.5))
-    assert valid and values[0] == pytest.approx(3.5, abs=1e-12)
+    values, valid = trilinear_sample(volume_2x2x2(), np.array([[0.5, 0.5, 0.5]]))
+    assert valid[0] and values[0, 0] == pytest.approx(3.5, abs=1e-12)
 
 
 def test_trilinear_matches_hand_weights(rng):
     data = rng.normal(size=(3, 3, 3, 2))
     extent = np.array([[-1.0, 1.0], [2.0, 6.0], [0.0, 0.5]])
     fv = FeatureVolume(data=data, extent=extent)
-    for _ in range(30):
-        frac = rng.uniform(0, 2, size=3)  # fractional (ix, iy, iz)
-        point = extent[:, 0] + frac * (extent[:, 1] - extent[:, 0]) / 2.0
-        got, valid = trilinear_sample(fv, point)
-        assert valid
+    fracs = rng.uniform(0, 2, size=(30, 3))  # fractional (ix, iy, iz)
+    points = extent[:, 0] + fracs * (extent[:, 1] - extent[:, 0]) / 2.0
+    values, valid = trilinear_sample(fv, points)
+    assert valid.all()
+    for frac, got in zip(fracs, values):
         # Hand oracle: explicit 8-corner weighted sum.
         x0, y0, z0 = (min(int(f), 1) for f in frac)
         fx, fy, fz = frac[0] - x0, frac[1] - y0, frac[2] - z0
@@ -111,8 +111,10 @@ def test_trilinear_matches_hand_weights(rng):
 
 
 def test_trilinear_outside_extent():
-    values, valid = trilinear_sample(volume_2x2x2(), (2.0, 0.5, 0.5))
-    assert not valid and values[0] == 0.0
+    points = np.array([[2.0, 0.5, 0.5], [0.5, -0.1, 0.5], [0.5, 0.5, 1.5], [1.0, 1.0, 1.0]])
+    values, valid = trilinear_sample(volume_2x2x2(), points)
+    assert valid.tolist() == [False, False, False, True]
+    assert values[:, 0].tolist() == [0.0, 0.0, 0.0, 7.0]
 
 
 def anchor_at(x, n=5, y_span=(5.0, 45.0), z=0.0):
@@ -125,7 +127,7 @@ def test_sample_anchor_behind_camera():
     y = np.linspace(-50.0, -10.0, 5)
     anchor = Anchor3D(x=np.zeros(5), y=y, z=np.zeros(5))
     fm = FeatureMap(data=np.ones((45, 60, 2)))
-    af = sample_anchor(anchor, fm, rig)
+    af = sample_anchors([anchor], fm, rig)[0]
     assert not af.valid.any()
     np.testing.assert_array_equal(af.values, 0.0)
 
@@ -133,7 +135,7 @@ def test_sample_anchor_behind_camera():
 def test_sample_anchor_constant_map():
     rig = unit_rig(ratio=8)
     fm = FeatureMap(data=np.full((45, 60, 3), 2.5))
-    af = sample_anchor(anchor_at(0.0), fm, rig)
+    af = sample_anchors([anchor_at(0.0)], fm, rig)[0]
     assert af.valid.all()
     np.testing.assert_array_equal(af.values, 2.5)
     assert af.flat.shape == (15,)
@@ -145,7 +147,7 @@ def test_sample_anchor_hits_rasterized_lane_peak():
     lane = gts[0]
     fm = rasterize_features(gts, rig, (*rig.feature_size, 1), sigma=6.0)
     anchor = Anchor3D(x=lane.x, y=lane.y, z=lane.z)
-    af = sample_anchor(anchor, fm, rig)
+    af = sample_anchors([anchor], fm, rig)[0]
     visible = lane.visible_mask
     assert np.all(af.values[visible, 0] >= 0.99)
 
@@ -158,7 +160,7 @@ def test_sample_anchor_far_from_lane_is_tiny():
     # beyond 5 sigma from every splat of the centered lane.
     lane = gts[0]
     off = anchor_at(lane.x[0] + 5.0, n=3, y_span=(10.0, 20.0))
-    af = sample_anchor(off, fm, rig)
+    af = sample_anchors([off], fm, rig)[0]
     assert af.valid.all()
     assert np.all(af.values < 1e-5)
 
@@ -167,7 +169,7 @@ def test_sample_anchor_feature_size_mismatch():
     rig = unit_rig(ratio=8)
     fm = FeatureMap(data=np.zeros((44, 60, 1)))
     with pytest.raises(ShapeMismatch):
-        sample_anchor(anchor_at(0.0), fm, rig)
+        sample_anchors([anchor_at(0.0)], fm, rig)
 
 
 def test_sample_anchors_permutation_consistent(rng):
