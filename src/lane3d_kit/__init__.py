@@ -14,6 +14,7 @@ from . import (
     geometry,
     gradcheck,
     head,
+    jsonable,
     lanes,
     laneio,
     losses,
@@ -40,6 +41,7 @@ __all__ = [
     "geometry",
     "gradcheck",
     "head",
+    "jsonable",
     "laneio",
     "lanes",
     "losses",

@@ -58,20 +58,6 @@ class MetaRanges:
             if not lo < hi:
                 raise ValueError(f"{name} range [{lo}, {hi}] is empty")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "xs_min": self.xs_min,
-            "xs_max": self.xs_max,
-            "phi_min": self.phi_min,
-            "phi_max": self.phi_max,
-            "theta_min": self.theta_min,
-            "theta_max": self.theta_max,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MetaRanges":
-        return cls(**{k: float(v) for k, v in d.items()})
-
 
 @dataclass
 class PrototypeBank:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .evaluation import evaluate_once, evaluate_openlane, format_report_table
 from .gradcheck import run_grad_check
 from .geometry import CameraRig
 from .head import HeadWeights, Proposal, run_pipeline
+from .jsonable import from_json, read_json, to_json
 from .lanes import Lane3D
 from .laneio import Frame, read_lane_file, write_lane_file
 from .losses import assign, total_loss
@@ -54,14 +56,7 @@ _DEFAULT_LIDAR_DIMS = (6, 24, 16)
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig.default()
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise FileFormatError(path, f"offset {e.pos}", f"invalid JSON: {e.msg}") from e
-    try:
-        return RunConfig.from_json_dict(doc)
-    except FileFormatError as e:
-        raise FileFormatError(path, e.location, e.message) from e
+    return from_json(RunConfig, read_json(path), path)
 
 
 def _print_json(obj) -> None:
@@ -175,23 +170,29 @@ def _volumes_for_frame(tensors: dict, frame_id: str) -> dict[int, FeatureVolume]
     return vols
 
 
-def cmd_gen_scene(args) -> int:
-    try:
-        doc = json.loads(Path(args.spec).read_text())
-    except json.JSONDecodeError as e:
-        raise FileFormatError(args.spec, f"offset {e.pos}", f"invalid JSON: {e.msg}") from e
-    profile = make_profile(doc.pop("profile", "openlane"))
-    sigma = float(doc.pop("sigma", _DEFAULT_SIGMA))
-    channels = int(doc.pop("feature_channels", 64))
-    with_lidar = bool(doc.pop("lidar", False))
-    lidar_channels = int(doc.pop("lidar_channels", 8))
-    noise_doc = doc.pop("noise", None)
-    try:
-        spec = SceneSpec.from_json_dict(doc)
-    except TypeError as e:
-        raise FileFormatError(args.spec, "/", f"bad scene spec: {e}") from e
+@dataclass
+class _GenSceneSpec(SceneSpec):
+    """A gen-scene spec: the scene plus how to render it; every key may be omitted."""
 
-    gts, rig = generate_scene(spec, profile, with_lidar=with_lidar)
+    profile: str = "openlane"
+    sigma: float = _DEFAULT_SIGMA
+    feature_channels: int = 64
+    lidar: bool = False
+    lidar_channels: int = 8
+    noise: NoiseSpec | None = None
+
+
+def cmd_gen_scene(args) -> int:
+    doc = read_json(args.spec)
+    if not isinstance(doc, dict):
+        raise FileFormatError(args.spec, "/", "expected an object")
+    doc = {**to_json(_GenSceneSpec()), **doc}
+    if isinstance(doc["noise"], dict):
+        doc["noise"] = {**to_json(NoiseSpec()), **doc["noise"]}
+    spec = from_json(_GenSceneSpec, doc, args.spec)
+    profile = make_profile(spec.profile)
+
+    gts, rig = generate_scene(spec, profile, with_lidar=spec.lidar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_lane_file(out / "gt.json", [Frame(id="0", camera=rig, lanes=gts)])
@@ -199,19 +200,19 @@ def cmd_gen_scene(args) -> int:
     h_f, w_f = rig.feature_size
     tensors = {}
     for level in _LEVELS:
-        fm = rasterize_features(gts, rig, (h_f, w_f, channels), sigma, level=level)
+        fm = rasterize_features(gts, rig, (h_f, w_f, spec.feature_channels), spec.sigma,
+                                level=level)
         tensors[f"F{level}"] = fm.data
-    if with_lidar:
+    if spec.lidar:
         extent = np.array([[-15.0, 15.0], [0.0, 105.0], [-2.0, 3.0]])
-        dims = (*_DEFAULT_LIDAR_DIMS, lidar_channels)
+        dims = (*_DEFAULT_LIDAR_DIMS, spec.lidar_channels)
         vol = rasterize_volume(gts, dims, extent)
         for level in _LEVELS:
             tensors[f"L{level}"] = vol.data
             tensors[f"L{level}.extent"] = vol.extent
     write_tensors(out / "features.a3t", tensors)
-    if noise_doc is not None:
-        noise = NoiseSpec.from_json_dict(noise_doc)
-        props = perturb_predictions(gts, noise, spec.seed, profile.num_categories)
+    if spec.noise is not None:
+        props = perturb_predictions(gts, spec.noise, spec.seed, profile.num_categories)
         lanes = [p.to_lane(profile.y_samples) for p in props]
         write_lane_file(out / "preds.json", [Frame(id="0", camera=rig, lanes=lanes)])
     print(f"wrote scene with {len(gts)} lanes to {out}")
@@ -236,10 +237,7 @@ def cmd_anchors(args) -> int:
     coeffs = pool_and_weigh(maps[5], coeff_w)
     metas = combine_metas(bank, coeffs, cfg.meta_ranges)
     anchors = [materialize(m, cfg.profile.y_samples) for m in metas]
-    doc = {
-        "metas": [{"xs": m.xs, "phi": m.phi, "theta": m.theta} for m in metas],
-        "anchors": [a.points.tolist() for a in anchors],
-    }
+    doc = {"metas": to_json(metas), "anchors": [a.points.tolist() for a in anchors]}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {len(anchors)} anchors to {args.out}")
     return EXIT_OK
@@ -320,7 +318,7 @@ def cmd_loss(args) -> int:
         ]
         assignment = assign(gts, props, cfg.loss)
         breakdown, _ = total_loss(gts, props, assignment, cfg.loss, y)
-        per_frame.append({"id": pf.id, **breakdown.to_json_dict()})
+        per_frame.append({"id": pf.id, **to_json(breakdown)})
         for key in sums:
             sums[key] += per_frame[-1][key]
     _print_json({"frames": per_frame, "sum": sums})
@@ -370,24 +368,24 @@ def cmd_evaluate(args) -> int:
             _write_svg(plot_dir / f"frame_{fid}.svg", gts, preds)
     if args.protocol == "openlane":
         report = evaluate_openlane(pairs, cfg.eval_openlane)
-        doc = report.to_json_dict()
+        doc = to_json(report)
         doc["empty_gt_frames"] = [ids[i] for i in report.empty_gt_frames]
         if args.out:
             Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
         _print_json(doc)
         print(format_report_table(report))
     else:
-        report = evaluate_once(pairs, cfg.eval_once)
+        doc = to_json(evaluate_once(pairs, cfg.eval_once))
         if args.out:
-            Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=1) + "\n")
-        _print_json(report.to_json_dict())
+            Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+        _print_json(doc)
     return EXIT_OK
 
 
 def cmd_grad_check(args) -> int:
     cfg = _load_config(args.config)
     result = run_grad_check(args.trials, args.seed, cfg.loss)
-    _print_json(result.to_json_dict())
+    _print_json(to_json(result))
     return EXIT_OK if result.passed else EXIT_VERIFY
 
 

@@ -2,17 +2,20 @@
 
 A profile fixes the shared y-sample grid, the point count N, and the
 number of lane categories S.  ``RunConfig`` bundles everything a CLI run
-needs and round-trips through JSON with every default spelled out.
+needs and round-trips through JSON with every default spelled out
+(:mod:`lane3d_kit.jsonable`).  A config document must spell out every
+field of every section; an unknown key, a missing field or a value of the
+wrong type or length is rejected as a :class:`FileFormatError` at its
+JSON pointer, e.g. ``/loss/tau`` or ``/plan/0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .anchors import MetaRanges
-from .errors import FileFormatError
 from .evaluation import EvalConfigONCE, EvalConfigOL
 from .head import StagePlan
 from .losses import LossConfig
@@ -39,21 +42,6 @@ class DatasetProfile:
     def num_points(self) -> int:
         return self.y_samples.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "y_samples": self.y_samples.tolist(),
-            "num_categories": self.num_categories,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DatasetProfile":
-        return cls(
-            name=str(d["name"]),
-            y_samples=np.array(d["y_samples"], dtype=np.float64),
-            num_categories=int(d["num_categories"]),
-        )
-
 
 def make_profile(name: str) -> DatasetProfile:
     """Built-in profiles: 20 points over [3, 103] m for openlane/apollosim
@@ -65,28 +53,6 @@ def make_profile(name: str) -> DatasetProfile:
     if name == "once":
         return DatasetProfile("once", np.linspace(3.0, 48.0, 10), 1)
     raise ValueError(f"unknown profile {name!r} (expected openlane, apollosim, or once)")
-
-
-_CONFIG = "<run config>"
-
-# Object sections: each is parsed by, and may only hold the fields of, its dataclass.
-_SECTIONS = {
-    "profile": DatasetProfile,
-    "meta_ranges": MetaRanges,
-    "loss": LossConfig,
-    "eval_openlane": EvalConfigOL,
-    "eval_once": EvalConfigONCE,
-}
-
-
-def _check_object(doc, cls, where: str) -> None:
-    """Reject a non-object ``doc`` or a key that is not a field of ``cls``."""
-    if not isinstance(doc, dict):
-        raise FileFormatError(_CONFIG, where or "/", "expected an object")
-    names = {f.name for f in fields(cls) if f.init}
-    for key in doc:
-        if key not in names:
-            raise FileFormatError(_CONFIG, f"{where}/{key}", "unknown field")
 
 
 @dataclass
@@ -110,8 +76,6 @@ class RunConfig:
     def __post_init__(self):
         if self.eval_openlane is None:
             self.eval_openlane = EvalConfigOL(y_eval_samples=self.profile.y_samples.copy())
-        self.num_prototypes = tuple(int(m) for m in self.num_prototypes)
-        self.image_size = (int(self.image_size[0]), int(self.image_size[1]))
 
     @property
     def feature_size(self) -> tuple[int, int]:
@@ -119,55 +83,6 @@ class RunConfig:
             self.image_size[0] // self.feature_stride,
             self.image_size[1] // self.feature_stride,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "profile": self.profile.to_json_dict(),
-            "meta_ranges": self.meta_ranges.to_json_dict(),
-            "loss": self.loss.to_json_dict(),
-            "eval_openlane": self.eval_openlane.to_json_dict(),
-            "eval_once": self.eval_once.to_json_dict(),
-            "plan": self.plan.to_json_list(),
-            "fusion": self.fusion,
-            "num_anchors": self.num_anchors,
-            "feature_channels": self.feature_channels,
-            "lidar_channels": self.lidar_channels,
-            "num_prototypes": list(self.num_prototypes),
-            "image_size": list(self.image_size),
-            "feature_stride": self.feature_stride,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunConfig":
-        """Parse a config document that spells out every field.  Unknown,
-        missing and malformed fields raise :class:`FileFormatError` at
-        their JSON pointer, keeping the underlying message."""
-        _check_object(d, cls, "")
-        parsers = {
-            **{name: kind.from_json_dict for name, kind in _SECTIONS.items()},
-            "plan": StagePlan.from_json_list,
-            "fusion": bool,
-            "num_anchors": int,
-            "feature_channels": int,
-            "lidar_channels": int,
-            "num_prototypes": tuple,
-            "image_size": tuple,
-            "feature_stride": int,
-        }
-        kwargs = {}
-        for name, parse in parsers.items():
-            where = f"/{name}"
-            if name not in d:
-                raise FileFormatError(_CONFIG, where, "missing field")
-            if name in _SECTIONS:
-                _check_object(d[name], _SECTIONS[name], where)
-            try:
-                kwargs[name] = parse(d[name])
-            except KeyError as e:
-                raise FileFormatError(_CONFIG, f"{where}/{e.args[0]}", "missing field") from e
-            except (TypeError, ValueError) as e:
-                raise FileFormatError(_CONFIG, where, str(e)) from e
-        return cls(**kwargs)
 
     @classmethod
     def default(cls, profile_name: str = "openlane") -> "RunConfig":

@@ -46,25 +46,6 @@ class EvalConfigOL:
         if self.tp_point_threshold <= 0:
             raise ValueError("tp_point_threshold must be positive")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tp_point_threshold": self.tp_point_threshold,
-            "tp_fraction": self.tp_fraction,
-            "near_range": list(self.near_range),
-            "far_range": list(self.far_range),
-            "y_eval_samples": self.y_eval_samples.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EvalConfigOL":
-        return cls(
-            tp_point_threshold=float(d["tp_point_threshold"]),
-            tp_fraction=float(d["tp_fraction"]),
-            near_range=tuple(d["near_range"]),
-            far_range=tuple(d["far_range"]),
-            y_eval_samples=np.array(d["y_eval_samples"], dtype=np.float64),
-        )
-
 
 @dataclass
 class EvalConfigONCE:
@@ -88,18 +69,6 @@ class EvalConfigONCE:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "iou_threshold": self.iou_threshold,
-            "tau_cd": self.tau_cd,
-            "lane_width": self.lane_width,
-            "grid_cell": self.grid_cell,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EvalConfigONCE":
-        return cls(**{k: float(v) for k, v in d.items()})
-
 
 def _rates(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     """(precision, recall, F1) as fractions; 0.0 where undefined."""
@@ -117,29 +86,12 @@ class ThresholdCounts:
     tp: int
     fp: int
     fn: int
+    precision: float = field(init=False)
+    recall: float = field(init=False)
+    f1: float = field(init=False)
 
-    @property
-    def precision(self) -> float:
-        return _rates(self.tp, self.fp, self.fn)[0]
-
-    @property
-    def recall(self) -> float:
-        return _rates(self.tp, self.fp, self.fn)[1]
-
-    @property
-    def f1(self) -> float:
-        return _rates(self.tp, self.fp, self.fn)[2]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+    def __post_init__(self):
+        self.precision, self.recall, self.f1 = _rates(self.tp, self.fp, self.fn)
 
 
 @dataclass
@@ -153,23 +105,9 @@ class EvalReport:
     ex_far: float
     ez_near: float
     ez_far: float
-    counts: list[ThresholdCounts]
     best_threshold: float
+    counts: list[ThresholdCounts]
     empty_gt_frames: list[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "f1": self.f1,
-            "ap": self.ap,
-            "category_accuracy": self.category_accuracy,
-            "ex_near": self.ex_near,
-            "ex_far": self.ex_far,
-            "ez_near": self.ez_near,
-            "ez_far": self.ez_far,
-            "best_threshold": self.best_threshold,
-            "counts": [c.to_json_dict() for c in self.counts],
-            "empty_gt_frames": self.empty_gt_frames,
-        }
 
 
 @dataclass
@@ -514,17 +452,6 @@ class OnceReport:
     tp: int
     fp: int
     fn: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "cd_error": self.cd_error,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
 
 
 _NON_CANDIDATE = 1e9

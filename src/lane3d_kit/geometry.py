@@ -26,7 +26,7 @@ MIN_DEPTH = 1e-6
 _ORTHO_TOL = 1e-6
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CameraRig:
     """Calibrated camera (and optional LiDAR) rig.
 
@@ -39,16 +39,14 @@ class CameraRig:
 
     K: np.ndarray
     T_gc: np.ndarray
+    T_gl: np.ndarray | None = None
     image_size: tuple[int, int]
     feature_size: tuple[int, int]
-    T_gl: np.ndarray | None = None
     _P: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.K = np.asarray(self.K, dtype=np.float64)
         self.T_gc = np.asarray(self.T_gc, dtype=np.float64)
-        self.image_size = (int(self.image_size[0]), int(self.image_size[1]))
-        self.feature_size = (int(self.feature_size[0]), int(self.feature_size[1]))
         if self.T_gl is not None:
             self.T_gl = np.asarray(self.T_gl, dtype=np.float64)
             if self.T_gl.shape != (3, 4):
@@ -79,25 +77,6 @@ class CameraRig:
     def scale_v(self) -> float:
         """Image-to-feature scale along height (H_F / H_I)."""
         return self.feature_size[0] / self.image_size[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K": self.K.tolist(),
-            "T_gc": self.T_gc.tolist(),
-            "T_gl": None if self.T_gl is None else self.T_gl.tolist(),
-            "image_size": list(self.image_size),
-            "feature_size": list(self.feature_size),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CameraRig":
-        return cls(
-            K=np.array(d["K"], dtype=np.float64),
-            T_gc=np.array(d["T_gc"], dtype=np.float64),
-            T_gl=None if d.get("T_gl") is None else np.array(d["T_gl"], dtype=np.float64),
-            image_size=tuple(d["image_size"]),
-            feature_size=tuple(d["feature_size"]),
-        )
 
 
 def project_points_to_feature(

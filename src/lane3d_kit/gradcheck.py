@@ -7,7 +7,7 @@ perturbed centrally and compared against the analytic gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,18 +25,10 @@ class GradCheckResult:
     trials: int
     max_rel_error: float
     tolerance: float
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "max_rel_error": self.max_rel_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+    def __post_init__(self):
+        self.passed = self.max_rel_error < self.tolerance
 
 
 def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from .anchors import (
 )
 from .errors import PipelineStageError, ShapeMismatch
 from .geometry import CameraRig
+from .jsonable import to_json
 from .lanes import Lane3D
 from .sampling import FeatureMap, FeatureVolume, fuse, sample_anchor_lidar, sample_anchors
 
@@ -151,28 +152,19 @@ class HeadWeights:
 class StagePlan:
     """Ordered refinement schedule: (pyramid level, head-weights id) pairs."""
 
-    stages: tuple = ((5, "stage1"), (5, "stage2"), (4, "stage3"), (3, "stage4"))
+    stages: tuple[tuple[int, str], ...] = (
+        (5, "stage1"), (5, "stage2"), (4, "stage3"), (3, "stage4"),
+    )
 
     def __post_init__(self):
-        norm = []
-        for level, wid in self.stages:
-            level = int(level)
+        for level, _ in self.stages:
             if level not in (3, 4, 5):
                 raise ValueError(f"pyramid level must be 3, 4 or 5, got {level}")
-            norm.append((level, str(wid)))
-        if not norm:
+        if not self.stages:
             raise ValueError("stage plan is empty")
-        self.stages = tuple(norm)
 
     def __len__(self) -> int:
         return len(self.stages)
-
-    def to_json_list(self) -> list:
-        return [[level, wid] for level, wid in self.stages]
-
-    @classmethod
-    def from_json_list(cls, items: list) -> "StagePlan":
-        return cls(stages=tuple((int(l), str(w)) for l, w in items))
 
 
 def self_attention(x: np.ndarray, w: HeadWeights) -> np.ndarray:
@@ -241,16 +233,7 @@ class StageTrace:
             "stage": self.stage,
             "level": self.level,
             "anchors": [a.points.tolist() for a in self.anchors],
-            "proposals": [
-                {
-                    "class_probs": p.class_probs.tolist(),
-                    "x": p.x.tolist(),
-                    "z": p.z.tolist(),
-                    "vis": p.vis.tolist(),
-                    "score": p.score,
-                }
-                for p in self.proposals
-            ],
+            "proposals": to_json(self.proposals),
         }
 
 

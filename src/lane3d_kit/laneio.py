@@ -10,9 +10,12 @@ Document shape::
                  "tags": ["curve"]}]}
 
 ``score`` is absent on ground truth; ``class_probs`` is written by the
-forward command so losses can be recomputed from disk.  Validation errors
-carry a JSON-pointer-style location; NaN and infinite numbers are
-rejected at the element that holds them.
+forward command so losses can be recomputed from disk.  The camera is a
+:class:`CameraRig` decoded by :mod:`lane3d_kit.jsonable`: every field is
+required except ``T_gl`` (an absent ``T_gl`` means no LiDAR), unknown keys
+are rejected, and an invalid rig is reported at ``.../camera``.  Every
+validation error carries a JSON-pointer-style location; NaN and infinite
+numbers are rejected at the element that holds them.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .geometry import CameraRig
+from .jsonable import from_json, read_json, to_json
 from .lanes import Lane3D
 
 
@@ -64,10 +68,9 @@ def _lane_from_dict(d: dict, path, ptr: str) -> Lane3D:
     vis = np.asarray(d["visibility"], dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise FileFormatError(path, f"{ptr}/points", "expected an array of [x, y, z] triples")
-    if vis.shape[0] != points.shape[0]:
+    if vis.shape != points.shape[:1]:
         raise FileFormatError(
-            path, f"{ptr}/visibility",
-            f"length {vis.shape[0]} does not match {points.shape[0]} points",
+            path, f"{ptr}/visibility", f"shape {vis.shape} does not match {points.shape[0]} points"
         )
     _check_finite(points, path, f"{ptr}/points")
     _check_finite(vis, path, f"{ptr}/visibility")
@@ -96,7 +99,7 @@ def write_lane_file(path, frames: list[Frame]) -> None:
         "frames": [
             {
                 "id": f.id,
-                "camera": None if f.camera is None else f.camera.to_json_dict(),
+                "camera": to_json(f.camera),
                 "lanes": [_lane_to_dict(lane) for lane in f.lanes],
                 **({"tags": list(f.tags)} if f.tags else {}),
             }
@@ -107,10 +110,7 @@ def write_lane_file(path, frames: list[Frame]) -> None:
 
 
 def read_lane_file(path) -> list[Frame]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise FileFormatError(path, f"offset {e.pos}", f"invalid JSON: {e.msg}") from e
+    doc = read_json(path)
     if not isinstance(doc, dict) or "frames" not in doc:
         raise FileFormatError(path, "/frames", "missing field")
     frames = []
@@ -119,10 +119,9 @@ def read_lane_file(path) -> list[Frame]:
         if "id" not in fd or "lanes" not in fd:
             raise FileFormatError(path, ptr, "frame needs id and lanes")
         cam = fd.get("camera")
-        try:
-            rig = None if cam is None else CameraRig.from_json_dict(cam)
-        except (KeyError, ValueError, TypeError) as e:
-            raise FileFormatError(path, f"{ptr}/camera", str(e)) from e
+        if isinstance(cam, dict):
+            cam = {"T_gl": None, **cam}
+        rig = from_json(CameraRig | None, cam, path, f"{ptr}/camera")
         lanes = [
             _lane_from_dict(ld, path, f"{ptr}/lanes/{j}") for j, ld in enumerate(fd["lanes"])
         ]

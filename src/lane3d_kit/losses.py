@@ -45,20 +45,6 @@ class LossConfig:
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "beta_cls": self.beta_cls,
-            "beta_dis": self.beta_dis,
-            "lambda_cls": self.lambda_cls,
-            "lambda_reg": self.lambda_reg,
-            "lambda_ew": self.lambda_ew,
-            "tau": self.tau,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LossConfig":
-        return cls(**{k: float(v) for k, v in d.items()})
-
 
 @dataclass
 class Assignment:
@@ -261,9 +247,6 @@ class LossBreakdown:
     reg: float
     ew: float
     total: float
-
-    def to_json_dict(self) -> dict:
-        return {"cls": self.cls, "reg": self.reg, "ew": self.ew, "total": self.total}
 
 
 def total_loss(

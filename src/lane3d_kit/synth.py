@@ -12,7 +12,7 @@ threshold-exemption path.  Everything is a pure function of (spec, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,8 @@ class SceneSpec:
 
     n_lanes: int = 2
     spacing: float = 3.5
-    curvature: tuple = (0.0,)
-    slope: tuple = (0.0,)
+    curvature: tuple[float, ...] = (0.0,)
+    slope: tuple[float, ...] = (0.0,)
     camera_height: float = 1.5
     camera_pitch: float = 0.0
     seed: int = 0
@@ -52,35 +52,6 @@ class SceneSpec:
             raise ValueError("n_lanes must be >= 1")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
-        self.curvature = tuple(float(c) for c in self.curvature)
-        self.slope = tuple(float(c) for c in self.slope)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_lanes": self.n_lanes,
-            "spacing": self.spacing,
-            "curvature": list(self.curvature),
-            "slope": list(self.slope),
-            "camera_height": self.camera_height,
-            "camera_pitch": self.camera_pitch,
-            "seed": self.seed,
-            "focal": self.focal,
-            "image_size": list(self.image_size),
-            "feature_stride": self.feature_stride,
-            "fork_lane": self.fork_lane,
-            "fork_coefficient": self.fork_coefficient,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SceneSpec":
-        kwargs = dict(d)
-        if "curvature" in kwargs:
-            kwargs["curvature"] = tuple(kwargs["curvature"])
-        if "slope" in kwargs:
-            kwargs["slope"] = tuple(kwargs["slope"])
-        if "image_size" in kwargs:
-            kwargs["image_size"] = tuple(kwargs["image_size"])
-        return cls(**kwargs)
 
 
 @dataclass
@@ -91,10 +62,6 @@ class NoiseSpec:
     z_offset: float = 0.0
     score: float = 1.0
     drop_rate: float = 0.0
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NoiseSpec":
-        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def build_rig(spec: SceneSpec, with_lidar: bool = False) -> CameraRig:

@@ -41,7 +41,8 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 def read_tensors(path) -> dict[str, np.ndarray]:
     """Read a named-tensor file back into float32 arrays.
 
-    Malformed input reports the byte offset of the offending field.
+    Malformed input, including a NaN or infinite element, reports the byte
+    offset of the offending field.
     """
     blob = Path(path).read_bytes()
     out: dict[str, np.ndarray] = {}
@@ -81,6 +82,9 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             count *= d
         need(4 * count, f"payload of {name!r}")
         data = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(dims)
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise FileFormatError(path, f"byte {pos + 4 * bad[0]}", f"non-finite value in {name!r}")
         pos += 4 * count
         out[name] = data.copy()
     return out

@@ -3,11 +3,15 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lane3d_kit.cli import EXIT_INPUT, EXIT_OK, main
+from lane3d_kit import cli
+from lane3d_kit.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from lane3d_kit.config import RunConfig, make_profile
+from lane3d_kit.gradcheck import GradCheckResult
 from lane3d_kit.head import StagePlan
+from lane3d_kit.jsonable import to_json
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -92,7 +96,7 @@ def chain_config() -> dict:
         fusion=True, num_anchors=6, feature_channels=2, lidar_channels=2,
         num_prototypes=(6, 5, 3), image_size=(96, 128), feature_stride=8,
     )
-    return cfg.to_json_dict()
+    return to_json(cfg)
 
 
 def call(*argv) -> tuple[int, str, str]:
@@ -155,10 +159,17 @@ def _bad_config(tmp_path, edit) -> Path:
     (lambda d: d["eval_openlane"].pop("tp_fraction"), "/eval_openlane/tp_fraction",
      "missing field"),
     (lambda d: d["loss"].update(tau=-1.0), "/loss", "tau must be > 0"),
-    (lambda d: d["meta_ranges"].update(xs_min=None), "/meta_ranges", "float()"),
+    (lambda d: d["meta_ranges"].update(xs_min=None), "/meta_ranges/xs_min", "float()"),
     (lambda d: d.update(num_prototypes=5), "/num_prototypes", "not iterable"),
-    (lambda d: d.update(plan=[[5]]), "/plan", "not enough values"),
+    (lambda d: d.update(plan=[[5]]), "/plan/0", "not enough values"),
     (lambda d: d.update(num_anchors="thirty"), "/num_anchors", "invalid literal"),
+    (lambda d: d.update(fusion="false"), "/fusion", "expected true or false"),
+    (lambda d: d.update(image_size=[96]), "/image_size", "not enough values"),
+    (lambda d: d.update(image_size=[96, 128, 3]), "/image_size", "too many values"),
+    (lambda d: d.update(num_prototypes=[5]), "/num_prototypes", "not enough values"),
+    (lambda d: d["meta_ranges"].pop("theta_max"), "/meta_ranges/theta_max", "missing field"),
+    (lambda d: d["loss"].pop("lambda_ew"), "/loss/lambda_ew", "missing field"),
+    (lambda d: d["eval_once"].pop("grid_cell"), "/eval_once/grid_cell", "missing field"),
 ])
 def test_bad_config_exits_2_with_its_pointer(tmp_path, edit, pointer, message):
     config = _bad_config(tmp_path, edit)
@@ -173,3 +184,56 @@ def test_config_that_is_not_an_object_exits_2(tmp_path):
     config.write_text("[]")
     code, _, err = call("gen-weights", "--config", config, "--out", tmp_path / "w.a3t")
     assert code == EXIT_INPUT and f"{config}: at /: expected an object" in err
+
+
+def test_failing_grad_check_exits_3(capsys, monkeypatch):
+    def failing(trials, seed, loss_cfg):
+        return GradCheckResult(trials=trials, max_rel_error=0.5, tolerance=1e-5)
+
+    monkeypatch.setattr(cli, "run_grad_check", failing)
+    code, out, err = run(capsys, "grad-check", "--trials", 2)
+    assert code == EXIT_VERIFY and err == ""
+    assert json.loads(out) == {
+        "trials": 2, "max_rel_error": 0.5, "tolerance": 1e-5, "passed": False,
+    }
+    assert '"passed": false' in out
+
+
+# --- gen-scene specs ---------------------------------------------------------------
+
+
+def test_gen_scene_fills_omitted_keys_with_defaults(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_lanes": 3, "noise": {"lateral_offset": 0.25}}))
+    code, out, err = call("gen-scene", "--spec", spec, "--out", tmp_path / "scene")
+    assert (code, err) == (EXIT_OK, "") and "3 lanes" in out
+    gt = json.loads((tmp_path / "scene" / "gt.json").read_text())["frames"][0]
+    preds = json.loads((tmp_path / "scene" / "preds.json").read_text())["frames"][0]
+    assert gt["camera"]["T_gl"] is None
+    assert [len(f["lanes"]) for f in (gt, preds)] == [3, 3]
+    for g, p in zip(gt["lanes"], preds["lanes"]):
+        x_gt, x_pred = (np.array(lane["points"])[:, 0] for lane in (g, p))
+        np.testing.assert_allclose(x_pred - x_gt, 0.25, atol=1e-12)
+        assert p["score"] == 1.0
+
+
+@pytest.mark.parametrize("spec, pointer, message", [
+    ({"noise": {"lateral_offest": 0.5}}, "/noise/lateral_offest", "unknown field"),
+    ({"noise": 0.5}, "/noise", "expected an object"),
+    ({"lidar": "false"}, "/lidar", "expected true or false"),
+    ({"curvatuer": [0.0]}, "/curvatuer", "unknown field"),
+    ({"n_lanes": "two"}, "/n_lanes", "invalid literal"),
+    ({"image_size": [96]}, "/image_size", "not enough values"),
+    ({"slope": [0.0, "up"]}, "/slope/1", "could not convert"),
+    ({"sigma": None}, "/sigma", "float()"),
+    ({"n_lanes": 0}, "/", "n_lanes must be >= 1"),
+    ([3], "/", "expected an object"),
+])
+def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = call("gen-scene", "--spec", path, "--out", tmp_path / "scene")
+    assert code == EXIT_INPUT and out == ""
+    assert f"{path}: at {pointer}: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "scene").exists()

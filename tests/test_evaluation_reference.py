@@ -27,6 +27,7 @@ from lane3d_kit.evaluation import (
     rasterize_top_view,
     resample_lane,
 )
+from lane3d_kit.jsonable import to_json
 from lane3d_kit.lanes import Lane3D
 from lane3d_kit.laneio import read_lane_file
 
@@ -48,7 +49,7 @@ def test_reports_match_golden_fixture(protocol, evaluate, cfg):
     # The corpus has empty-GT frames, scores tied within and across frames,
     # partially visible, all-invisible and single-point lanes.
     report = evaluate(golden_pairs(protocol), cfg)
-    text = json.dumps(report.to_json_dict(), indent=1) + "\n"
+    text = json.dumps(to_json(report), indent=1) + "\n"
     assert text == (GOLDEN / f"{protocol}_report.json").read_text()
 
 

@@ -8,6 +8,7 @@ from lane3d_kit.geometry import (
     project_points_to_feature,
     project_points_to_lidar,
 )
+from lane3d_kit.jsonable import from_json, to_json
 
 from conftest import random_rig, random_rotation, unit_rig
 
@@ -163,7 +164,7 @@ def test_rig_invariants():
 
 def test_rig_json_round_trip(rng):
     rig = random_rig(rng, with_lidar=True)
-    clone = CameraRig.from_json_dict(rig.to_json_dict())
+    clone = from_json(CameraRig, to_json(rig), "<rig>")
     np.testing.assert_array_equal(clone.K, rig.K)
     np.testing.assert_array_equal(clone.T_gc, rig.T_gc)
     np.testing.assert_array_equal(clone.T_gl, rig.T_gl)

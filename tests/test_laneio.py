@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lane3d_kit.errors import FileFormatError
+from lane3d_kit.jsonable import to_json
 from lane3d_kit.lanes import Lane3D
 from lane3d_kit.laneio import Frame, read_lane_file, write_lane_file
 
@@ -125,3 +126,56 @@ def test_non_finite_value_reports_its_pointer(tmp_path, field, index, pointer, b
         read_lane_file(path)
     assert exc.value.location == pointer
     assert "non-finite" in str(exc.value)
+
+
+def _frame_with_camera(camera) -> dict:
+    lane = {"category": 0, "points": [[0, 5, 0], [0, 6, 0]], "visibility": [1, 1]}
+    return {"frames": [{"id": "0", "camera": camera, "lanes": [lane]}]}
+
+
+def test_camera_without_t_gl_has_no_lidar(tmp_path):
+    path = tmp_path / "lanes.json"
+    camera = {"K": unit_rig(8).K.tolist(), "T_gc": unit_rig(8).T_gc.tolist(),
+              "image_size": [360, 480], "feature_size": [45, 60]}
+    path.write_text(json.dumps(_frame_with_camera(camera)))
+    rig = read_lane_file(path)[0].camera
+    assert rig.T_gl is None and rig.feature_size == (45, 60)
+    np.testing.assert_array_equal(rig.K, unit_rig(8).K)
+
+
+@pytest.mark.parametrize("edit, pointer, message", [
+    (lambda c: c.update(focal=100.0), "/frames/0/camera/focal", "unknown field"),
+    (lambda c: c.pop("K"), "/frames/0/camera/K", "missing field"),
+    (lambda c: c.update(image_size=[360]), "/frames/0/camera/image_size", "not enough values"),
+    (lambda c: c["T_gc"][1].__setitem__(3, None), "/frames/0/camera/T_gc/1/3", "non-finite"),
+    (lambda c: c["K"][2].__setitem__(2, 2.0), "/frames/0/camera", "pinhole"),
+    (lambda c: c.update(T_gl=[[1.0]]), "/frames/0/camera", "T_gl must be 3x4"),
+])
+def test_bad_camera_reports_its_pointer(tmp_path, edit, pointer, message):
+    path = tmp_path / "lanes.json"
+    camera = json.loads(json.dumps(to_json(unit_rig(8))))
+    edit(camera)
+    path.write_text(json.dumps(_frame_with_camera(camera)))
+    with pytest.raises(FileFormatError) as exc:
+        read_lane_file(path)
+    assert exc.value.location == pointer and message in exc.value.message
+
+
+def test_camera_that_is_not_an_object_reports_its_pointer(tmp_path):
+    path = tmp_path / "lanes.json"
+    path.write_text(json.dumps(_frame_with_camera([1, 2])))
+    with pytest.raises(FileFormatError) as exc:
+        read_lane_file(path)
+    assert (exc.value.location, exc.value.message) == ("/frames/0/camera", "expected an object")
+
+
+@pytest.mark.parametrize("vis", [1, [[1, 1]]])
+def test_visibility_that_is_not_a_vector_reports_its_pointer(tmp_path, vis):
+    path = tmp_path / "lanes.json"
+    doc = {"frames": [{"id": "0", "camera": None,
+                       "lanes": [{"category": 1, "points": [[0, 1, 0], [0, 2, 0]],
+                                  "visibility": vis}]}]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError) as exc:
+        read_lane_file(path)
+    assert exc.value.location == "/frames/0/lanes/0/visibility"

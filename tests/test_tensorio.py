@@ -78,3 +78,19 @@ def test_unicode_names(tmp_path):
     path = tmp_path / "t.a3t"
     write_tensors(path, {"тензор": np.zeros(1, dtype=np.float32)})
     assert "тензор" in read_tensors(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_element_reports_its_byte_and_tensor(tmp_path, bad):
+    path = tmp_path / "t.a3t"
+    second = np.zeros((2, 3), dtype=np.float32)
+    second[1, 2] = bad
+    write_tensors(path, {"ok": np.ones(4, dtype=np.float32), "F5": second})
+    with pytest.raises(FileFormatError) as exc:
+        read_tensors(path)
+    # First record: 2 + 2 (name) + 8 (header) + 8 (one dim) + 16 (payload) = 36 bytes.
+    # Second record: 2 + 2 (name) + 8 + 16 (two dims) = 28 bytes before its payload,
+    # and the bad element is the sixth float of it.
+    assert exc.value.location == f"byte {36 + 28 + 4 * 5}"
+    assert "non-finite" in exc.value.message and "'F5'" in exc.value.message
+    assert not np.isfinite(struct.unpack_from("<f", path.read_bytes(), 36 + 28 + 4 * 5)[0])
