@@ -1,8 +1,9 @@
 """Command-line surface binding all modules together.
 
 Subcommands: gen-scene, gen-weights, anchors, forward, loss, evaluate,
-grad-check, bench.  Exit codes: 0 success, 2 input error, 3
-invariant/verification failure.
+grad-check.  Exit codes: 0 success, 2 input error, 3 invariant/verification
+failure.  ``loss`` and ``evaluate`` leave out ground-truth lanes with no
+visible point.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,6 @@ from .config import RunConfig, make_profile
 from .errors import FileFormatError, Lane3DKitError
 from .evaluation import evaluate_once, evaluate_openlane, format_report_table
 from .gradcheck import run_grad_check
-from .geometry import CameraRig
 from .head import HeadWeights, Proposal, run_pipeline
 from .jsonable import from_json, read_json, to_json
 from .lanes import Lane3D
@@ -72,47 +71,28 @@ def save_weights_file(
     coeff: CoefficientHeadWeights,
     heads: dict[str, HeadWeights],
 ) -> None:
-    tensors = {
-        "proto.xs": bank.xs,
-        "proto.phi": bank.phi,
-        "proto.theta": bank.theta,
-        "coeff.a_xs": coeff.a_xs,
-        "coeff.b_xs": coeff.b_xs,
-        "coeff.a_phi": coeff.a_phi,
-        "coeff.b_phi": coeff.b_phi,
-        "coeff.a_theta": coeff.a_theta,
-        "coeff.b_theta": coeff.b_theta,
-    }
-    for wid, w in heads.items():
-        for name in ("w_q", "w_k", "w_v", "w_o", "cls_w", "cls_b", "reg_w", "reg_b"):
-            tensors[f"head.{wid}.{name}"] = getattr(w, name)
-    write_tensors(path, tensors)
+    """Store each weights field as the tensor ``<prefix>.<field>``."""
+    parts = {"proto": bank, "coeff": coeff, **{f"head.{wid}": w for wid, w in heads.items()}}
+    write_tensors(path, {f"{prefix}.{f.name}": getattr(obj, f.name)
+                         for prefix, obj in parts.items() for f in fields(obj)})
 
 
 def load_weights_file(path):
     raw = read_tensors(path)
 
-    def take(name):
-        if name not in raw:
-            raise FileFormatError(path, name, "missing tensor")
-        return np.asarray(raw[name], dtype=np.float64)
+    def take(prefix, cls):
+        kwargs = {}
+        for f in fields(cls):
+            name = f"{prefix}.{f.name}"
+            if name not in raw:
+                raise FileFormatError(path, name, "missing tensor")
+            kwargs[f.name] = raw[name]
+        return cls(**kwargs)
 
-    bank = PrototypeBank(xs=take("proto.xs"), phi=take("proto.phi"), theta=take("proto.theta"))
-    coeff = CoefficientHeadWeights(
-        a_xs=take("coeff.a_xs"), b_xs=take("coeff.b_xs"),
-        a_phi=take("coeff.a_phi"), b_phi=take("coeff.b_phi"),
-        a_theta=take("coeff.a_theta"), b_theta=take("coeff.b_theta"),
-    )
-    head_ids = sorted(
-        {name.split(".")[1] for name in raw if name.startswith("head.")}
-    )
-    heads = {}
-    for wid in head_ids:
-        heads[wid] = HeadWeights(
-            **{part: take(f"head.{wid}.{part}")
-               for part in ("w_q", "w_k", "w_v", "w_o", "cls_w", "cls_b", "reg_w", "reg_b")}
-        )
-    return bank, coeff, heads
+    bank = take("proto", PrototypeBank)
+    coeff = take("coeff", CoefficientHeadWeights)
+    head_ids = sorted({name.split(".")[1] for name in raw if name.startswith("head.")})
+    return bank, coeff, {wid: take(f"head.{wid}", HeadWeights) for wid in head_ids}
 
 
 def make_random_weights(cfg: RunConfig, seed: int, scale: float = 0.02):
@@ -309,9 +289,11 @@ def cmd_loss(args) -> int:
     for pf in pred_frames:
         if pf.id not in gt_frames:
             raise FileFormatError(args.pred, f"/frames/{pf.id}", "no matching ground-truth frame")
-        gts = gt_frames[pf.id].lanes
-        for i, lane in enumerate(gts):
+        gts = []
+        for i, lane in enumerate(gt_frames[pf.id].lanes):
             _check_on_profile_grid(lane, y, f"/frames/{pf.id}/lanes/{i}")
+            if lane.visibility.sum() > 0:  # a lane with no visible point is left out
+                gts.append(lane)
         props = [
             _proposal_from_lane(lane, f"/frames/{pf.id}/lanes/{i}")
             for i, lane in enumerate(pf.lanes)
@@ -389,46 +371,6 @@ def cmd_grad_check(args) -> int:
     return EXIT_OK if result.passed else EXIT_VERIFY
 
 
-def _bench_setup(seed: int):
-    cfg = RunConfig.default("openlane")
-    spec = SceneSpec(
-        n_lanes=4, curvature=(0.0, 0.02), slope=(0.0, 0.005), seed=seed
-    )
-    gts, rig = generate_scene(spec, cfg.profile)
-    h_f, w_f = rig.feature_size
-    features = {
-        level: rasterize_features(gts, rig, (h_f, w_f, cfg.feature_channels),
-                                  _DEFAULT_SIGMA, level=level)
-        for level in _LEVELS
-    }
-    bank, coeff_w, heads = make_random_weights(cfg, seed)
-    return cfg, gts, rig, features, (bank, coeff_w, heads)
-
-
-def cmd_bench(args) -> int:
-    cfg, gts, rig, features, (bank, coeff_w, heads) = _bench_setup(args.seed)
-
-    start = time.perf_counter()
-    for _ in range(args.frames):
-        result = run_pipeline(
-            features, None, rig, bank, coeff_w, heads, cfg.plan,
-            cfg.profile.y_samples, cfg.meta_ranges,
-        )
-        lanes = [p.to_lane(cfg.profile.y_samples) for p in result.proposals]
-        evaluate_openlane([(gts, lanes)], cfg.eval_openlane)
-    elapsed = time.perf_counter() - start
-    fps = args.frames / elapsed if elapsed > 0 else float("inf")
-    _print_json({"frames": args.frames, "seconds": round(elapsed, 4), "fps": round(fps, 2)})
-    return EXIT_OK
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lane3d-kit",
@@ -485,11 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("bench", help="forward+evaluate throughput on synthetic frames")
-    p.add_argument("--frames", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -497,13 +434,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (Lane3DKitError, ValueError, KeyError) as e:
+    except (FileNotFoundError, Lane3DKitError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -8,15 +8,17 @@ lists.
 ``from_json`` decodes by the field annotations: nested dataclasses the
 same way, ``X | None`` accepts ``null``, tuples and lists decode each item
 (a fixed-length tuple also checks its length), ``np.ndarray`` becomes a
-float64 array, ``bool`` accepts only ``true``/``false``, and ``int``,
-``float`` and ``str`` go through their constructors.  Floats and arrays
-must be finite.  Every field that ``__init__`` takes must be present and
-no other key may be; derived fields (``init=False``) are written but never
-read.  Every failure becomes a :class:`FileFormatError` at the JSON pointer
-of the value that caused it; an error raised while constructing a
-dataclass (``ValueError``, ``TypeError`` or a lane3d-kit error such as
-``InvalidRig``) is located at that dataclass's object.  ``read_json``
-parses a JSON file and locates a syntax error at its character offset.
+float64 array, ``bool`` accepts only ``true``/``false``, ``int`` rejects
+booleans and non-integral numbers, and ``int``, ``float`` and ``str`` then
+go through their constructors.  Floats and arrays must be finite.  Every
+field that ``__init__`` takes must be present and no other key may be;
+derived fields (``init=False``) are written but never read.  Every
+failure becomes a :class:`FileFormatError` at the JSON pointer of the
+value that caused it; an error raised while constructing a dataclass
+(``ValueError``, ``TypeError`` or a lane3d-kit error such as
+``InvalidRig``) is located at that dataclass's object.  The decoder of
+each annotation is built once and reused.  ``read_json`` parses a JSON
+file and locates a syntax error at its character offset.
 """
 
 from __future__ import annotations
@@ -62,76 +64,121 @@ def from_json(cls, doc, source, where: str = ""):
     ``source`` names the document in errors and ``where`` is the JSON
     pointer of ``doc`` within it.
     """
+    return _decoder(cls)(doc, source, where)
+
+
+@functools.cache
+def _decoder(cls):
+    """The function ``(doc, source, where) -> value`` that decodes ``cls``,
+    built once per annotation."""
     if dataclasses.is_dataclass(cls):
-        kwargs = _decode_fields(cls, doc, source, where)
+        return _object_decoder(cls)
+    if cls is np.ndarray:
+        return _decode_array
+    if cls in _SCALARS:
+        return _located(_SCALARS[cls])
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [_decoder(a) for a in args if a is not type(None)]
+        return lambda doc, source, where: None if doc is None else inner(doc, source, where)
+    if origin not in (tuple, list):
+        raise NotImplementedError(f"from_json cannot decode {cls!r}")
+    return _sequence_decoder(origin, args)
+
+
+def _object_decoder(cls):
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(cls) if f.init}
+
+    def decode(doc, source, where):
+        if len(fields) == 1:
+            ((name, field),) = fields.items()
+            kwargs = {name: field(doc, source, where)}
+        else:
+            kwargs = _decode_fields(fields, doc, source, where)
         try:
             return cls(**kwargs)
         except (ValueError, TypeError, Lane3DKitError) as e:
             raise FileFormatError(source, where or "/", str(e)) from e
-    try:
-        return _decode(cls, doc, source, where)
-    except (ValueError, TypeError) as e:
-        raise FileFormatError(source, where or "/", str(e)) from e
+
+    return decode
 
 
-def _decode_fields(cls, doc, source, where: str) -> dict:
-    hints = _init_hints(cls)
-    if len(hints) == 1:
-        ((name, hint),) = hints.items()
-        return {name: from_json(hint, doc, source, where)}
+def _decode_fields(fields: dict, doc, source, where: str) -> dict:
     if not isinstance(doc, dict):
         raise FileFormatError(source, where or "/", "expected an object")
-    for key in doc:
-        if key not in hints:
-            raise FileFormatError(source, f"{where}/{key}", "unknown field")
-    for name in hints:
-        if name not in doc:
-            raise FileFormatError(source, f"{where}/{name}", "missing field")
-    return {name: from_json(hint, doc[name], source, f"{where}/{name}")
-            for name, hint in hints.items()}
+    if doc.keys() != fields.keys():
+        for key in doc:
+            if key not in fields:
+                raise FileFormatError(source, f"{where}/{key}", "unknown field")
+        for name in fields:
+            if name not in doc:
+                raise FileFormatError(source, f"{where}/{name}", "missing field")
+    return {name: field(doc[name], source, f"{where}/{name}") for name, field in fields.items()}
 
 
-def _decode(cls, doc, source, where: str):
-    """Decode a non-dataclass value; a ValueError/TypeError is located at ``where``."""
-    if cls is np.ndarray:
+def _sequence_decoder(origin, args):
+    variadic = origin is list or args[-1] is Ellipsis
+    items = [_decoder(a) for a in (args[:1] if variadic else args)]
+
+    def decode(doc, source, where):
+        if not isinstance(doc, list):
+            raise FileFormatError(source, where or "/",
+                                  f"expected an array, got {_kind(doc)}: not iterable")
+        decoders = items * len(doc) if variadic else items
+        if len(doc) != len(decoders):
+            few = "not enough" if len(doc) < len(decoders) else "too many"
+            raise FileFormatError(source, where or "/",
+                                  f"{few} values (expected {len(decoders)}, got {len(doc)})")
+        return origin([item(v, source, f"{where}/{i}")
+                       for i, (item, v) in enumerate(zip(decoders, doc))])
+
+    return decode
+
+
+def _decode_array(doc, source, where: str) -> np.ndarray:
+    try:
         value = np.asarray(doc, dtype=np.float64)
-        if not np.isfinite(value).all():
-            first = np.argwhere(~np.isfinite(value))[0]
-            raise FileFormatError(source, "/".join([where, *map(str, first)]) or "/",
-                                  "non-finite value")
-        return value
-    if cls is bool:
-        if not isinstance(doc, bool):
-            raise TypeError(f"expected true or false, got {_kind(doc)}")
-        return doc
-    if cls in (int, float, str):
-        value = cls(doc)
-        if cls is float and not math.isfinite(value):
-            raise ValueError("non-finite value")
-        return value
-    origin, args = typing.get_origin(cls), typing.get_args(cls)
-    if origin in (typing.Union, types.UnionType):
-        if doc is None and type(None) in args:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return from_json(inner, doc, source, where)
-    if origin not in (tuple, list):
-        raise NotImplementedError(f"from_json cannot decode {cls!r}")
-    if not isinstance(doc, list):
-        raise TypeError(f"expected an array, got {_kind(doc)}: not iterable")
-    if origin is list or args[-1] is Ellipsis:
-        args = (args[0],) * len(doc)
-    elif len(doc) != len(args):
-        few = "not enough" if len(doc) < len(args) else "too many"
-        raise ValueError(f"{few} values (expected {len(args)}, got {len(doc)})")
-    items = enumerate(zip(args, doc))
-    return origin(from_json(a, v, source, f"{where}/{i}") for i, (a, v) in items)
+    except (ValueError, TypeError) as e:
+        raise FileFormatError(source, where or "/", str(e)) from e
+    if not np.isfinite(value).all():
+        first = np.argwhere(~np.isfinite(value))[0]
+        raise FileFormatError(source, "/".join([where, *map(str, first)]) or "/",
+                              "non-finite value")
+    return value
 
 
-@functools.cache
-def _init_hints(cls) -> dict:
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+def _located(convert):
+    """A decoder that reports convert's ValueError or TypeError at ``where``."""
+    def decode(doc, source, where):
+        try:
+            return convert(doc)
+        except (ValueError, TypeError) as e:
+            raise FileFormatError(source, where or "/", str(e)) from e
+
+    return decode
+
+
+def _bool(doc) -> bool:
+    if not isinstance(doc, bool):
+        raise TypeError(f"expected true or false, got {_kind(doc)}")
+    return doc
+
+
+def _int(doc) -> int:
+    if isinstance(doc, bool) or isinstance(doc, float) and not doc.is_integer():
+        raise ValueError(f"expected an integer, got {json.dumps(doc)}")
+    return int(doc)
+
+
+def _float(doc) -> float:
+    value = float(doc)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value")
+    return value
+
+
+_SCALARS = {bool: _bool, int: _int, float: _float, str: str}
 
 
 def _kind(doc) -> str:

@@ -10,19 +10,32 @@ Document shape::
                  "tags": ["curve"]}]}
 
 ``score`` is absent on ground truth; ``class_probs`` is written by the
-forward command so losses can be recomputed from disk.  The camera is a
-:class:`CameraRig` decoded by :mod:`lane3d_kit.jsonable`: every field is
-required except ``T_gl`` (an absent ``T_gl`` means no LiDAR), unknown keys
-are rejected, and an invalid rig is reported at ``.../camera``.  Every
-validation error carries a JSON-pointer-style location; NaN and infinite
-numbers are rejected at the element that holds them.
+forward command so losses can be recomputed from disk.
+
+Every frame and lane is decoded by :mod:`lane3d_kit.jsonable` from its
+declaration, so one policy holds at every level:
+
+- Required keys: ``frames``; in a frame ``id``, ``camera`` (``null`` for
+  no rig) and ``lanes``; in a lane ``category``, ``points`` and
+  ``visibility``; in a camera every :class:`CameraRig` field but ``T_gl``.
+- Four keys are optional: a frame's ``tags`` (default none), a lane's
+  ``score`` and ``class_probs`` (default absent), and a camera's ``T_gl``
+  (absent means no LiDAR).
+- Unknown keys are rejected, in the document, a frame, a lane and a camera.
+- Integers are strict: ``category`` rejects ``true``/``false`` and
+  non-integral numbers.  NaN and infinite numbers are rejected at the
+  element that holds them.
+
+Beyond that, ``points`` must be (K, 3) with strictly increasing y and
+``visibility`` must hold K values; an invalid rig is reported at
+``.../camera``.  Every error is a :class:`FileFormatError` at the JSON
+pointer of the value that caused it.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,46 +67,6 @@ def _lane_to_dict(lane: Lane3D) -> dict:
     return d
 
 
-def _check_finite(values: np.ndarray, path, ptr: str) -> None:
-    if not np.isfinite(values).all():
-        where = np.argwhere(~np.isfinite(values))[0]
-        raise FileFormatError(path, "/".join([ptr, *map(str, where)]), "non-finite value")
-
-
-def _lane_from_dict(d: dict, path, ptr: str) -> Lane3D:
-    for key in ("category", "points", "visibility"):
-        if key not in d:
-            raise FileFormatError(path, f"{ptr}/{key}", "missing field")
-    points = np.asarray(d["points"], dtype=np.float64)
-    vis = np.asarray(d["visibility"], dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise FileFormatError(path, f"{ptr}/points", "expected an array of [x, y, z] triples")
-    if vis.shape != points.shape[:1]:
-        raise FileFormatError(
-            path, f"{ptr}/visibility", f"shape {vis.shape} does not match {points.shape[0]} points"
-        )
-    _check_finite(points, path, f"{ptr}/points")
-    _check_finite(vis, path, f"{ptr}/visibility")
-    if points.shape[0] >= 2 and not np.all(np.diff(points[:, 1]) > 0):
-        raise FileFormatError(path, f"{ptr}/points", "y must be strictly increasing")
-    score = None if d.get("score") is None else float(d["score"])
-    if score is not None and not math.isfinite(score):
-        raise FileFormatError(path, f"{ptr}/score", "non-finite value")
-    probs = d.get("class_probs")
-    if probs is not None:
-        probs = np.asarray(probs, dtype=np.float64)
-        _check_finite(probs, path, f"{ptr}/class_probs")
-    return Lane3D(
-        x=points[:, 0],
-        y=points[:, 1],
-        z=points[:, 2],
-        visibility=vis,
-        category=int(d["category"]),
-        score=score,
-        class_probs=probs,
-    )
-
-
 def write_lane_file(path, frames: list[Frame]) -> None:
     doc = {
         "frames": [
@@ -109,23 +82,65 @@ def write_lane_file(path, frames: list[Frame]) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+@dataclass
+class _LaneDoc:
+    category: int
+    points: np.ndarray
+    visibility: np.ndarray
+    score: float | None
+    class_probs: np.ndarray | None
+
+
+@dataclass
+class _FrameDoc:
+    id: str
+    camera: CameraRig | None
+    lanes: list[_LaneDoc]
+    tags: tuple[str, ...]
+
+
+def _with_optional_keys(fd):
+    """Frame object ``fd`` with its absent optional keys set to their defaults."""
+    if not isinstance(fd, dict):
+        return fd
+    fd = {"tags": [], **fd}
+    if isinstance(fd.get("camera"), dict):
+        fd["camera"] = {"T_gl": None, **fd["camera"]}
+    if isinstance(fd.get("lanes"), list):
+        fd["lanes"] = [{"score": None, "class_probs": None, **ld} if isinstance(ld, dict) else ld
+                       for ld in fd["lanes"]]
+    return fd
+
+
+def _lane(ld: _LaneDoc, path, ptr: str) -> Lane3D:
+    points, vis = ld.points, ld.visibility
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise FileFormatError(path, f"{ptr}/points", "expected an array of [x, y, z] triples")
+    if vis.shape != points.shape[:1]:
+        raise FileFormatError(
+            path, f"{ptr}/visibility", f"shape {vis.shape} does not match {points.shape[0]} points"
+        )
+    try:
+        return Lane3D(x=points[:, 0], y=points[:, 1], z=points[:, 2], visibility=vis,
+                      category=ld.category, score=ld.score, class_probs=ld.class_probs)
+    except ValueError as e:  # y not strictly increasing
+        raise FileFormatError(path, f"{ptr}/points", str(e)) from e
+
+
 def read_lane_file(path) -> list[Frame]:
     doc = read_json(path)
-    if not isinstance(doc, dict) or "frames" not in doc:
+    if not isinstance(doc, dict):
+        raise FileFormatError(path, "/", "expected an object")
+    for key in doc:
+        if key != "frames":
+            raise FileFormatError(path, f"/{key}", "unknown field")
+    if "frames" not in doc:
         raise FileFormatError(path, "/frames", "missing field")
-    frames = []
-    for i, fd in enumerate(doc["frames"]):
-        ptr = f"/frames/{i}"
-        if "id" not in fd or "lanes" not in fd:
-            raise FileFormatError(path, ptr, "frame needs id and lanes")
-        cam = fd.get("camera")
-        if isinstance(cam, dict):
-            cam = {"T_gl": None, **cam}
-        rig = from_json(CameraRig | None, cam, path, f"{ptr}/camera")
-        lanes = [
-            _lane_from_dict(ld, path, f"{ptr}/lanes/{j}") for j, ld in enumerate(fd["lanes"])
-        ]
-        frames.append(
-            Frame(id=str(fd["id"]), camera=rig, lanes=lanes, tags=tuple(fd.get("tags", ())))
-        )
-    return frames
+    frames = doc["frames"]
+    if isinstance(frames, list):
+        frames = [_with_optional_keys(fd) for fd in frames]
+    return [
+        Frame(id=fd.id, camera=fd.camera, tags=fd.tags,
+              lanes=[_lane(ld, path, f"/frames/{i}/lanes/{j}") for j, ld in enumerate(fd.lanes)])
+        for i, fd in enumerate(from_json(list[_FrameDoc], frames, path, "/frames"))
+    ]

@@ -12,6 +12,9 @@ from lane3d_kit.config import RunConfig, make_profile
 from lane3d_kit.gradcheck import GradCheckResult
 from lane3d_kit.head import StagePlan
 from lane3d_kit.jsonable import to_json
+from lane3d_kit.tensorio import read_tensors, write_tensors
+
+from test_laneio import one_lane_doc
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -20,22 +23,6 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def test_bench_reports_throughput(capsys):
-    code, out, _ = run(capsys, "bench", "--frames", 1, "--seed", 0)
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert set(doc) == {"frames", "seconds", "fps"}
-    assert doc["frames"] == 1 and doc["fps"] > 0
-
-
-@pytest.mark.parametrize("frames", ["0", "-3", "two"])
-def test_bench_rejects_frames_that_are_not_positive(capsys, frames):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--frames", frames])
-    assert exc.value.code == EXIT_INPUT
-    assert "--frames" in capsys.readouterr().err
 
 
 def test_evaluate_openlane_writes_the_report(capsys, tmp_path):
@@ -163,6 +150,8 @@ def _bad_config(tmp_path, edit) -> Path:
     (lambda d: d.update(num_prototypes=5), "/num_prototypes", "not iterable"),
     (lambda d: d.update(plan=[[5]]), "/plan/0", "not enough values"),
     (lambda d: d.update(num_anchors="thirty"), "/num_anchors", "invalid literal"),
+    (lambda d: d.update(num_anchors=30.9), "/num_anchors", "expected an integer, got 30.9"),
+    (lambda d: d.update(feature_stride=True), "/feature_stride", "expected an integer, got true"),
     (lambda d: d.update(fusion="false"), "/fusion", "expected true or false"),
     (lambda d: d.update(image_size=[96]), "/image_size", "not enough values"),
     (lambda d: d.update(image_size=[96, 128, 3]), "/image_size", "too many values"),
@@ -184,6 +173,52 @@ def test_config_that_is_not_an_object_exits_2(tmp_path):
     config.write_text("[]")
     code, _, err = call("gen-weights", "--config", config, "--out", tmp_path / "w.a3t")
     assert code == EXIT_INPUT and f"{config}: at /: expected an object" in err
+
+
+@pytest.mark.parametrize("doc, pointer, message", [
+    ({"frames": [3]}, "/frames/0", "expected an object"),
+    ({"frames": 3}, "/frames", "expected an array"),
+    (one_lane_doc(scroe=0.5), "/frames/0/lanes/0/scroe", "unknown field"),
+    ({"frames": [{"id": "0", "camera": None, "lanes": [], "tags": "curve"}]},
+     "/frames/0/tags", "expected an array"),
+    ({"frames": [], "frame": []}, "/frame", "unknown field"),
+    (one_lane_doc(category=2.5), "/frames/0/lanes/0/category", "expected an integer"),
+])
+def test_bad_lane_file_exits_2_with_its_pointer(tmp_path, doc, pointer, message):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(doc))
+    code, out, err = call("evaluate", "--protocol", "openlane",
+                          "--gt", GOLDEN / "openlane_gt.json", "--pred", pred)
+    assert code == EXIT_INPUT and out == ""
+    assert f"{pred}: at {pointer}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_loss_leaves_out_gt_lanes_with_no_visible_point(tmp_path):
+    spec, config = tmp_path / "spec.json", tmp_path / "config.json"
+    spec.write_text(json.dumps(CHAIN_SPEC))
+    config.write_text(json.dumps(chain_config()))
+    assert call("gen-scene", "--spec", spec, "--out", tmp_path / "scene")[0] == EXIT_OK
+    gt = json.loads((tmp_path / "scene" / "gt.json").read_text())
+    lanes = gt["frames"][0]["lanes"]
+    lanes.insert(1, {**lanes[0], "visibility": [0] * len(lanes[0]["visibility"])})
+    (tmp_path / "gt.json").write_text(json.dumps(gt))
+    code, out, err = call("loss", "--config", config, "--gt", tmp_path / "gt.json",
+                          "--pred", CHAIN / "preds.json")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (CHAIN / "loss.json").read_text()
+
+
+def test_weights_file_names_a_missing_tensor(tmp_path):
+    config, weights = tmp_path / "config.json", tmp_path / "weights.a3t"
+    config.write_text(json.dumps(chain_config()))
+    assert call("gen-weights", "--config", config, "--out", weights)[0] == EXIT_OK
+    tensors = read_tensors(weights)
+    del tensors["head.s2.cls_b"]
+    write_tensors(weights, tensors)
+    code, _, err = call("anchors", "--config", config, "--features", weights,
+                        "--weights", weights, "--out", tmp_path / "anchors.json")
+    assert code == EXIT_INPUT and f"{weights}: at head.s2.cls_b: missing tensor" in err
 
 
 def test_failing_grad_check_exits_3(capsys, monkeypatch):

@@ -4,8 +4,8 @@
   per-threshold sweep and the set-loop rasterizer; the reports must come
   out byte for byte the same.
 * Hypothesis properties: the step-function OpenLane counts equal a
-  brute-force loop over every threshold, and ``rasterize_top_view`` equals
-  the plain set loop.
+  brute-force loop over every threshold, ``rasterize_top_view`` equals
+  the plain set loop, and both reports ignore the order of predictions.
 * A guard on the number of assignment solves of the OpenLane sweep.
 """
 
@@ -123,6 +123,31 @@ def test_step_function_counts_equal_the_per_threshold_loop(frames):
     report = evaluate_openlane(frames, cfg)
     got = [(c.threshold, c.tp, c.fp, c.fn) for c in report.counts]
     assert got == brute_force_counts(frames, cfg)
+
+
+@st.composite
+def corpora_with_hits(draw):
+    """corpora() with up to two scored predictions near each GT lane added,
+    so that frames have matches, rival candidates and tied scores."""
+    near = st.lists(st.tuples(st.floats(-0.3, 0.3), st.sampled_from([0.25, 0.5, 0.75])),
+                    max_size=2)
+    frames = []
+    for gts, preds in draw(corpora()):
+        hits = [Lane3D(x=g.x + dx, y=g.y, z=g.z, visibility=g.visibility, score=score)
+                for g in gts for dx, score in draw(near)]
+        frames.append((gts, preds + hits))
+    return frames
+
+
+@pytest.mark.parametrize("evaluate, cfg", [
+    (evaluate_openlane, EvalConfigOL(y_eval_samples=Y20)),
+    (evaluate_once, EvalConfigONCE()),
+])
+@settings(max_examples=60, deadline=None)
+@given(frames=corpora_with_hits(), data=st.data())
+def test_reports_ignore_the_order_of_predictions(evaluate, cfg, frames, data):
+    shuffled = [(gts, data.draw(st.permutations(preds))) for gts, preds in frames]
+    assert to_json(evaluate(shuffled, cfg)) == to_json(evaluate(frames, cfg))
 
 
 def test_assignment_solves_are_linear_in_predictions(monkeypatch):

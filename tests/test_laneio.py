@@ -179,3 +179,44 @@ def test_visibility_that_is_not_a_vector_reports_its_pointer(tmp_path, vis):
     with pytest.raises(FileFormatError) as exc:
         read_lane_file(path)
     assert exc.value.location == "/frames/0/lanes/0/visibility"
+
+
+def one_lane_doc(**lane_edits) -> dict:
+    lane = {"category": 1, "points": [[0, 5, 0], [0, 6, 0]], "visibility": [1, 1],
+            **lane_edits}
+    return {"frames": [{"id": "0", "camera": None, "lanes": [lane]}]}
+
+
+@pytest.mark.parametrize("doc, pointer, message", [
+    ({"frames": [3]}, "/frames/0", "expected an object"),
+    ({"frames": 3}, "/frames", "expected an array"),
+    ({"frames": [], "version": 2}, "/version", "unknown field"),
+    ([], "/", "expected an object"),
+    ({"frame": []}, "/frame", "unknown field"),
+    ({}, "/frames", "missing field"),
+    ({"frames": [{"id": "0", "camera": None, "lanes": [], "tags": "curve"}]},
+     "/frames/0/tags", "expected an array"),
+    ({"frames": [{"id": "0", "camera": None, "lane": []}]}, "/frames/0/lane", "unknown field"),
+    ({"frames": [{"id": "0", "camera": None, "lanes": 1}]}, "/frames/0/lanes", "expected an array"),
+    ({"frames": [{"id": "0", "lanes": []}]}, "/frames/0/camera", "missing field"),
+    (one_lane_doc(scroe=0.5), "/frames/0/lanes/0/scroe", "unknown field"),
+    (one_lane_doc(category=2.5), "/frames/0/lanes/0/category", "expected an integer"),
+    (one_lane_doc(category=True), "/frames/0/lanes/0/category", "expected an integer"),
+    (one_lane_doc(points=[[0, 6, 0], [0, 5, 0]]), "/frames/0/lanes/0/points", "increasing"),
+    (one_lane_doc(points=[[0, 5], [0, 6]]), "/frames/0/lanes/0/points", "[x, y, z] triples"),
+])
+def test_malformed_document_reports_its_pointer(tmp_path, doc, pointer, message):
+    path = tmp_path / "lanes.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError) as exc:
+        read_lane_file(path)
+    assert exc.value.location == pointer and message in exc.value.message
+
+
+def test_optional_keys_take_their_defaults(tmp_path):
+    path = tmp_path / "lanes.json"
+    path.write_text(json.dumps(one_lane_doc(category=2.0)))
+    (frame,) = read_lane_file(path)
+    lane = frame.lanes[0]
+    assert frame.tags == () and (lane.score, lane.class_probs) == (None, None)
+    assert lane.category == 2 and type(lane.category) is int

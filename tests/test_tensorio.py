@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lane3d_kit.errors import FileFormatError
 from lane3d_kit.tensorio import MAGIC, read_tensors, write_tensors
@@ -94,3 +96,50 @@ def test_non_finite_element_reports_its_byte_and_tensor(tmp_path, bad):
     assert exc.value.location == f"byte {36 + 28 + 4 * 5}"
     assert "non-finite" in exc.value.message and "'F5'" in exc.value.message
     assert not np.isfinite(struct.unpack_from("<f", path.read_bytes(), 36 + 28 + 4 * 5)[0])
+
+
+
+TWO_TENSORS = {"F5": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(2, np.float32)}
+
+
+@pytest.fixture(scope="module")
+def blob(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("blob") / "t.a3t"
+    write_tensors(path, TWO_TENSORS)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def read_damaged(tmp_path_factory):
+    """read_tensors of some bytes, or None when it raised FileFormatError."""
+    path = tmp_path_factory.mktemp("damaged") / "t.a3t"
+
+    def read(data: bytes):
+        path.write_bytes(data)
+        try:
+            return read_tensors(path)
+        except FileFormatError:
+            return None
+
+    return read
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_truncated_file_raises_only_file_format_error(blob, read_damaged, data):
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    back = read_damaged(blob[:cut])
+    # A cut at a record boundary leaves a shorter valid file.
+    if back is not None:
+        assert list(back) == list(TWO_TENSORS)[:len(back)]
+        for name, arr in back.items():
+            np.testing.assert_array_equal(arr, TWO_TENSORS[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), byte=st.integers(0, 255))
+def test_overwritten_byte_raises_only_file_format_error(blob, read_damaged, data, byte):
+    pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+    back = read_damaged(blob[:pos] + bytes([byte]) + blob[pos + 1:])
+    if back is not None:
+        assert all(np.isfinite(arr).all() for arr in back.values())
