@@ -223,17 +223,18 @@ def cmd_anchors(args) -> int:
     return EXIT_OK
 
 
-def _forward_frame(cfg: RunConfig, frame: Frame, tensors: dict, weights):
+def _forward_frame(cfg: RunConfig, scene: Path, i: int, frame: Frame, tensors: dict, weights):
+    """Run the pipeline on frame ``i`` of ``scene``'s ``gt.json``."""
     rig = frame.camera
     if rig is None:
-        raise FileFormatError("<scene>", f"/frames/{frame.id}/camera", "frame has no rig")
+        raise FileFormatError(scene / "gt.json", f"/frames/{i}/camera", "frame has no rig")
     maps = _feature_maps_for_frame(tensors, frame.id)
     missing = [lvl for lvl, _ in cfg.plan.stages if lvl not in maps]
     if missing:
-        raise FileFormatError("<scene>", f"F{missing[0]}", "missing feature level")
+        raise FileFormatError(scene / "features.a3t", f"F{missing[0]}", "missing feature level")
     vols = _volumes_for_frame(tensors, frame.id) if cfg.fusion else None
     if cfg.fusion and vols is None:
-        raise FileFormatError("<scene>", "L5", "fusion enabled but no lidar volumes")
+        raise FileFormatError(scene / "features.a3t", "L5", "fusion enabled but no lidar volumes")
     bank, coeff_w, heads = weights
     return run_pipeline(
         maps, vols, rig, bank, coeff_w, heads, cfg.plan,
@@ -250,8 +251,8 @@ def cmd_forward(args) -> int:
 
     out_frames = []
     traces = []
-    for frame in frames:
-        result = _forward_frame(cfg, frame, tensors, weights)
+    for i, frame in enumerate(frames):
+        result = _forward_frame(cfg, scene, i, frame, tensors, weights)
         lanes = [p.to_lane(cfg.profile.y_samples) for p in result.proposals]
         out_frames.append(Frame(id=frame.id, camera=frame.camera, lanes=lanes, tags=frame.tags))
         if args.trace:
@@ -265,37 +266,39 @@ def cmd_forward(args) -> int:
     return EXIT_OK
 
 
-def _proposal_from_lane(lane: Lane3D, where: str) -> Proposal:
+def _proposal_from_lane(lane: Lane3D, path, where: str) -> Proposal:
     if lane.class_probs is None:
-        raise FileFormatError("<pred>", where, "lane lacks class_probs; run forward to produce them")
+        raise FileFormatError(path, where, "lane lacks class_probs; run forward to produce them")
     return Proposal(
         class_probs=lane.class_probs, x=lane.x, z=lane.z, vis=lane.visibility,
         score=lane.score,
     )
 
 
-def _check_on_profile_grid(lane: Lane3D, y: np.ndarray, where: str) -> None:
+def _check_on_profile_grid(lane: Lane3D, y: np.ndarray, path, where: str) -> None:
     if lane.y.shape[0] != y.shape[0] or not np.allclose(lane.y, y, atol=1e-9):
-        raise FileFormatError("<lane file>", where, "lane is not on the profile y-grid")
+        raise FileFormatError(path, where, "lane is not on the profile y-grid")
 
 
 def cmd_loss(args) -> int:
     cfg = _load_config(args.config)
-    gt_frames = {f.id: f for f in read_lane_file(args.gt)}
+    gt_frames = read_lane_file(args.gt)
+    gt_index = {f.id: g for g, f in enumerate(gt_frames)}
     pred_frames = read_lane_file(args.pred)
     y = cfg.profile.y_samples
     per_frame = []
     sums = {"cls": 0.0, "reg": 0.0, "ew": 0.0, "total": 0.0}
-    for pf in pred_frames:
-        if pf.id not in gt_frames:
-            raise FileFormatError(args.pred, f"/frames/{pf.id}", "no matching ground-truth frame")
+    for k, pf in enumerate(pred_frames):
+        if pf.id not in gt_index:
+            raise FileFormatError(args.pred, f"/frames/{k}/id", "no matching ground-truth frame")
+        g = gt_index[pf.id]
         gts = []
-        for i, lane in enumerate(gt_frames[pf.id].lanes):
-            _check_on_profile_grid(lane, y, f"/frames/{pf.id}/lanes/{i}")
+        for i, lane in enumerate(gt_frames[g].lanes):
+            _check_on_profile_grid(lane, y, args.gt, f"/frames/{g}/lanes/{i}")
             if lane.visibility.sum() > 0:  # a lane with no visible point is left out
                 gts.append(lane)
         props = [
-            _proposal_from_lane(lane, f"/frames/{pf.id}/lanes/{i}")
+            _proposal_from_lane(lane, args.pred, f"/frames/{k}/lanes/{i}")
             for i, lane in enumerate(pf.lanes)
         ]
         assignment = assign(gts, props, cfg.loss)

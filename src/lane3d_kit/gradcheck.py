@@ -52,25 +52,18 @@ def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 
 
 def _instance_clear_of_kinks(gts, props, y, tau):
-    for gt, p in zip(gts, props):
-        on = gt.visibility > 0
-        if np.any(on):
-            if np.abs(p.x - gt.x)[on].min() < KINK_MARGIN:
-                return False
-            if np.abs(p.z - gt.z)[on].min() < KINK_MARGIN:
-                return False
-        if np.abs(p.vis - gt.visibility).min() < KINK_MARGIN:
-            return False
-    for j in range(len(props)):
-        for jp in range(len(props)):
-            if j == jp:
-                continue
-            *_, gap, dev, delta_w = ew_pair_widths(props[j].x, props[jp].x, y)
-            if np.abs(gap).min() < KINK_MARGIN or np.abs(dev).min() < KINK_MARGIN:
-                return False
-            if abs(delta_w - tau) < KINK_MARGIN:
-                return False
-    return True
+    """Whether every |.| argument and the fork gate are KINK_MARGIN clear of their kinks."""
+    x = np.array([p.x for p in props])
+    gvis = np.array([gt.visibility for gt in gts])
+    near_x = np.abs(x - np.array([gt.x for gt in gts])) < KINK_MARGIN
+    near_z = np.abs(np.array([p.z for p in props]) - np.array([gt.z for gt in gts])) < KINK_MARGIN
+    near_vis = np.abs(np.array([p.vis for p in props]) - gvis) < KINK_MARGIN
+    if np.any(((near_x | near_z) & (gvis > 0)) | near_vis):
+        return False
+    *_, gap, dev, delta_w = ew_pair_widths(x[:, None], x[None, :], y)
+    off = ~np.eye(len(props), dtype=bool)  # row j against column jp, j != jp
+    return not (np.any(np.abs(gap[off]) < KINK_MARGIN) or np.any(np.abs(dev[off]) < KINK_MARGIN)
+                or np.any(np.abs(delta_w[off] - tau) < KINK_MARGIN))
 
 
 def _draw_instance(rng: np.random.Generator, tau: float):
@@ -115,7 +108,6 @@ def run_grad_check(trials: int, seed: int, cfg: LossConfig | None = None) -> Gra
             sigma={i: i for i in range(m)},
             positives=list(range(m)),
             labels=np.zeros(m, dtype=np.intp),
-            non_lane_class=1,
         )
 
         _, reg_grad = regression_loss(gts, props, assignment)

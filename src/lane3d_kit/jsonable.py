@@ -8,14 +8,14 @@ lists.
 ``from_json`` decodes by the field annotations: nested dataclasses the
 same way, ``X | None`` accepts ``null``, tuples and lists decode each item
 (a fixed-length tuple also checks its length), ``np.ndarray`` becomes a
-float64 array, ``bool`` accepts only ``true``/``false``, ``int`` rejects
-booleans and non-integral numbers, and ``int``, ``float`` and ``str`` then
-go through their constructors.  Floats and arrays must be finite.  Every
-field that ``__init__`` takes must be present and no other key may be;
-derived fields (``init=False``) are written but never read.  Every
-failure becomes a :class:`FileFormatError` at the JSON pointer of the
-value that caused it; an error raised while constructing a dataclass
-(``ValueError``, ``TypeError`` or a lane3d-kit error such as
+float64 array, ``bool`` accepts only ``true``/``false``, ``str`` only
+strings, ``int`` rejects booleans and non-integral numbers, and ``int``
+and ``float`` then go through their constructors.  Floats and arrays
+must be finite.  Every field that ``__init__`` takes must be present and
+no other key may be; derived fields (``init=False``) are written but
+never read.  Every failure becomes a :class:`FileFormatError` at the JSON
+pointer of the value that caused it; an error raised while constructing a
+dataclass (``ValueError``, ``TypeError`` or a lane3d-kit error such as
 ``InvalidRig``) is located at that dataclass's object.  The decoder of
 each annotation is built once and reused.  ``read_json`` parses a JSON
 file and locates a syntax error at its character offset.
@@ -165,6 +165,12 @@ def _bool(doc) -> bool:
     return doc
 
 
+def _str(doc) -> str:
+    if not isinstance(doc, str):
+        raise TypeError(f"expected a string, got {_kind(doc)}")
+    return doc
+
+
 def _int(doc) -> int:
     if isinstance(doc, bool) or isinstance(doc, float) and not doc.is_integer():
         raise ValueError(f"expected an integer, got {json.dumps(doc)}")
@@ -178,7 +184,7 @@ def _float(doc) -> float:
     return value
 
 
-_SCALARS = {bool: _bool, int: _int, float: _float, str: str}
+_SCALARS = {bool: _bool, int: _int, float: _float, str: _str}
 
 
 def _kind(doc) -> str:

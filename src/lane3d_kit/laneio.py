@@ -22,6 +22,8 @@ declaration, so one policy holds at every level:
   ``score`` and ``class_probs`` (default absent), and a camera's ``T_gl``
   (absent means no LiDAR).
 - Unknown keys are rejected, in the document, a frame, a lane and a camera.
+- Frame ids are strings, unique within a file: a repeated id is reported
+  at the later frame's ``/frames/<i>/id``.
 - Integers are strict: ``category`` rejects ``true``/``false`` and
   non-integral numbers.  NaN and infinite numbers are rejected at the
   element that holds them.
@@ -139,8 +141,14 @@ def read_lane_file(path) -> list[Frame]:
     frames = doc["frames"]
     if isinstance(frames, list):
         frames = [_with_optional_keys(fd) for fd in frames]
+    docs = from_json(list[_FrameDoc], frames, path, "/frames")
+    first = {}
+    for i, fd in enumerate(docs):
+        if first.setdefault(fd.id, i) != i:
+            raise FileFormatError(path, f"/frames/{i}/id",
+                                  f"frame id {fd.id!r} repeats /frames/{first[fd.id]}/id")
     return [
         Frame(id=fd.id, camera=fd.camera, tags=fd.tags,
               lanes=[_lane(ld, path, f"/frames/{i}/lanes/{j}") for j, ld in enumerate(fd.lanes)])
-        for i, fd in enumerate(from_json(list[_FrameDoc], frames, path, "/frames"))
+        for i, fd in enumerate(docs)
     ]

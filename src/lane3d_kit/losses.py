@@ -10,6 +10,10 @@ while exempting forks via a threshold gate.
 Gradients are exposed with respect to proposal coordinates (x, z, vis) so
 they can be verified against finite differences; at kinks of |.| terms the
 subgradient 0 is used.
+
+Each loss treats all its lanes or lane pairs at once: matched rows are
+gathered into (K, N) arrays, and the equal-width functions broadcast over
+leading axes.  Totals add the per-pair values in pair order, as a loop would.
 """
 
 from __future__ import annotations
@@ -52,14 +56,13 @@ class Assignment:
 
     ``sigma`` maps ground-truth index to proposal index; ``positives`` lists
     the assigned proposal indices in ground-truth order; ``labels`` gives
-    every proposal its class index, with unassigned proposals labeled
-    ``non_lane_class``.
+    every proposal its class index, with unassigned proposals labeled with
+    the last (non-lane) class.
     """
 
     sigma: dict[int, int]
     positives: list[int]
     labels: np.ndarray
-    non_lane_class: int
 
 
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -94,13 +97,13 @@ def assign(gts: list[Lane3D], props: list[Proposal], cfg: LossConfig) -> Assignm
     non_lane = props[0].class_probs.shape[0] - 1
     labels = np.full(len(props), non_lane, dtype=np.intp)
     if not gts:
-        return Assignment(sigma={}, positives=[], labels=labels, non_lane_class=non_lane)
+        return Assignment(sigma={}, positives=[], labels=labels)
     pairs = solve_assignment(_pair_costs(gts, props, cfg))
     sigma = {i: j for i, j in pairs}
     positives = [sigma[i] for i in sorted(sigma)]
     for i, j in sigma.items():
         labels[j] = gts[i].category
-    return Assignment(sigma=sigma, positives=positives, labels=labels, non_lane_class=non_lane)
+    return Assignment(sigma=sigma, positives=positives, labels=labels)
 
 
 def classification_loss(props: list[Proposal], assignment: Assignment) -> float:
@@ -109,7 +112,8 @@ def classification_loss(props: list[Proposal], assignment: Assignment) -> float:
     Probabilities below 1e-30 are clamped and reported through a
     :class:`ProbabilityUnderflow` warning rather than producing inf.
     """
-    picked = np.array([p.class_probs[assignment.labels[j]] for j, p in enumerate(props)])
+    probs = np.array([p.class_probs for p in props])
+    picked = probs[np.arange(len(props)), assignment.labels]
     low = picked < _PROB_FLOOR
     if np.any(low):
         warnings.warn(
@@ -130,6 +134,11 @@ class GradBundle:
     d_vis: np.ndarray
 
 
+def _loop_sum(values: np.ndarray) -> float:
+    """``values`` added one at a time in order (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(values)[-1])
+
+
 def regression_loss(
     gts: list[Lane3D], props: list[Proposal], assignment: Assignment
 ) -> tuple[float, GradBundle]:
@@ -139,22 +148,19 @@ def regression_loss(
     visibility term always compares the full vectors.
     """
     n = props[0].num_points if props else 0
-    d_x = np.zeros((len(props), n))
-    d_z = np.zeros((len(props), n))
-    d_vis = np.zeros((len(props), n))
-    loss = 0.0
-    for i in sorted(assignment.sigma):
-        j = assignment.sigma[i]
-        gt, p = gts[i], props[j]
-        vis = gt.visibility
-        ex = p.x - gt.x
-        ez = p.z - gt.z
-        ev = p.vis - gt.visibility
-        loss += float(np.abs(vis * ex).sum() + np.abs(vis * ez).sum() + np.abs(ev).sum())
-        d_x[j] += vis * np.sign(ex)
-        d_z[j] += vis * np.sign(ez)
-        d_vis[j] += np.sign(ev)
-    return loss, GradBundle(d_x=d_x, d_z=d_z, d_vis=d_vis)
+    grad = GradBundle(*np.zeros((3, len(props), n)))
+    if not assignment.sigma:
+        return 0.0, grad
+    rows, cols = sorted(assignment.sigma), assignment.positives
+    vis = np.array([gts[i].visibility for i in rows])
+    ex = np.array([props[j].x for j in cols]) - np.array([gts[i].x for i in rows])
+    ez = np.array([props[j].z for j in cols]) - np.array([gts[i].z for i in rows])
+    ev = np.array([props[j].vis for j in cols]) - vis
+    # The assignment is injective, so these indexed adds never collide.
+    grad.d_x[cols] += vis * np.sign(ex)
+    grad.d_z[cols] += vis * np.sign(ez)
+    grad.d_vis[cols] += np.sign(ev)
+    return _loop_sum(np.abs(vis * ex).sum(1) + np.abs(vis * ez).sum(1) + np.abs(ev).sum(1)), grad
 
 
 def ew_pair_widths(x_ref: np.ndarray, x_other: np.ndarray, y: np.ndarray) -> tuple:
@@ -165,6 +171,11 @@ def ew_pair_widths(x_ref: np.ndarray, x_other: np.ndarray, y: np.ndarray) -> tup
     the final segment).  Returns per point (segment index, its y step, its
     other-lane x step, its squared length, cosine, gap, width minus the
     mean width), then the mean absolute deviation of the widths.
+
+    ``x_ref`` and ``x_other`` are (..., N) and broadcast over the leading
+    axes, one pair per leading index, on the shared (N,) grid ``y``.  Per-point
+    results but the (N,) segment index and y step have the broadcast shape,
+    and the deviation the leading shape (a NumPy scalar for one 1-D pair).
     """
     x_ref = np.asarray(x_ref, dtype=np.float64)
     x_other = np.asarray(x_other, dtype=np.float64)
@@ -173,46 +184,49 @@ def ew_pair_widths(x_ref: np.ndarray, x_other: np.ndarray, y: np.ndarray) -> tup
     dy = np.diff(y)
     if np.any(dy == 0.0):
         raise DegenerateSegment("repeated y-sample makes a lane direction undefined")
-    dxo = np.diff(x_other)
     seg = np.minimum(np.arange(n), n - 2)  # forward segment; last point reuses it
-    hyp2 = dy[seg] ** 2 + dxo[seg] ** 2
+    dxo = np.diff(x_other, axis=-1)[..., seg]
+    hyp2 = dy[seg] ** 2 + dxo ** 2
     cos = dy[seg] / np.sqrt(hyp2)
     gap = x_other - x_ref
     widths = np.abs(cos * gap)
-    dev = widths - widths.mean()
-    return seg, dy[seg], dxo[seg], hyp2, cos, gap, dev, np.abs(dev).mean()
+    dev = widths - widths.mean(axis=-1, keepdims=True)
+    return seg, dy[seg], dxo, hyp2, cos, gap, dev, np.abs(dev).mean(axis=-1)
 
 
 def ew_pair_loss(
     x_ref: np.ndarray, x_other: np.ndarray, y: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Equal-width loss for one ordered lane pair and its x-gradients.
+    """Equal-width loss for ordered lane pairs and its x-gradients.
 
     The loss is the mean absolute deviation of the :func:`ew_pair_widths`,
     gated to zero at or above ``tau`` so forks are exempt.
 
-    Returns (loss, grad wrt x_ref, grad wrt x_other).
+    Returns (loss, grad wrt x_ref, grad wrt x_other): a ``float`` and two
+    (N,) arrays for one pair of (N,) lanes.  (..., N) inputs broadcast as in
+    :func:`ew_pair_widths`, giving the loss the leading shape and each
+    gradient the broadcast shape, every row equal to its one-pair call.
     """
-    seg, dy, dxo, hyp2, cos, gap, dev, delta_w = ew_pair_widths(x_ref, x_other, y)
-    n = gap.shape[0]
-    g_ref = np.zeros(n)
-    g_other = np.zeros(n)
-    if delta_w >= tau:
-        return 0.0, g_ref, g_other
+    _, dy, dxo, hyp2, cos, gap, dev, delta_w = ew_pair_widths(x_ref, x_other, y)
+    n = gap.shape[-1]
+    active = delta_w < tau
 
     sign_dev = np.sign(dev)
     # d delta_w / d widths[k]; the mean subtraction couples all points.
-    d_w = (sign_dev - sign_dev.mean()) / n
+    d_w = np.where(active[..., None],
+                   (sign_dev - sign_dev.mean(axis=-1, keepdims=True)) / n, 0.0)
     # Through the gap (cos > 0 always, so sign(width term) == sign(gap)).
     d_gap = d_w * cos * np.sign(gap)
-    g_other += d_gap
-    g_ref -= d_gap
-    # Through the cosine, which depends on the other lane's segment slope.
-    d_cos = d_w * np.abs(gap)
-    d_dxo = d_cos * (-dy * dxo / hyp2 ** 1.5)
-    np.add.at(g_other, seg + 1, d_dxo)
-    np.add.at(g_other, seg, -d_dxo)
-    return float(delta_w), g_ref, g_other
+    g_ref, g_other = 0.0 - d_gap, 0.0 + d_gap  # new arrays, +0.0 where d_gap is ±0
+    # Through the cosine, which depends on the other lane's segment slope;
+    # segment k joins points k and k + 1 and also serves the last point.
+    d_dxo = d_w * np.abs(gap) * (-dy * dxo / hyp2 ** 1.5)
+    g_other[..., 1:] += d_dxo[..., :-1]
+    g_other[..., -1] += d_dxo[..., -1]
+    g_other[..., :-1] -= d_dxo[..., :-1]
+    g_other[..., -2] -= d_dxo[..., -1]
+    loss = np.where(active, delta_w, 0.0)
+    return (float(loss) if loss.ndim == 0 else loss), g_ref, g_other
 
 
 def ew_loss(
@@ -224,21 +238,14 @@ def ew_loss(
     Fewer than two positives give a zero loss by definition.
     """
     m = len(positives)
-    n = y.shape[0] if m else 0
-    grads = np.zeros((m, n))
     if m < 2:
-        return 0.0, grads
-    total = 0.0
+        return 0.0, np.zeros((m, len(y)))
+    x = np.array([p.x for p in positives])
+    pair, g_ref, g_other = ew_pair_loss(x[:, None], x[None, :], y, cfg.tau)
+    off = ~np.eye(m, dtype=bool)  # row j against column jp, j != jp
+    g_ref[~off] = g_other[~off] = 0.0
     norm = 1.0 / (m * (m - 1))
-    for j in range(m):
-        for jp in range(m):
-            if jp == j:
-                continue
-            pair, g_ref, g_other = ew_pair_loss(positives[j].x, positives[jp].x, y, cfg.tau)
-            total += pair
-            grads[j] += g_ref
-            grads[jp] += g_other
-    return total * norm, grads * norm
+    return _loop_sum(pair[off]) * norm, (g_ref.sum(axis=1) + g_other.sum(axis=0)) * norm
 
 
 @dataclass
@@ -265,8 +272,7 @@ def total_loss(
     d_x = cfg.lambda_reg * reg_grad.d_x
     d_z = cfg.lambda_reg * reg_grad.d_z
     d_vis = cfg.lambda_reg * reg_grad.d_vis
-    for row, j in enumerate(assignment.positives):
-        d_x[j] += cfg.lambda_ew * ew_grads[row]
+    d_x[assignment.positives] += cfg.lambda_ew * ew_grads
 
     total = cfg.lambda_cls * l_cls + cfg.lambda_reg * l_reg + cfg.lambda_ew * l_ew
     return (

@@ -209,6 +209,82 @@ def test_loss_leaves_out_gt_lanes_with_no_visible_point(tmp_path):
     assert out == (CHAIN / "loss.json").read_text()
 
 
+def _edited(path: Path, out: Path, edit) -> Path:
+    """A copy of lane file ``path`` at ``out`` with ``edit`` applied to its document."""
+    doc = json.loads(path.read_text())
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def _repeat_frame(doc, i):
+    doc["frames"].append(doc["frames"][i])
+
+
+@pytest.mark.parametrize("which", ["gt", "pred"])
+def test_evaluate_rejects_a_repeated_frame_id(tmp_path, which):
+    files = {"gt": GOLDEN / "openlane_gt.json", "pred": GOLDEN / "openlane_pred.json"}
+    files[which] = _edited(files[which], tmp_path / f"{which}.json", lambda d: _repeat_frame(d, 1))
+    code, out, err = call("evaluate", "--protocol", "openlane",
+                          "--gt", files["gt"], "--pred", files["pred"])
+    assert code == EXIT_INPUT and out == ""
+    assert f"{files[which]}: at /frames/16/id: frame id '1' repeats /frames/1/id" in err
+
+
+def _loss_inputs(tmp_path) -> tuple[Path, Path]:
+    """Config and GT of the golden chain, whose predictions are ``CHAIN/preds.json``."""
+    spec, config = tmp_path / "spec.json", tmp_path / "config.json"
+    spec.write_text(json.dumps(CHAIN_SPEC))
+    config.write_text(json.dumps(chain_config()))
+    assert call("gen-scene", "--spec", spec, "--out", tmp_path / "scene")[0] == EXIT_OK
+    return config, tmp_path / "scene" / "gt.json"
+
+
+def _drop_class_probs(doc):
+    del doc["frames"][0]["lanes"][0]["class_probs"]
+
+
+def _rename_frame(doc):
+    doc["frames"][0]["id"] = "7"
+
+
+def _off_grid(doc):
+    doc["frames"][0]["lanes"][2]["points"][0][1] -= 0.5
+
+
+def _name_frame(doc):
+    doc["frames"][0]["id"] = "north"
+
+
+@pytest.mark.parametrize("which, edit, pointer, message", [
+    ("gt", lambda d: _repeat_frame(d, 0), "/frames/1/id", "frame id 'north' repeats /frames/0/id"),
+    ("pred", lambda d: _repeat_frame(d, 0), "/frames/1/id",
+     "frame id 'north' repeats /frames/0/id"),
+    ("pred", _drop_class_probs, "/frames/0/lanes/0", "lane lacks class_probs"),
+    ("pred", _rename_frame, "/frames/0/id", "no matching ground-truth frame"),
+    ("gt", _off_grid, "/frames/0/lanes/2", "lane is not on the profile y-grid"),
+])
+def test_loss_errors_name_the_file_and_frame_index(tmp_path, which, edit, pointer, message):
+    config, gt = _loss_inputs(tmp_path)
+    # A frame id that is not its index, so each pointer must use the index.
+    files = {"gt": _edited(gt, tmp_path / "gt.json", _name_frame),
+             "pred": _edited(CHAIN / "preds.json", tmp_path / "pred.json", _name_frame)}
+    _edited(files[which], files[which], edit)
+    code, out, err = call("loss", "--config", config, "--gt", files["gt"], "--pred", files["pred"])
+    assert code == EXIT_INPUT and out == ""
+    assert f"{files[which]}: at {pointer}: {message}" in err
+
+
+def test_forward_names_the_scene_file_of_a_frame_without_a_rig(tmp_path):
+    config, gt = _loss_inputs(tmp_path)
+    _edited(gt, gt, lambda d: d["frames"][0].update(id="north", camera=None))
+    weights = tmp_path / "weights.a3t"
+    assert call("gen-weights", "--config", config, "--out", weights)[0] == EXIT_OK
+    code, _, err = call("forward", "--config", config, "--scene", gt.parent,
+                        "--weights", weights, "--out", tmp_path / "preds.json")
+    assert code == EXIT_INPUT and f"{gt}: at /frames/0/camera: frame has no rig" in err
+
+
 def test_weights_file_names_a_missing_tensor(tmp_path):
     config, weights = tmp_path / "config.json", tmp_path / "weights.a3t"
     config.write_text(json.dumps(chain_config()))

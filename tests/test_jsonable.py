@@ -65,6 +65,14 @@ def test_bool_accepts_only_true_and_false():
         assert err.location == "/" and "expected true or false" in err.message
 
 
+def test_str_accepts_only_strings():
+    assert from_json(str, "3", "<doc>") == "3"
+    for doc, kind in ((None, "null"), (3, "a number"), (True, "true/false"), (["a"], "an array")):
+        err = decode_error(str, doc)
+        assert (err.location, err.message) == ("/", f"expected a string, got {kind}")
+    assert decode_error(tuple[str, ...], ["a", 1]).location == "/1"
+
+
 def test_optional_accepts_null():
     assert from_json(int | None, None, "<doc>") is None
     assert from_json(int | None, 4, "<doc>") == 4

@@ -204,6 +204,14 @@ def one_lane_doc(**lane_edits) -> dict:
     (one_lane_doc(category=True), "/frames/0/lanes/0/category", "expected an integer"),
     (one_lane_doc(points=[[0, 6, 0], [0, 5, 0]]), "/frames/0/lanes/0/points", "increasing"),
     (one_lane_doc(points=[[0, 5], [0, 6]]), "/frames/0/lanes/0/points", "[x, y, z] triples"),
+    ({"frames": [{"id": None, "camera": None, "lanes": []}]}, "/frames/0/id",
+     "expected a string, got null"),
+    ({"frames": [{"id": 3, "camera": None, "lanes": []}]}, "/frames/0/id",
+     "expected a string, got a number"),
+    ({"frames": [{"id": "0", "camera": None, "lanes": [], "tags": [1]}]}, "/frames/0/tags/0",
+     "expected a string, got a number"),
+    ({"frames": [{"id": "0", "camera": None, "lanes": []}] * 2}, "/frames/1/id",
+     "frame id '0' repeats /frames/0/id"),
 ])
 def test_malformed_document_reports_its_pointer(tmp_path, doc, pointer, message):
     path = tmp_path / "lanes.json"

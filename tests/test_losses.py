@@ -18,6 +18,7 @@ from lane3d_kit.losses import (
     classification_loss,
     ew_loss,
     ew_pair_loss,
+    ew_pair_widths,
     regression_loss,
     solve_assignment,
     total_loss,
@@ -184,12 +185,11 @@ def test_assign_total_matches_brute_force_on_lanes(rng):
         assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
 
 
-def identity_assignment(m, labels=None, non_lane=1):
+def identity_assignment(m, labels=None):
     return Assignment(
         sigma={i: i for i in range(m)},
         positives=list(range(m)),
         labels=np.zeros(m, dtype=np.intp) if labels is None else np.asarray(labels),
-        non_lane_class=non_lane,
     )
 
 
@@ -374,3 +374,131 @@ def test_regression_gradient_matches_fd():
     for name, rows in (("x", grad.d_x), ("z", grad.d_z), ("vis", grad.d_vis)):
         fd = local_fd(lambda: regression_loss(gts, props, a)[0], getattr(props[0], name))
         np.testing.assert_allclose(rows[0], fd, rtol=1e-5, atol=1e-8)
+
+
+# --- per-pair references for the broadcast losses ------------------------------------
+
+
+def reference_regression_loss(gts, props, assignment):
+    """Per-pair regression loss, the reference for regression_loss's gathered rows."""
+    n = props[0].num_points if props else 0
+    d_x, d_z, d_vis = (np.zeros((len(props), n)) for _ in range(3))
+    loss = 0.0
+    for i in sorted(assignment.sigma):
+        j = assignment.sigma[i]
+        gt, p = gts[i], props[j]
+        vis = gt.visibility
+        ex, ez, ev = p.x - gt.x, p.z - gt.z, p.vis - gt.visibility
+        loss += float(np.abs(vis * ex).sum() + np.abs(vis * ez).sum() + np.abs(ev).sum())
+        d_x[j] += vis * np.sign(ex)
+        d_z[j] += vis * np.sign(ez)
+        d_vis[j] += np.sign(ev)
+    return loss, (d_x, d_z, d_vis)
+
+
+def reference_ew_pair_loss(x_ref, x_other, y, tau):
+    """One-pair equal-width loss with its segment-slope gradient scattered
+    by np.add.at, the reference for ew_pair_loss's slice adds."""
+    seg, dy, dxo, hyp2, cos, gap, dev, delta_w = ew_pair_widths(x_ref, x_other, y)
+    n = gap.shape[0]
+    g_ref, g_other = np.zeros(n), np.zeros(n)
+    if delta_w >= tau:
+        return 0.0, g_ref, g_other
+    sign_dev = np.sign(dev)
+    d_w = (sign_dev - sign_dev.mean()) / n
+    d_gap = d_w * cos * np.sign(gap)
+    g_other += d_gap
+    g_ref -= d_gap
+    d_dxo = d_w * np.abs(gap) * (-dy * dxo / hyp2 ** 1.5)
+    np.add.at(g_other, seg + 1, d_dxo)
+    np.add.at(g_other, seg, -d_dxo)
+    return float(delta_w), g_ref, g_other
+
+
+def reference_ew_loss(positives, y, cfg):
+    """Equal-width loss by a loop over ordered pairs, the reference for
+    ew_loss's one broadcast call."""
+    m = len(positives)
+    grads = np.zeros((m, y.shape[0]))
+    if m < 2:
+        return 0.0, grads
+    total = 0.0
+    norm = 1.0 / (m * (m - 1))
+    for j in range(m):
+        for jp in range(m):
+            if jp == j:
+                continue
+            pair, g_ref, g_other = reference_ew_pair_loss(
+                positives[j].x, positives[jp].x, y, cfg.tau)
+            total += pair
+            grads[j] += g_ref
+            grads[jp] += g_other
+    return total * norm, grads * norm
+
+
+def same_float(a, b) -> bool:
+    return type(a) is type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.integers(0, 6), p=st.integers(1, 6), n=st.integers(2, 10),
+       tau_quantile=st.sampled_from([0.0, 0.3, 0.5, 1.0, None]),
+       seed=st.integers(0, 2**32 - 1))
+def test_broadcast_losses_equal_their_per_pair_references(g, p, n, tau_quantile, seed):
+    rng = np.random.default_rng(seed)
+    y = np.cumsum(rng.uniform(0.5, 5.0, n))
+    # Near-parallel lanes with jitter, so the widths vary a little or a lot.
+    slope, jitter = rng.uniform(-0.3, 0.3), rng.choice([1e-3, 0.05, 1.0])
+    offsets = np.cumsum(rng.uniform(1.0, 4.0, max(g, p)))
+    vis = rng.choice([0.0, 0.3, 1.0], size=(g, n))
+    vis[rng.random(g) < 0.3] = 0.0  # some GT lanes wholly invisible
+    gts = [Lane3D(x=slope * y + offsets[i] + rng.normal(0, jitter, n), y=y,
+                  z=rng.normal(0, 1, n), visibility=vis[i], category=0) for i in range(g)]
+    props = [Proposal(class_probs=np.array([0.6, 0.4]),
+                      x=slope * y + offsets[j] + rng.normal(0, jitter, n),
+                      z=rng.normal(0, 1, n), vis=rng.uniform(0, 1, n)) for j in range(p)]
+    # A random injective matching; with p < g some GT lanes stay unmatched.
+    k = min(g, p)
+    rows = np.sort(rng.permutation(g)[:k])
+    sigma = dict(zip(rows.tolist(), rng.permutation(p)[:k].tolist()))
+    positives = [sigma[i] for i in sorted(sigma)]
+    labels = np.ones(p, dtype=np.intp)
+    labels[positives] = 0
+    a = Assignment(sigma=sigma, positives=positives, labels=labels)
+
+    value, grad = regression_loss(gts, props, a)
+    want, want_grads = reference_regression_loss(gts, props, a)
+    assert same_float(value, want)
+    for got_rows, want_rows in zip((grad.d_x, grad.d_z, grad.d_vis), want_grads):
+        np.testing.assert_array_equal(got_rows, want_rows)
+
+    pos = [props[j] for j in positives]
+    x = np.array([q.x for q in pos]).reshape(len(pos), n)
+    deltas = [ew_pair_widths(x[j], x[k], y)[-1] for j in range(len(pos))
+              for k in range(len(pos)) if j != k]
+    # tau at, among and above the pairs' deviations, so that the fork gate
+    # exempts all, some or none of the pairs.
+    if not deltas:
+        tau = 0.1
+    elif tau_quantile is None:
+        tau = 2.0 * max(deltas)
+    else:
+        tau = max(float(np.quantile(deltas, tau_quantile)), 1e-9)
+    cfg = LossConfig(tau=tau)
+    value, grads = ew_loss(pos, y, cfg)
+    want, want_grads = reference_ew_loss(pos, y, cfg)
+    assert same_float(value, want)
+    assert grads.shape == want_grads.shape == (len(pos), n)
+    np.testing.assert_allclose(grads, want_grads, rtol=0, atol=1e-12)
+
+    pair, g_ref, g_other = ew_pair_loss(x[:, None], x[None, :], y, tau)
+    assert pair.shape == (len(pos),) * 2 and g_ref.shape == g_other.shape == (*pair.shape, n)
+    for j, k in itertools.product(range(len(pos)), repeat=2):
+        one = ew_pair_loss(x[j], x[k], y, tau)
+        ref = reference_ew_pair_loss(x[j], x[k], y, tau)
+        assert same_float(one[0], ref[0])
+        np.testing.assert_array_equal(one[1], ref[1])
+        np.testing.assert_array_equal(one[2], ref[2])
+        assert same_float(float(pair[j, k]), one[0])
+        np.testing.assert_array_equal(g_ref[j, k], one[1])
+        np.testing.assert_array_equal(g_other[j, k], one[2])
