@@ -3,7 +3,9 @@
 Subcommands: gen-scene, gen-weights, anchors, forward, loss, evaluate,
 grad-check.  Exit codes: 0 success, 2 input error, 3 invariant/verification
 failure.  ``loss`` and ``evaluate`` leave out ground-truth lanes with no
-visible point.
+visible point, and reject a prediction frame whose id is in no
+ground-truth frame (``evaluate --tag-filter`` still skips the prediction
+frames of ground-truth frames it filters out).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .anchors import (
     materialize,
     pool_and_weigh,
 )
-from .config import RunConfig, make_profile
+from .config import RunConfig, check_positive, make_profile
 from .errors import FileFormatError, Lane3DKitError
 from .evaluation import evaluate_once, evaluate_openlane, format_report_table
 from .gradcheck import run_grad_check
@@ -161,6 +163,12 @@ class _GenSceneSpec(SceneSpec):
     lidar_channels: int = 8
     noise: NoiseSpec | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        check_positive(feature_channels=self.feature_channels)
+        if self.lidar:
+            check_positive(lidar_channels=self.lidar_channels)
+
 
 def cmd_gen_scene(args) -> int:
     doc = read_json(args.spec)
@@ -280,18 +288,28 @@ def _check_on_profile_grid(lane: Lane3D, y: np.ndarray, path, where: str) -> Non
         raise FileFormatError(path, where, "lane is not on the profile y-grid")
 
 
+def _gt_frame_of_each(gt_frames, pred_frames, pred_path) -> list[int]:
+    """The index of each prediction frame's ground-truth frame, matched by id.
+
+    A prediction frame whose id is in no ground-truth frame is an input error.
+    """
+    gt_index = {f.id: g for g, f in enumerate(gt_frames)}
+    for k, pf in enumerate(pred_frames):
+        if pf.id not in gt_index:
+            raise FileFormatError(pred_path, f"/frames/{k}/id", "no matching ground-truth frame")
+    return [gt_index[pf.id] for pf in pred_frames]
+
+
 def cmd_loss(args) -> int:
     cfg = _load_config(args.config)
     gt_frames = read_lane_file(args.gt)
-    gt_index = {f.id: g for g, f in enumerate(gt_frames)}
     pred_frames = read_lane_file(args.pred)
     y = cfg.profile.y_samples
     per_frame = []
     sums = {"cls": 0.0, "reg": 0.0, "ew": 0.0, "total": 0.0}
+    gt_of = _gt_frame_of_each(gt_frames, pred_frames, args.pred)
     for k, pf in enumerate(pred_frames):
-        if pf.id not in gt_index:
-            raise FileFormatError(args.pred, f"/frames/{k}/id", "no matching ground-truth frame")
-        g = gt_index[pf.id]
+        g = gt_of[k]
         gts = []
         for i, lane in enumerate(gt_frames[g].lanes):
             _check_on_profile_grid(lane, y, args.gt, f"/frames/{g}/lanes/{i}")
@@ -310,7 +328,8 @@ def cmd_loss(args) -> int:
     return EXIT_OK
 
 
-def _frame_pairs(gt_frames, pred_frames, tag_filter):
+def _frame_pairs(gt_frames, pred_frames, pred_path, tag_filter):
+    _gt_frame_of_each(gt_frames, pred_frames, pred_path)
     by_id = {f.id: f for f in pred_frames}
     pairs = []
     ids = []
@@ -345,7 +364,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     gt_frames = read_lane_file(args.gt)
     pred_frames = read_lane_file(args.pred)
-    pairs, ids = _frame_pairs(gt_frames, pred_frames, args.tag_filter)
+    pairs, ids = _frame_pairs(gt_frames, pred_frames, args.pred, args.tag_filter)
     if args.plot:
         plot_dir = Path(args.plot)
         plot_dir.mkdir(parents=True, exist_ok=True)

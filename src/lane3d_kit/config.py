@@ -55,9 +55,20 @@ def make_profile(name: str) -> DatasetProfile:
     raise ValueError(f"unknown profile {name!r} (expected openlane, apollosim, or once)")
 
 
+def check_positive(**sizes: int) -> None:
+    """Raise ``ValueError`` naming the first of ``sizes`` that is below 1."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass
 class RunConfig:
-    """Everything a run needs, JSON-serializable with explicit defaults."""
+    """Everything a run needs, JSON-serializable with explicit defaults.
+
+    Counts, the stride and the feature grid it gives must be at least 1;
+    ``lidar_channels`` only when ``fusion`` is on.
+    """
 
     profile: DatasetProfile = field(default_factory=lambda: make_profile("openlane"))
     meta_ranges: MetaRanges = field(default_factory=MetaRanges)
@@ -74,6 +85,16 @@ class RunConfig:
     feature_stride: int = 8
 
     def __post_init__(self):
+        check_positive(
+            num_anchors=self.num_anchors,
+            feature_channels=self.feature_channels,
+            feature_stride=self.feature_stride,
+            **{f"num_prototypes[{i}]": m for i, m in enumerate(self.num_prototypes)},
+        )
+        check_positive(**{f"image_size[{i}] // feature_stride": s
+                          for i, s in enumerate(self.feature_size)})
+        if self.fusion:
+            check_positive(lidar_channels=self.lidar_channels)
         if self.eval_openlane is None:
             self.eval_openlane = EvalConfigOL(y_eval_samples=self.profile.y_samples.copy())
 

@@ -62,6 +62,11 @@ class CameraRig:
             raise InvalidRig("rotation block of T_gc is not orthonormal")
         hi, wi = self.image_size
         hf, wf = self.feature_size
+        if min(hi, wi, hf, wf) < 1:
+            raise InvalidRig(
+                f"image size {self.image_size} and feature size {self.feature_size} "
+                "must be positive"
+            )
         if hi % hf != 0 or wi % wf != 0:
             raise InvalidRig(
                 f"feature size {self.feature_size} does not divide image size {self.image_size}"

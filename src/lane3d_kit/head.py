@@ -27,7 +27,7 @@ from .errors import PipelineStageError, ShapeMismatch
 from .geometry import CameraRig
 from .jsonable import to_json
 from .lanes import Lane3D
-from .sampling import FeatureMap, FeatureVolume, fuse, sample_anchor_lidar, sample_anchors
+from .sampling import FeatureMap, FeatureVolume, sample_anchors, sample_anchors_lidar
 
 
 @dataclass
@@ -258,10 +258,14 @@ def run_pipeline(
     """Run all refinement stages and return final proposals plus the trace.
 
     Initial anchors come from adaptive generation on the level-5 feature;
-    afterwards each stage samples features for its anchors (fusing LiDAR
-    when volumes are supplied), predicts, and hands its proposals to the
-    next stage as anchors.  ``predict_fn`` swaps out the weight-based head,
-    which test harnesses use to drive the loop with oracle predictors.
+    afterwards each stage samples features for its anchors, predicts, and
+    hands its proposals to the next stage as anchors.  Each stage makes one
+    sampling pass per modality (camera, and LiDAR when volumes are
+    supplied) over all anchors, and builds the (M, N*C) head input with the
+    camera channels first at every point, the layout of
+    :func:`~lane3d_kit.sampling.fuse`'s ``flat``.  ``predict_fn`` swaps out
+    the weight-based head, which test harnesses use to drive the loop with
+    oracle predictors.
     """
     y_samples = np.asarray(y_samples, dtype=np.float64)
     for level, wid in plan.stages:
@@ -277,13 +281,13 @@ def run_pipeline(
     proposals: list[Proposal] = []
     for idx, (level, wid) in enumerate(plan.stages):
         try:
-            feats = sample_anchors(anchors, features[level], rig)
+            values = np.stack([f.values for f in sample_anchors(anchors, features[level], rig)])
             if lidar is not None:
-                feats = [
-                    fuse(f, sample_anchor_lidar(a, lidar[level], rig))
-                    for f, a in zip(feats, anchors)
-                ]
-            matrix = np.stack([f.flat for f in feats], axis=0)
+                lidar_values = np.stack(
+                    [f.values for f in sample_anchors_lidar(anchors, lidar[level], rig)]
+                )
+                values = np.concatenate([values, lidar_values], axis=2)
+            matrix = values.reshape(len(anchors), -1)
             if predict_fn is not None:
                 proposals = predict_fn(idx, level, anchors, matrix)
             else:

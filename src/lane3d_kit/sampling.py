@@ -3,6 +3,11 @@
 Grids are center-aligned: a sample exactly on an integer cell coordinate
 returns that cell's stored value.  Samples outside the grid (or behind the
 camera) return zeros and are flagged invalid so they stay inert downstream.
+
+Each refinement stage makes one sampling pass per modality:
+:func:`sample_anchors` projects and bilinearly samples every anchor's
+points in one call, and :func:`sample_anchors_lidar` transforms and
+trilinearly samples them in one call; both then slice the result per anchor.
 """
 
 from __future__ import annotations
@@ -172,6 +177,14 @@ def trilinear_sample(fv: FeatureVolume, xyz: np.ndarray) -> tuple[np.ndarray, np
     return out, valid
 
 
+def _per_anchor(values: np.ndarray, valid: np.ndarray, n: int) -> list[AnchorFeature]:
+    """Slice the samples of consecutive n-point anchors into one feature each."""
+    return [
+        AnchorFeature(values=values[i:i + n], valid=valid[i:i + n])
+        for i in range(0, valid.shape[0], n)
+    ]
+
+
 def sample_anchors(anchors: list[Anchor3D], fm: FeatureMap, rig: CameraRig) -> list[AnchorFeature]:
     """Project every anchor's points into the feature grid and sample them.
 
@@ -188,17 +201,28 @@ def sample_anchors(anchors: list[Anchor3D], fm: FeatureMap, rig: CameraRig) -> l
     values, in_grid = bilinear_sample(fm, uv[:, 0], uv[:, 1])
     valid = in_front & in_grid
     values[~valid] = 0.0
-    return [
-        AnchorFeature(values=values[i * n:(i + 1) * n], valid=valid[i * n:(i + 1) * n])
-        for i in range(len(anchors))
-    ]
+    return _per_anchor(values, valid, n)
+
+
+def sample_anchors_lidar(
+    anchors: list[Anchor3D], fv: FeatureVolume, rig: CameraRig
+) -> list[AnchorFeature]:
+    """Transform every anchor's points into the LiDAR frame and sample the voxel grid.
+
+    One transform and one trilinear pass cover all anchors.  Points outside
+    the volume's extent contribute zeros with a False mask.
+    """
+    if not anchors:
+        return []
+    n = len(anchors[0])
+    pts = project_points_to_lidar(np.concatenate([a.points for a in anchors], axis=0), rig)
+    values, valid = trilinear_sample(fv, pts)
+    return _per_anchor(values, valid, n)
 
 
 def sample_anchor_lidar(anchor: Anchor3D, fv: FeatureVolume, rig: CameraRig) -> AnchorFeature:
-    """Transform an anchor into the LiDAR frame and sample the voxel grid."""
-    pts = project_points_to_lidar(anchor.points, rig)
-    values, valid = trilinear_sample(fv, pts)
-    return AnchorFeature(values=values, valid=valid)
+    """:func:`sample_anchors_lidar` of one anchor."""
+    return sample_anchors_lidar([anchor], fv, rig)[0]
 
 
 def fuse(camera_feat: AnchorFeature, lidar_feat: AnchorFeature) -> AnchorFeature:

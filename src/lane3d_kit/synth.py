@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DatasetProfile
+from .config import DatasetProfile, check_positive
 from .geometry import CameraRig, project_points_to_feature
 from .head import Proposal
 from .lanes import Lane3D
@@ -48,8 +48,9 @@ class SceneSpec:
     fork_coefficient: float = 0.0
 
     def __post_init__(self):
-        if self.n_lanes < 1:
-            raise ValueError("n_lanes must be >= 1")
+        check_positive(n_lanes=self.n_lanes, feature_stride=self.feature_stride)
+        check_positive(**{f"image_size[{i}] // feature_stride": s // self.feature_stride
+                          for i, s in enumerate(self.image_size)})
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
 

@@ -14,6 +14,7 @@ from lane3d_kit.head import StagePlan
 from lane3d_kit.jsonable import to_json
 from lane3d_kit.tensorio import read_tensors, write_tensors
 
+from conftest import unit_rig
 from test_laneio import one_lane_doc
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -159,6 +160,14 @@ def _bad_config(tmp_path, edit) -> Path:
     (lambda d: d["meta_ranges"].pop("theta_max"), "/meta_ranges/theta_max", "missing field"),
     (lambda d: d["loss"].pop("lambda_ew"), "/loss/lambda_ew", "missing field"),
     (lambda d: d["eval_once"].pop("grid_cell"), "/eval_once/grid_cell", "missing field"),
+    (lambda d: d.update(feature_stride=0), "/", "feature_stride must be >= 1, got 0"),
+    (lambda d: d.update(num_anchors=0), "/", "num_anchors must be >= 1, got 0"),
+    (lambda d: d.update(num_anchors=-2), "/", "num_anchors must be >= 1, got -2"),
+    (lambda d: d.update(feature_channels=0), "/", "feature_channels must be >= 1, got 0"),
+    (lambda d: d.update(lidar_channels=0), "/", "lidar_channels must be >= 1, got 0"),
+    (lambda d: d.update(num_prototypes=[6, 0, 3]), "/", "num_prototypes[1] must be >= 1, got 0"),
+    (lambda d: d.update(feature_stride=200), "/",
+     "image_size[0] // feature_stride must be >= 1, got 0"),
 ])
 def test_bad_config_exits_2_with_its_pointer(tmp_path, edit, pointer, message):
     config = _bad_config(tmp_path, edit)
@@ -168,11 +177,23 @@ def test_bad_config_exits_2_with_its_pointer(tmp_path, edit, pointer, message):
     assert "Traceback" not in err
 
 
+def test_lidar_channels_are_free_without_fusion(tmp_path):
+    config = _bad_config(tmp_path, lambda d: d.update(fusion=False, lidar_channels=0))
+    code, _, err = call("gen-weights", "--config", config, "--out", tmp_path / "w.a3t")
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_config_that_is_not_an_object_exits_2(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text("[]")
     code, _, err = call("gen-weights", "--config", config, "--out", tmp_path / "w.a3t")
     assert code == EXIT_INPUT and f"{config}: at /: expected an object" in err
+
+
+def _with_feature_size(doc, feature_size):
+    """``doc`` with a camera whose feature grid is ``feature_size``."""
+    doc["frames"][0]["camera"] = {**to_json(unit_rig()), "feature_size": feature_size}
+    return doc
 
 
 @pytest.mark.parametrize("doc, pointer, message", [
@@ -183,6 +204,8 @@ def test_config_that_is_not_an_object_exits_2(tmp_path):
      "/frames/0/tags", "expected an array"),
     ({"frames": [], "frame": []}, "/frame", "unknown field"),
     (one_lane_doc(category=2.5), "/frames/0/lanes/0/category", "expected an integer"),
+    (_with_feature_size(one_lane_doc(), [0, 60]), "/frames/0/camera",
+     "feature size (0, 60) must be positive"),
 ])
 def test_bad_lane_file_exits_2_with_its_pointer(tmp_path, doc, pointer, message):
     pred = tmp_path / "pred.json"
@@ -254,6 +277,26 @@ def _off_grid(doc):
 
 def _name_frame(doc):
     doc["frames"][0]["id"] = "north"
+
+
+def test_evaluate_rejects_a_prediction_frame_with_no_gt_frame(tmp_path):
+    pred = _edited(GOLDEN / "openlane_pred.json", tmp_path / "pred.json",
+                   lambda d: d["frames"][1].update(id="99"))
+    code, out, err = call("evaluate", "--protocol", "openlane",
+                          "--gt", GOLDEN / "openlane_gt.json", "--pred", pred)
+    assert code == EXIT_INPUT and out == ""
+    assert f"{pred}: at /frames/1/id: no matching ground-truth frame" in err
+
+
+def test_evaluate_tag_filter_still_skips_the_predictions_of_filtered_frames(tmp_path):
+    gt = _edited(GOLDEN / "openlane_gt.json", tmp_path / "gt.json",
+                 lambda d: d["frames"][2].update(tags=["curve"]))
+    report = tmp_path / "report.json"
+    code, _, err = call("evaluate", "--protocol", "openlane", "--tag-filter", "curve",
+                        "--gt", gt, "--pred", GOLDEN / "openlane_pred.json", "--out", report)
+    assert (code, err) == (EXIT_OK, "")
+    counts = json.loads(report.read_text())["counts"][0]
+    assert counts["tp"] + counts["fn"] == 5  # the GT lanes of frame "2" only
 
 
 @pytest.mark.parametrize("which, edit, pointer, message", [
@@ -339,6 +382,10 @@ def test_gen_scene_fills_omitted_keys_with_defaults(tmp_path):
     ({"sigma": None}, "/sigma", "float()"),
     ({"n_lanes": 0}, "/", "n_lanes must be >= 1"),
     ([3], "/", "expected an object"),
+    ({"feature_stride": 0}, "/", "feature_stride must be >= 1, got 0"),
+    ({"feature_channels": 0}, "/", "feature_channels must be >= 1, got 0"),
+    ({"image_size": [360, 0]}, "/", "image_size[1] // feature_stride must be >= 1, got 0"),
+    ({"lidar": True, "lidar_channels": -1}, "/", "lidar_channels must be >= 1, got -1"),
 ])
 def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, message):
     path = tmp_path / "spec.json"

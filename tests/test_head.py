@@ -6,6 +6,7 @@ from lane3d_kit.anchors import (
     CoefficientHeadWeights,
     MetaRanges,
     PrototypeBank,
+    generate_anchors,
     softmax_rows,
 )
 from lane3d_kit.config import make_profile
@@ -18,8 +19,14 @@ from lane3d_kit.head import (
     run_pipeline,
     self_attention,
 )
-from lane3d_kit.sampling import FeatureMap, FeatureVolume
-from lane3d_kit.synth import SceneSpec, generate_scene, rasterize_features
+from lane3d_kit.sampling import (
+    FeatureMap,
+    FeatureVolume,
+    fuse,
+    sample_anchor_lidar,
+    sample_anchors,
+)
+from lane3d_kit.synth import SceneSpec, build_rig, generate_scene, rasterize_features
 
 
 def anchors_at(xs, n=4):
@@ -248,6 +255,48 @@ def test_fusion_with_zero_lidar_matches_camera_only(rng):
         np.testing.assert_allclose(p2.x, p1.x, atol=1e-12)
         np.testing.assert_allclose(p2.z, p1.z, atol=1e-12)
         np.testing.assert_allclose(p2.vis, p1.vis, atol=1e-12)
+
+
+def test_fused_head_input_equals_the_per_anchor_fuse_layout(rng):
+    # The benchmark's fusion shape: 30 anchors of 20 points, 64 camera and
+    # 8 LiDAR channels, four stages.
+    profile = make_profile("openlane")
+    y = profile.y_samples
+    rig = build_rig(SceneSpec(), with_lidar=True)
+    h_f, w_f = rig.feature_size
+    c_cam, c_lid = 64, 8
+    features = {lvl: FeatureMap(data=rng.normal(size=(h_f, w_f, c_cam)), level=lvl)
+                for lvl in (3, 4, 5)}
+    extent = np.array([[-15.0, 15.0], [0.0, 105.0], [-2.0, 3.0]])
+    lidar = {lvl: FeatureVolume(data=rng.normal(size=(6, 24, 16, c_lid)), extent=extent)
+             for lvl in (3, 4, 5)}
+    bank = PrototypeBank.uniform()
+    coeff = CoefficientHeadWeights.random(rng, w_f * c_cam, 30, bank, scale=3.0)
+    plan = StagePlan(((5, "s"), (5, "s"), (4, "s"), (3, "s")))
+    heads = {"s": HeadWeights.random(rng, 20 * (c_cam + c_lid), profile.num_categories, 20)}
+
+    matrices = []
+
+    def recording(stage, level, anchors, matrix):
+        matrices.append(matrix)
+        return predict(matrix, anchors, heads["s"])
+
+    result = run_pipeline(features, lidar, rig, bank, coeff, heads, plan, y, MetaRanges())
+    run_pipeline(features, lidar, rig, bank, coeff, heads, plan, y, MetaRanges(),
+                 predict_fn=recording)
+
+    anchors = generate_anchors(features[5], bank, coeff, MetaRanges(), y)
+    for stage, (level, _) in enumerate(plan.stages):
+        cam = sample_anchors(anchors, features[level], rig)
+        feats = [fuse(f, sample_anchor_lidar(a, lidar[level], rig)) for f, a in zip(cam, anchors)]
+        matrix = np.stack([f.flat for f in feats], axis=0)
+        assert matrix.shape == (30, 20 * (c_cam + c_lid))
+        assert np.array_equal(matrices[stage], matrix), stage
+        proposals = predict(matrix, anchors, heads["s"])
+        anchors = [p.to_anchor(y) for p in proposals]
+    for got, want in zip(result.proposals, proposals, strict=True):
+        for name in ("class_probs", "x", "z", "vis"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_proposal_invariants(rng):

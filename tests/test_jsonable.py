@@ -172,6 +172,7 @@ def increasing(draw, min_size=2, max_size=8):
 @st.composite
 def run_configs(draw):
     (xs_lo, xs_hi), (phi_lo, phi_hi), (th_lo, th_hi) = (draw(ranges()) for _ in range(3))
+    stride = draw(st.integers(1, 16))
     return RunConfig(
         profile=DatasetProfile(draw(st.text(max_size=8)), draw(increasing()),
                                draw(st.integers(1, 20))),
@@ -192,8 +193,10 @@ def run_configs(draw):
         feature_channels=draw(st.integers(1, 128)),
         lidar_channels=draw(st.integers(1, 16)),
         num_prototypes=tuple(draw(st.integers(1, 40)) for _ in range(3)),
-        image_size=(draw(st.integers(8, 1000)), draw(st.integers(8, 1000))),
-        feature_stride=draw(st.integers(1, 16)),
+        # At least one feature cell per axis.
+        image_size=(draw(st.integers(max(8, stride), 1000)),
+                    draw(st.integers(max(8, stride), 1000))),
+        feature_stride=stride,
     )
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lane3d_kit.anchors import Anchor3D
 from lane3d_kit.config import make_profile
 from lane3d_kit.errors import LengthMismatch, MissingLidarExtrinsics, ShapeMismatch
+from lane3d_kit.geometry import project_points_to_lidar
 from lane3d_kit.sampling import (
     AnchorFeature,
     FeatureMap,
@@ -12,11 +15,12 @@ from lane3d_kit.sampling import (
     fuse,
     sample_anchor_lidar,
     sample_anchors,
+    sample_anchors_lidar,
     trilinear_sample,
 )
 from lane3d_kit.synth import SceneSpec, generate_scene, rasterize_features
 
-from conftest import unit_rig
+from conftest import random_rotation, unit_rig
 
 
 def grid2x2():
@@ -225,6 +229,68 @@ def test_sample_anchor_lidar_requires_extrinsics():
     fv = volume_2x2x2()
     with pytest.raises(MissingLidarExtrinsics):
         sample_anchor_lidar(anchor_at(0.0), fv, unit_rig(ratio=8))
+
+
+# Where each LiDAR-frame coordinate of a drawn point lies relative to its axis's extent.
+_PLACES = ("inside", "min", "max", "below", "above")
+
+
+@st.composite
+def lidar_cases(draw):
+    """A volume (any axis may be a single cell), a LiDAR rig and anchors whose
+    points fall inside the extent, outside it and exactly on its boundary.
+
+    Anchors have at least two points, as on every dataset profile: a one-row
+    matrix product goes through another BLAS kernel than a many-row one and
+    may round differently.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, h, w, c = (draw(st.integers(1, 4)) for _ in range(4))
+    lo = rng.uniform(-20.0, 20.0, size=3)
+    hi = lo + rng.uniform(0.5, 30.0, size=3)
+    fv = FeatureVolume(data=rng.normal(size=(d, h, w, c)), extent=np.stack([lo, hi], axis=1))
+    rig = unit_rig(ratio=8)
+    if draw(st.booleans()):
+        # Identity extrinsics keep boundary coordinates exact in the LiDAR frame.
+        rig.T_gl = np.hstack([np.eye(3), np.zeros((3, 1))])
+    else:
+        rig.T_gl = np.hstack([random_rotation(rng), rng.normal(scale=3.0, size=(3, 1))])
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    places = np.array(draw(st.lists(st.sampled_from(_PLACES), min_size=m * n * 3,
+                                    max_size=m * n * 3))).reshape(m * n, 3)
+    margin = rng.uniform(1e-9, 5.0, size=places.shape)
+    lidar_pts = np.select(
+        [places == "inside", places == "min", places == "max", places == "below"],
+        [rng.uniform(lo, hi, size=places.shape), np.broadcast_to(lo, places.shape),
+         np.broadcast_to(hi, places.shape), lo - margin],
+        hi + margin,
+    )
+    rot, t = rig.T_gl[:, :3], rig.T_gl[:, 3]
+    ground = (lidar_pts - t) @ rot  # inverse of the rigid LiDAR transform
+    anchors = [Anchor3D(x=p[:, 0], y=p[:, 1], z=p[:, 2]) for p in np.split(ground, m)]
+    return anchors, fv, rig
+
+
+@settings(max_examples=150, deadline=None)
+@given(lidar_cases())
+def test_batched_lidar_sampling_equals_each_anchor_alone(case):
+    anchors, fv, rig = case
+    feats = sample_anchors_lidar(anchors, fv, rig)
+    assert len(feats) == len(anchors)
+    for a, f in zip(anchors, feats):
+        values, valid = trilinear_sample(fv, project_points_to_lidar(a.points, rig))
+        assert np.array_equal(f.values, values) and np.array_equal(f.valid, valid)
+        one = sample_anchor_lidar(a, fv, rig)
+        assert np.array_equal(one.values, values) and np.array_equal(one.valid, valid)
+
+
+def test_batched_lidar_sampling_of_no_anchors_is_empty():
+    assert sample_anchors_lidar([], volume_2x2x2(), lidar_rig()) == []
+
+
+def test_batched_lidar_sampling_requires_extrinsics():
+    with pytest.raises(MissingLidarExtrinsics):
+        sample_anchors_lidar([anchor_at(0.0), anchor_at(1.0)], volume_2x2x2(), unit_rig(ratio=8))
 
 
 def test_fuse_layout():
