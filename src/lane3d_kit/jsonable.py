@@ -10,8 +10,10 @@ same way, ``X | None`` accepts ``null``, tuples and lists decode each item
 (a fixed-length tuple also checks its length), ``np.ndarray`` becomes a
 float64 array, ``bool`` accepts only ``true``/``false``, ``str`` only
 strings, ``int`` rejects booleans and non-integral numbers, and ``int``
-and ``float`` then go through their constructors.  Floats and arrays
-must be finite.  Every field that ``__init__`` takes must be present and
+and ``float`` then go through their constructors.  ``typing.Any`` keeps
+the parsed value for the caller to decode (``decode_arrays`` decodes many
+arrays in one pass).  Floats and arrays must be finite, and an array
+element must be a number, not a string.  Every field that ``__init__`` takes must be present and
 no other key may be; derived fields (``init=False``) are written but
 never read.  Every failure becomes a :class:`FileFormatError` at the JSON
 pointer of the value that caused it; an error raised while constructing a
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import types
@@ -75,6 +78,8 @@ def _decoder(cls):
         return _object_decoder(cls)
     if cls is np.ndarray:
         return _decode_array
+    if cls is typing.Any:
+        return lambda doc, source, where: doc
     if cls in _SCALARS:
         return _located(_SCALARS[cls])
     origin, args = typing.get_origin(cls), typing.get_args(cls)
@@ -136,24 +141,69 @@ def _sequence_decoder(origin, args):
     return decode
 
 
+def decode_arrays(docs: list, source, where) -> list[np.ndarray]:
+    """``[from_json(np.ndarray, doc, source, where(i)) for i, doc in enumerate(docs)]``
+    with one conversion and one finiteness check for all of ``docs``.
+
+    When every doc is a non-empty array, the docs are chained along their
+    first axis, checked as one array and split again.  If that fails, each
+    doc is decoded alone, which reports the first error at its pointer (docs
+    whose items differ in shape from doc to doc are decoded alone too).
+    """
+    if all(type(doc) is list and doc for doc in docs):
+        ends = list(itertools.accumulate(map(len, docs)))
+        try:
+            value = _decode_array(list(itertools.chain.from_iterable(docs)), source, "")
+        except FileFormatError:
+            pass
+        else:
+            return [value[start:end] for start, end in zip([0, *ends], ends)]
+    return [_decode_array(doc, source, where(i)) for i, doc in enumerate(docs)]
+
+
 def _decode_array(doc, source, where: str) -> np.ndarray:
+    """The one array check: ``doc`` as a finite float64 array.
+
+    The first conversion is untyped, so that a string element shows in the
+    dtype instead of being parsed as a number; ``null`` becomes NaN.
+    """
     try:
-        value = np.asarray(doc, dtype=np.float64)
-    except (ValueError, TypeError) as e:
+        value = np.asarray(doc)
+        if value.dtype.kind in "OU":
+            string = _first_string(doc)
+            if string is not None:
+                raise FileFormatError(source, "/".join([where, *map(str, string)]) or "/",
+                                      "expected a number, got a string")
+            value = np.asarray(doc, dtype=np.float64)
+        value = value.astype(np.float64, copy=False)
+    except (ValueError, TypeError, OverflowError) as e:
         raise FileFormatError(source, where or "/", str(e)) from e
-    if not np.isfinite(value).all():
-        first = np.argwhere(~np.isfinite(value))[0]
+    finite = np.isfinite(value)
+    if not finite.all():
+        first = np.argwhere(~finite)[0]
         raise FileFormatError(source, "/".join([where, *map(str, first)]) or "/",
                               "non-finite value")
     return value
 
 
+def _first_string(doc, index: tuple = ()) -> tuple | None:
+    """The index of the first string in nested lists ``doc``, or None."""
+    if isinstance(doc, str):
+        return index
+    if isinstance(doc, list):
+        for i, item in enumerate(doc):
+            found = _first_string(item, (*index, i))
+            if found is not None:
+                return found
+    return None
+
+
 def _located(convert):
-    """A decoder that reports convert's ValueError or TypeError at ``where``."""
+    """A decoder that reports convert's ValueError, TypeError or OverflowError at ``where``."""
     def decode(doc, source, where):
         try:
             return convert(doc)
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise FileFormatError(source, where or "/", str(e)) from e
 
     return decode

@@ -25,26 +25,41 @@ declaration, so one policy holds at every level:
 - Frame ids are strings, unique within a file: a repeated id is reported
   at the later frame's ``/frames/<i>/id``.
 - Integers are strict: ``category`` rejects ``true``/``false`` and
-  non-integral numbers.  NaN and infinite numbers are rejected at the
-  element that holds them.
+  non-integral numbers.  NaN and infinite numbers, and strings inside
+  arrays (``["1.0", 5.0, 0.0]``), are rejected at the element that holds
+  them.
 
 Beyond that, ``points`` must be (K, 3) with strictly increasing y and
 ``visibility`` must hold K values; an invalid rig is reported at
 ``.../camera``.  Every error is a :class:`FileFormatError` at the JSON
 pointer of the value that caused it.
+
+Reading is dominated by parsing.  ``read_lane_file`` pauses Python's cyclic
+garbage collector from the parse until the parsed document is dropped:
+``json.loads`` builds one short-lived list per point, and the collector
+would scan them again and again.  This is safe because neither the document
+nor the decoded frames hold reference cycles, so reference counting frees
+all of it and no collection is put off.  The collector's prior state is
+restored on return and on error; one that was off stays off.  Each array
+field (``points``, ``visibility``, ``class_probs``) is then converted once
+for the whole file (:func:`lane3d_kit.jsonable.decode_arrays`) and sliced
+per lane.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from .errors import FileFormatError
 from .geometry import CameraRig
-from .jsonable import from_json, read_json, to_json
+from .jsonable import decode_arrays, from_json, read_json, to_json
 from .lanes import Lane3D
 
 
@@ -87,10 +102,10 @@ def write_lane_file(path, frames: list[Frame]) -> None:
 @dataclass
 class _LaneDoc:
     category: int
-    points: np.ndarray
-    visibility: np.ndarray
+    points: Any  # the array fields are decoded for the whole file at once
+    visibility: Any
     score: float | None
-    class_probs: np.ndarray | None
+    class_probs: Any
 
 
 @dataclass
@@ -114,8 +129,7 @@ def _with_optional_keys(fd):
     return fd
 
 
-def _lane(ld: _LaneDoc, path, ptr: str) -> Lane3D:
-    points, vis = ld.points, ld.visibility
+def _lane(ld: _LaneDoc, points, vis, probs, path, ptr: str) -> Lane3D:
     if points.ndim != 2 or points.shape[1] != 3:
         raise FileFormatError(path, f"{ptr}/points", "expected an array of [x, y, z] triples")
     if vis.shape != points.shape[:1]:
@@ -124,13 +138,22 @@ def _lane(ld: _LaneDoc, path, ptr: str) -> Lane3D:
         )
     try:
         return Lane3D(x=points[:, 0], y=points[:, 1], z=points[:, 2], visibility=vis,
-                      category=ld.category, score=ld.score, class_probs=ld.class_probs)
+                      category=ld.category, score=ld.score, class_probs=probs)
     except ValueError as e:  # y not strictly increasing
         raise FileFormatError(path, f"{ptr}/points", str(e)) from e
 
 
 def read_lane_file(path) -> list[Frame]:
-    doc = read_json(path)
+    enabled = gc.isenabled()
+    gc.disable()  # see the module docstring
+    try:
+        return _decode(read_json(path), path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode(doc, path) -> list[Frame]:
     if not isinstance(doc, dict):
         raise FileFormatError(path, "/", "expected an object")
     for key in doc:
@@ -142,13 +165,25 @@ def read_lane_file(path) -> list[Frame]:
     if isinstance(frames, list):
         frames = [_with_optional_keys(fd) for fd in frames]
     docs = from_json(list[_FrameDoc], frames, path, "/frames")
+    lanes = [ld for fd in docs for ld in fd.lanes]
+    ptrs = [f"/frames/{i}/lanes/{j}" for i, fd in enumerate(docs) for j in range(len(fd.lanes))]
+
+    def column(name: str, ks) -> list[np.ndarray]:
+        """Field ``name`` of the lanes numbered ``ks``, decoded in one pass."""
+        return decode_arrays([getattr(lanes[k], name) for k in ks], path,
+                             lambda n: f"{ptrs[ks[n]]}/{name}")
+
+    every = range(len(lanes))
+    points, vis = column("points", every), column("visibility", every)
+    with_probs = [k for k in every if lanes[k].class_probs is not None]
+    probs = dict(zip(with_probs, column("class_probs", with_probs)))
     first = {}
     for i, fd in enumerate(docs):
         if first.setdefault(fd.id, i) != i:
             raise FileFormatError(path, f"/frames/{i}/id",
                                   f"frame id {fd.id!r} repeats /frames/{first[fd.id]}/id")
-    return [
-        Frame(id=fd.id, camera=fd.camera, tags=fd.tags,
-              lanes=[_lane(ld, path, f"/frames/{i}/lanes/{j}") for j, ld in enumerate(fd.lanes)])
-        for i, fd in enumerate(docs)
-    ]
+    built = (_lane(ld, points[k], vis[k], probs.get(k), path, ptrs[k])
+             for k, ld in enumerate(lanes))
+    return [Frame(id=fd.id, camera=fd.camera, tags=fd.tags,
+                  lanes=list(itertools.islice(built, len(fd.lanes))))
+            for fd in docs]

@@ -39,7 +39,7 @@ class Lane3D:
                 f"lane arrays disagree: x={self.x.shape[0]} y={n} "
                 f"z={self.z.shape[0]} vis={self.visibility.shape[0]}"
             )
-        if n >= 2 and not np.all(np.diff(self.y) > 0):
+        if n >= 2 and not (self.y[1:] > self.y[:-1]).all():
             raise ValueError("lane y-samples must be strictly increasing")
         if self.class_probs is not None:
             self.class_probs = np.asarray(self.class_probs, dtype=np.float64)

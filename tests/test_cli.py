@@ -168,6 +168,8 @@ def _bad_config(tmp_path, edit) -> Path:
     (lambda d: d.update(num_prototypes=[6, 0, 3]), "/", "num_prototypes[1] must be >= 1, got 0"),
     (lambda d: d.update(feature_stride=200), "/",
      "image_size[0] // feature_stride must be >= 1, got 0"),
+    (lambda d: d["profile"]["y_samples"].__setitem__(3, str(d["profile"]["y_samples"][3])),
+     "/profile/y_samples/3", "expected a number, got a string"),
 ])
 def test_bad_config_exits_2_with_its_pointer(tmp_path, edit, pointer, message):
     config = _bad_config(tmp_path, edit)
@@ -277,6 +279,16 @@ def _off_grid(doc):
 
 def _name_frame(doc):
     doc["frames"][0]["id"] = "north"
+
+
+def test_evaluate_rejects_a_string_coordinate(tmp_path):
+    # ["1.0", 8.263, 0.0]: a string that parses as a number is still not one.
+    pred = _edited(GOLDEN / "openlane_pred.json", tmp_path / "pred.json",
+                   lambda d: d["frames"][1]["lanes"][0]["points"][1].__setitem__(0, "1.0"))
+    code, out, err = call("evaluate", "--protocol", "openlane",
+                          "--gt", GOLDEN / "openlane_gt.json", "--pred", pred)
+    assert code == EXIT_INPUT and out == ""
+    assert f"{pred}: at /frames/1/lanes/0/points/1/0: expected a number, got a string" in err
 
 
 def test_evaluate_rejects_a_prediction_frame_with_no_gt_frame(tmp_path):

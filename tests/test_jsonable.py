@@ -14,7 +14,7 @@ from lane3d_kit.evaluation import EvalConfigOL, EvalConfigONCE, ThresholdCounts
 from lane3d_kit.geometry import CameraRig
 from lane3d_kit.gradcheck import GradCheckResult
 from lane3d_kit.head import StagePlan
-from lane3d_kit.jsonable import from_json, to_json
+from lane3d_kit.jsonable import decode_arrays, from_json, to_json
 from lane3d_kit.lanes import Lane3D
 from lane3d_kit.laneio import Frame, read_lane_file, write_lane_file
 from lane3d_kit.losses import LossConfig
@@ -103,6 +103,63 @@ def test_array_is_float64_and_finite():
         err = decode_error(np.ndarray, [[1, 2], [3, bad]])
         assert (err.location, err.message) == ("/1/1", "non-finite value")
     assert decode_error(np.ndarray, [[1, 2], [3]]).location == "/"
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    (["1.0", 2.0], "/0"),
+    ([[1, 2], [3, "4"]], "/1/1"),
+    ([[None, 2], ["x", 4]], "/1/0"),
+    ("5", "/"),
+])
+def test_array_rejects_strings(doc, pointer):
+    err = decode_error(np.ndarray, doc)
+    assert (err.location, err.message) == (pointer, "expected a number, got a string")
+
+
+def test_array_bools_and_integers_become_floats():
+    value = from_json(np.ndarray, [[True, 2], [3, 2**63]], "<doc>")
+    assert value.dtype == np.float64
+    assert value.tolist() == [[1.0, 2.0], [3.0, float(2**63)]]
+
+
+# Array items: finite numbers of every JSON kind, and now and then a value the codec rejects.
+array_items = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**70, 2**70), st.booleans(),
+    st.sampled_from([float("nan"), float("-inf"), None, "1.0", "x", [1.0], {}]),
+)
+
+
+@st.composite
+def array_docs(draw):
+    """Docs as they appear in lane files: mostly lists of rows of one width,
+    sometimes other shapes, scalars or nulls."""
+    width = draw(st.sampled_from([None, 1, 3]))
+    clean = draw(st.booleans())
+    item = st.floats(-1e3, 1e3) if clean else array_items
+    row = item if width is None else st.lists(item, min_size=width, max_size=width)
+    docs = draw(st.lists(st.lists(row, max_size=4), max_size=5))
+    if not clean and draw(st.booleans()) and docs:
+        docs[draw(st.integers(0, len(docs) - 1))] = draw(st.sampled_from([[], 5, None, [[1.0]]]))
+    return docs
+
+
+def _outcome(decode):
+    try:
+        return [(a.dtype.str, a.shape, a.tobytes()) for a in decode()]
+    except FileFormatError as e:
+        return (e.location, e.message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(array_docs())
+def test_decode_arrays_is_decoding_each_alone(docs):
+    def where(i):
+        return f"/lanes/{i}/points"
+
+    chained = _outcome(lambda: decode_arrays(docs, "<doc>", where))
+    alone = _outcome(lambda: [from_json(np.ndarray, d, "<doc>", where(i))
+                              for i, d in enumerate(docs)])
+    assert chained == alone
 
 
 def test_float_must_be_finite():
@@ -250,6 +307,13 @@ def test_lane_file_with_rigs_round_trips(tmp_path_factory, frames):
             assert (b.camera.image_size, b.camera.feature_size) == (
                 f.camera.image_size, f.camera.feature_size)
         for lane, orig in zip(b.lanes, f.lanes, strict=True):
-            np.testing.assert_array_equal(lane.points, orig.points)
-            np.testing.assert_array_equal(lane.visibility, orig.visibility)
+            for name in ("x", "y", "z", "visibility"):
+                assert_bitwise_equal(getattr(lane, name), getattr(orig, name))
+            assert (lane.class_probs is None) == (orig.class_probs is None)
+            if orig.class_probs is not None:
+                assert_bitwise_equal(lane.class_probs, orig.class_probs)
             assert (lane.category, lane.score) == (orig.category, orig.score)
+
+
+def assert_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

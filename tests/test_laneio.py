@@ -1,9 +1,11 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
 from lane3d_kit.errors import FileFormatError
+from lane3d_kit import jsonable, laneio
 from lane3d_kit.jsonable import to_json
 from lane3d_kit.lanes import Lane3D
 from lane3d_kit.laneio import Frame, read_lane_file, write_lane_file
@@ -95,6 +97,19 @@ def test_non_monotone_y_rejected(tmp_path):
     assert "increasing" in str(exc.value)
 
 
+def pointer_table_doc() -> dict:
+    """Two frames: the first with two 3-point lanes, the second with lanes of
+    2, 4 and 3 points, so every lane starts at another offset of the file."""
+    def lane(n, start):
+        return {"category": 0, "score": 0.5, "class_probs": [0.5, 0.5],
+                "points": [[0, start + k, 0] for k in range(n)], "visibility": [1] * n}
+
+    return {"frames": [
+        {"id": "0", "camera": None, "lanes": [lane(3, 5), lane(3, 5)]},
+        {"id": "1", "camera": None, "lanes": [lane(2, 5), lane(4, 3), lane(3, 8)]},
+    ]}
+
+
 @pytest.mark.parametrize(
     "field, index, pointer",
     [
@@ -103,16 +118,16 @@ def test_non_monotone_y_rejected(tmp_path):
         ("visibility", (0,), "/frames/0/lanes/1/visibility/0"),
         ("score", (), "/frames/0/lanes/1/score"),
         ("class_probs", (1,), "/frames/0/lanes/1/class_probs/1"),
+        ("points", (2, 2), "/frames/1/lanes/2/points/2/2"),
+        ("visibility", (3,), "/frames/1/lanes/1/visibility/3"),
     ],
 )
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_value_reports_its_pointer(tmp_path, field, index, pointer, bad):
     path = tmp_path / "lanes.json"
-    good, lane = (
-        {"category": 0, "score": 0.5, "class_probs": [0.5, 0.5],
-         "points": [[0, 5, 0], [0, 6, 0], [0, 7, 0]], "visibility": [1, 1, 1]}
-        for _ in range(2)
-    )
+    doc = pointer_table_doc()
+    frame, lane = (int(part) for part in pointer.split("/")[2:5:2])
+    lane = doc["frames"][frame]["lanes"][lane]
     if index:
         target = lane[field]
         for i in index[:-1]:
@@ -120,12 +135,39 @@ def test_non_finite_value_reports_its_pointer(tmp_path, field, index, pointer, b
         target[index[-1]] = bad
     else:
         lane[field] = bad
-    doc = {"frames": [{"id": "0", "camera": None, "lanes": [good, lane]}]}
     path.write_text(json.dumps(doc))  # writes the NaN / Infinity literals
     with pytest.raises(FileFormatError) as exc:
         read_lane_file(path)
     assert exc.value.location == pointer
     assert "non-finite" in str(exc.value)
+
+
+def test_lanes_of_different_lengths_keep_their_own_points(tmp_path):
+    path = tmp_path / "lanes.json"
+    doc = pointer_table_doc()
+    doc["frames"][1]["lanes"][1]["class_probs"] = None
+    doc["frames"][1]["lanes"][2]["visibility"] = [1, 0.5, 0]
+    path.write_text(json.dumps(doc))
+    frames = read_lane_file(path)
+    for frame, fd in zip(frames, doc["frames"], strict=True):
+        for lane, ld in zip(frame.lanes, fd["lanes"], strict=True):
+            np.testing.assert_array_equal(lane.points, ld["points"])
+            np.testing.assert_array_equal(lane.visibility, ld["visibility"])
+            if ld["class_probs"] is None:
+                assert lane.class_probs is None
+            else:
+                np.testing.assert_array_equal(lane.class_probs, ld["class_probs"])
+
+
+def test_non_monotone_y_in_a_later_lane_reports_that_lane(tmp_path):
+    path = tmp_path / "lanes.json"
+    doc = pointer_table_doc()
+    doc["frames"][1]["lanes"][2]["points"][2][1] = 9.0  # equals the point before it
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError) as exc:
+        read_lane_file(path)
+    assert exc.value.location == "/frames/1/lanes/2/points"
+    assert "increasing" in exc.value.message
 
 
 def _frame_with_camera(camera) -> dict:
@@ -150,6 +192,8 @@ def test_camera_without_t_gl_has_no_lidar(tmp_path):
     (lambda c: c["T_gc"][1].__setitem__(3, None), "/frames/0/camera/T_gc/1/3", "non-finite"),
     (lambda c: c["K"][2].__setitem__(2, 2.0), "/frames/0/camera", "pinhole"),
     (lambda c: c.update(T_gl=[[1.0]]), "/frames/0/camera", "T_gl must be 3x4"),
+    (lambda c: c["K"][0].__setitem__(2, "240.0"), "/frames/0/camera/K/0/2",
+     "expected a number, got a string"),
 ])
 def test_bad_camera_reports_its_pointer(tmp_path, edit, pointer, message):
     path = tmp_path / "lanes.json"
@@ -212,6 +256,16 @@ def one_lane_doc(**lane_edits) -> dict:
      "expected a string, got a number"),
     ({"frames": [{"id": "0", "camera": None, "lanes": []}] * 2}, "/frames/1/id",
      "frame id '0' repeats /frames/0/id"),
+    (one_lane_doc(points=[["1.0", 5, 0], [0, 6, 0]]), "/frames/0/lanes/0/points/0/0",
+     "expected a number, got a string"),
+    (one_lane_doc(visibility=[1, "1"]), "/frames/0/lanes/0/visibility/1",
+     "expected a number, got a string"),
+    (one_lane_doc(class_probs=[0.5, None, "0.5"]), "/frames/0/lanes/0/class_probs/2",
+     "expected a number, got a string"),
+    (one_lane_doc(score=int("1" + "0" * 400)), "/frames/0/lanes/0/score",
+     "too large to convert to float"),
+    (one_lane_doc(points=[[0, 5, int("1" + "0" * 400)], [0, 6, 0]]), "/frames/0/lanes/0/points",
+     "too large to convert to float"),
 ])
 def test_malformed_document_reports_its_pointer(tmp_path, doc, pointer, message):
     path = tmp_path / "lanes.json"
@@ -228,3 +282,32 @@ def test_optional_keys_take_their_defaults(tmp_path):
     lane = frame.lanes[0]
     assert frame.tags == () and (lane.score, lane.class_probs) == (None, None)
     assert lane.category == 2 and type(lane.category) is int
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("doc, error", [
+    (pointer_table_doc(), None),
+    (one_lane_doc(visibility=[1, None]), "/frames/0/lanes/0/visibility/1"),
+], ids=["valid", "invalid"])
+def test_read_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled, doc, error):
+    path = tmp_path / "lanes.json"
+    path.write_text(json.dumps(doc))
+    parsed_with = []
+
+    def read_json(p):
+        parsed_with.append(gc.isenabled())
+        return jsonable.read_json(p)
+
+    monkeypatch.setattr(laneio, "read_json", read_json)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            read_lane_file(path)
+        else:
+            with pytest.raises(FileFormatError) as exc:
+                read_lane_file(path)
+            assert exc.value.location == error
+        assert (parsed_with, gc.isenabled()) == ([False], enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
