@@ -5,7 +5,10 @@ grad-check.  Exit codes: 0 success, 2 input error, 3 invariant/verification
 failure.  ``loss`` and ``evaluate`` leave out ground-truth lanes with no
 visible point, and reject a prediction frame whose id is in no
 ground-truth frame (``evaluate --tag-filter`` still skips the prediction
-frames of ground-truth frames it filters out).
+frames of ground-truth frames it filters out).  ``loss`` checks every lane
+of both files against the profile, at the lane's pointer: its y-samples
+must be the profile's, its ``category`` must be in 0..S-1, and its
+``class_probs``, which a prediction lane must have, must hold S+1 values.
 """
 
 from __future__ import annotations
@@ -18,14 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import (
-    CoefficientHeadWeights,
-    PrototypeBank,
-    combine_metas,
-    materialize,
-    pool_and_weigh,
-)
-from .config import RunConfig, check_positive, make_profile
+from .anchors import CoefficientHeadWeights, PrototypeBank, generate_anchors
+from .config import DatasetProfile, RunConfig, check_positive, make_profile
 from .errors import FileFormatError, Lane3DKitError
 from .evaluation import evaluate_once, evaluate_openlane, format_report_table
 from .gradcheck import run_grad_check
@@ -120,36 +117,17 @@ def make_random_weights(cfg: RunConfig, seed: int, scale: float = 0.02):
 # --- scene files --------------------------------------------------------------
 
 
-def _feature_maps_for_frame(tensors: dict, frame_id: str) -> dict[int, FeatureMap]:
-    maps = {}
-    for level in _LEVELS:
-        for key in (f"{frame_id}/F{level}", f"F{level}"):
-            if key in tensors:
-                maps[level] = FeatureMap(
-                    data=np.asarray(tensors[key], dtype=np.float64), level=level
-                )
-                break
-    return maps
+def _frame_tensors(tensors: dict, path, frame_id: str, *names: str) -> list[np.ndarray]:
+    """Tensors ``names`` of frame ``frame_id``, all under one prefix.
 
-
-def _volumes_for_frame(tensors: dict, frame_id: str) -> dict[int, FeatureVolume] | None:
-    vols = {}
-    for level in _LEVELS:
-        data_key = extent_key = None
-        for dk, ek in (
-            (f"{frame_id}/L{level}", f"{frame_id}/L{level}.extent"),
-            (f"L{level}", f"L{level}.extent"),
-        ):
-            if dk in tensors and ek in tensors:
-                data_key, extent_key = dk, ek
-                break
-        if data_key is None:
-            return None
-        vols[level] = FeatureVolume(
-            data=np.asarray(tensors[data_key], dtype=np.float64),
-            extent=np.asarray(tensors[extent_key], dtype=np.float64),
-        )
-    return vols
+    The frame's own ``<id>/<name>`` tensors win when the frame has every one
+    of them; otherwise the shared ``<name>`` ones are used.  Names missing
+    under both prefixes are an input error at the first name.
+    """
+    for prefix in (f"{frame_id}/", ""):
+        if all(prefix + name in tensors for name in names):
+            return [np.asarray(tensors[prefix + name], dtype=np.float64) for name in names]
+    raise FileFormatError(path, names[0], "missing tensor")
 
 
 @dataclass
@@ -218,14 +196,11 @@ def cmd_gen_weights(args) -> int:
 def cmd_anchors(args) -> int:
     cfg = _load_config(args.config)
     bank, coeff_w, _ = load_weights_file(args.weights)
-    tensors = read_tensors(args.features)
-    maps = _feature_maps_for_frame(tensors, "0")
-    if 5 not in maps:
-        raise FileFormatError(args.features, "F5", "missing level-5 feature map")
-    coeffs = pool_and_weigh(maps[5], coeff_w)
-    metas = combine_metas(bank, coeffs, cfg.meta_ranges)
-    anchors = [materialize(m, cfg.profile.y_samples) for m in metas]
-    doc = {"metas": to_json(metas), "anchors": [a.points.tolist() for a in anchors]}
+    (f5,) = _frame_tensors(read_tensors(args.features), args.features, "0", "F5")
+    anchors = generate_anchors(FeatureMap(f5, level=5), bank, coeff_w, cfg.meta_ranges,
+                               cfg.profile.y_samples)
+    doc = {"metas": to_json([a.metas for a in anchors]),
+           "anchors": [a.points.tolist() for a in anchors]}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {len(anchors)} anchors to {args.out}")
     return EXIT_OK
@@ -236,13 +211,15 @@ def _forward_frame(cfg: RunConfig, scene: Path, i: int, frame: Frame, tensors: d
     rig = frame.camera
     if rig is None:
         raise FileFormatError(scene / "gt.json", f"/frames/{i}/camera", "frame has no rig")
-    maps = _feature_maps_for_frame(tensors, frame.id)
-    missing = [lvl for lvl, _ in cfg.plan.stages if lvl not in maps]
-    if missing:
-        raise FileFormatError(scene / "features.a3t", f"F{missing[0]}", "missing feature level")
-    vols = _volumes_for_frame(tensors, frame.id) if cfg.fusion else None
-    if cfg.fusion and vols is None:
-        raise FileFormatError(scene / "features.a3t", "L5", "fusion enabled but no lidar volumes")
+
+    def lookup(*names):
+        return _frame_tensors(tensors, scene / "features.a3t", frame.id, *names)
+
+    # The anchors are generated from level 5; each stage reads its own level.
+    levels = [level for level, _ in cfg.plan.stages]
+    maps = {level: FeatureMap(*lookup(f"F{level}"), level=level) for level in (5, *levels)}
+    vols = ({level: FeatureVolume(*lookup(f"L{level}", f"L{level}.extent")) for level in levels}
+            if cfg.fusion else None)
     bank, coeff_w, heads = weights
     return run_pipeline(
         maps, vols, rig, bank, coeff_w, heads, cfg.plan,
@@ -274,7 +251,8 @@ def cmd_forward(args) -> int:
     return EXIT_OK
 
 
-def _proposal_from_lane(lane: Lane3D, path, where: str) -> Proposal:
+def _proposal_from_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> Proposal:
+    _check_lane(lane, profile, path, where)
     if lane.class_probs is None:
         raise FileFormatError(path, where, "lane lacks class_probs; run forward to produce them")
     return Proposal(
@@ -283,9 +261,18 @@ def _proposal_from_lane(lane: Lane3D, path, where: str) -> Proposal:
     )
 
 
-def _check_on_profile_grid(lane: Lane3D, y: np.ndarray, path, where: str) -> None:
-    if lane.y.shape[0] != y.shape[0] or not np.allclose(lane.y, y, atol=1e-9):
+def _check_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> None:
+    """Reject a lane ``loss`` cannot score on ``profile``: off its y-grid, a
+    category outside 0..S-1, or ``class_probs`` without S+1 values."""
+    y, s = profile.y_samples, profile.num_categories
+    if lane.y.shape != y.shape or not np.allclose(lane.y, y, atol=1e-9):
         raise FileFormatError(path, where, "lane is not on the profile y-grid")
+    if not 0 <= lane.category < s:
+        raise FileFormatError(path, f"{where}/category",
+                              f"expected a category in 0..{s - 1}, got {lane.category}")
+    if lane.class_probs is not None and lane.class_probs.shape != (s + 1,):
+        raise FileFormatError(path, f"{where}/class_probs",
+                              f"expected S+1 = {s + 1} values, got shape {lane.class_probs.shape}")
 
 
 def _gt_frame_of_each(gt_frames, pred_frames, pred_path) -> list[int]:
@@ -304,23 +291,21 @@ def cmd_loss(args) -> int:
     cfg = _load_config(args.config)
     gt_frames = read_lane_file(args.gt)
     pred_frames = read_lane_file(args.pred)
-    y = cfg.profile.y_samples
     per_frame = []
     sums = {"cls": 0.0, "reg": 0.0, "ew": 0.0, "total": 0.0}
     gt_of = _gt_frame_of_each(gt_frames, pred_frames, args.pred)
     for k, pf in enumerate(pred_frames):
         g = gt_of[k]
-        gts = []
         for i, lane in enumerate(gt_frames[g].lanes):
-            _check_on_profile_grid(lane, y, args.gt, f"/frames/{g}/lanes/{i}")
-            if lane.visibility.sum() > 0:  # a lane with no visible point is left out
-                gts.append(lane)
+            _check_lane(lane, cfg.profile, args.gt, f"/frames/{g}/lanes/{i}")
+        # a lane with no visible point is left out
+        gts = [lane for lane in gt_frames[g].lanes if lane.visibility.sum() > 0]
         props = [
-            _proposal_from_lane(lane, args.pred, f"/frames/{k}/lanes/{i}")
+            _proposal_from_lane(lane, cfg.profile, args.pred, f"/frames/{k}/lanes/{i}")
             for i, lane in enumerate(pf.lanes)
         ]
         assignment = assign(gts, props, cfg.loss)
-        breakdown, _ = total_loss(gts, props, assignment, cfg.loss, y)
+        breakdown, _ = total_loss(gts, props, assignment, cfg.loss, cfg.profile.y_samples)
         per_frame.append({"id": pf.id, **to_json(breakdown)})
         for key in sums:
             sums[key] += per_frame[-1][key]
@@ -329,17 +314,12 @@ def cmd_loss(args) -> int:
 
 
 def _frame_pairs(gt_frames, pred_frames, pred_path, tag_filter):
-    _gt_frame_of_each(gt_frames, pred_frames, pred_path)
-    by_id = {f.id: f for f in pred_frames}
-    pairs = []
-    ids = []
-    for gf in gt_frames:
-        if tag_filter and tag_filter not in gf.tags:
-            continue
-        pf = by_id.get(gf.id)
-        pairs.append((gf.lanes, pf.lanes if pf else []))
-        ids.append(gf.id)
-    return pairs, ids
+    """The (GT lanes, predicted lanes) of each GT frame ``tag_filter`` keeps, and its id."""
+    preds = [[] for _ in gt_frames]
+    for pf, g in zip(pred_frames, _gt_frame_of_each(gt_frames, pred_frames, pred_path)):
+        preds[g] = pf.lanes
+    kept = [g for g, gf in enumerate(gt_frames) if not tag_filter or tag_filter in gf.tags]
+    return [(gt_frames[g].lanes, preds[g]) for g in kept], [gt_frames[g].id for g in kept]
 
 
 def _write_svg(path, gts, preds) -> None:
@@ -372,17 +352,15 @@ def cmd_evaluate(args) -> int:
             _write_svg(plot_dir / f"frame_{fid}.svg", gts, preds)
     if args.protocol == "openlane":
         report = evaluate_openlane(pairs, cfg.eval_openlane)
-        doc = to_json(report)
-        doc["empty_gt_frames"] = [ids[i] for i in report.empty_gt_frames]
-        if args.out:
-            Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-        _print_json(doc)
-        print(format_report_table(report))
+        doc = {**to_json(report), "empty_gt_frames": [ids[i] for i in report.empty_gt_frames]}
     else:
-        doc = to_json(evaluate_once(pairs, cfg.eval_once))
-        if args.out:
-            Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-        _print_json(doc)
+        report = evaluate_once(pairs, cfg.eval_once)
+        doc = to_json(report)
+    if args.out:
+        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    _print_json(doc)
+    if args.protocol == "openlane":
+        print(format_report_table(report))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .head import Proposal
 from .lanes import Lane3D
-from .losses import Assignment, LossConfig, ew_loss, ew_pair_loss, ew_pair_widths, regression_loss
+from .losses import Assignment, LossConfig, ew_loss, ew_pair_widths, regression_loss
 
 KINK_MARGIN = 1e-3
 FD_STEP = 1e-6
@@ -135,6 +135,5 @@ __all__ = [
     "GradCheckResult",
     "KINK_MARGIN",
     "TOLERANCE",
-    "ew_pair_loss",
     "run_grad_check",
 ]

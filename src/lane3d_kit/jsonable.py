@@ -20,7 +20,8 @@ pointer of the value that caused it; an error raised while constructing a
 dataclass (``ValueError``, ``TypeError`` or a lane3d-kit error such as
 ``InvalidRig``) is located at that dataclass's object.  The decoder of
 each annotation is built once and reused.  ``read_json`` parses a JSON
-file and locates a syntax error at its character offset.
+file and locates a syntax error at its character offset, and an integer
+literal too long for ``int`` at its JSON pointer.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 import types
 import typing
 from pathlib import Path
@@ -40,11 +42,20 @@ from .errors import FileFormatError, Lane3DKitError
 
 
 def read_json(path):
-    """Parse a JSON file; invalid JSON raises FileFormatError at its offset."""
+    """Parse a JSON file; invalid JSON raises FileFormatError at its offset,
+    and an integer literal too long for ``int`` at its pointer."""
+    text = Path(path).read_text()
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(path, f"offset {e.pos}", f"invalid JSON: {e.msg}") from e
+    except ValueError as e:
+        # The one other error: an integer literal longer than int() converts.  Parse
+        # again with e standing for each such literal (int() does not count the sign).
+        limit = sys.get_int_max_str_digits()
+        doc = json.loads(text, parse_int=lambda s: e if len(s.lstrip("-")) > limit else int(s))
+        raise FileFormatError(path, _pointer("", _first(doc, lambda v: v is e)),
+                              f"integer literal exceeds the limit of {limit} digits") from e
 
 
 def to_json(obj):
@@ -170,9 +181,9 @@ def _decode_array(doc, source, where: str) -> np.ndarray:
     try:
         value = np.asarray(doc)
         if value.dtype.kind in "OU":
-            string = _first_string(doc)
+            string = _first(doc, lambda v: isinstance(v, str))
             if string is not None:
-                raise FileFormatError(source, "/".join([where, *map(str, string)]) or "/",
+                raise FileFormatError(source, _pointer(where, string),
                                       "expected a number, got a string")
             value = np.asarray(doc, dtype=np.float64)
         value = value.astype(np.float64, copy=False)
@@ -181,21 +192,26 @@ def _decode_array(doc, source, where: str) -> np.ndarray:
     finite = np.isfinite(value)
     if not finite.all():
         first = np.argwhere(~finite)[0]
-        raise FileFormatError(source, "/".join([where, *map(str, first)]) or "/",
-                              "non-finite value")
+        raise FileFormatError(source, _pointer(where, first), "non-finite value")
     return value
 
 
-def _first_string(doc, index: tuple = ()) -> tuple | None:
-    """The index of the first string in nested lists ``doc``, or None."""
-    if isinstance(doc, str):
+def _first(doc, hit, index: tuple = ()) -> tuple | None:
+    """The index path of the first value in nested lists and objects ``doc``
+    for which ``hit`` holds, or None."""
+    if hit(doc):
         return index
-    if isinstance(doc, list):
-        for i, item in enumerate(doc):
-            found = _first_string(item, (*index, i))
+    if isinstance(doc, (dict, list)):
+        for key, item in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            found = _first(item, hit, (*index, key))
             if found is not None:
                 return found
     return None
+
+
+def _pointer(where: str, index: tuple) -> str:
+    """The JSON pointer of item ``index`` below ``where``."""
+    return "/".join([where, *map(str, index)]) or "/"
 
 
 def _located(convert):

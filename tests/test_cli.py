@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,21 @@ def _name_frame(doc):
     doc["frames"][0]["id"] = "north"
 
 
+def _drop_last_point(doc):
+    # 9 points on the 10-point profile
+    lane = doc["frames"][0]["lanes"][1]
+    del lane["points"][-1], lane["visibility"][-1]
+
+
+def _prepend_a_probability(doc):
+    for lane in doc["frames"][0]["lanes"]:
+        lane["class_probs"].insert(0, 0.0)
+
+
+def _no_probabilities(doc):
+    doc["frames"][0]["lanes"][1]["class_probs"] = []
+
+
 def test_evaluate_rejects_a_string_coordinate(tmp_path):
     # ["1.0", 8.263, 0.0]: a string that parses as a number is still not one.
     pred = _edited(GOLDEN / "openlane_pred.json", tmp_path / "pred.json",
@@ -311,6 +327,29 @@ def test_evaluate_tag_filter_still_skips_the_predictions_of_filtered_frames(tmp_
     assert counts["tp"] + counts["fn"] == 5  # the GT lanes of frame "2" only
 
 
+@pytest.mark.parametrize("tag_filter, kept", [
+    (None, [str(i) for i in range(16)]),
+    ("curve", ["3", "5"]),
+])
+def test_evaluate_plot_draws_each_kept_frame(tmp_path, tag_filter, kept):
+    gt = _edited(GOLDEN / "openlane_gt.json", tmp_path / "gt.json",
+                 lambda d: [d["frames"][i].update(tags=["curve"]) for i in (3, 5)])
+    plot = tmp_path / "plot"
+    code, _, err = call("evaluate", "--protocol", "openlane", "--gt", gt,
+                        "--pred", GOLDEN / "openlane_pred.json", "--plot", plot,
+                        *(["--tag-filter", tag_filter] if tag_filter else []))
+    assert (code, err) == (EXIT_OK, "")
+    assert sorted(p.name for p in plot.iterdir()) == sorted(f"frame_{i}.svg" for i in kept)
+    gt_lanes = {f["id"]: f["lanes"] for f in json.loads(gt.read_text())["frames"]}
+    pred_lanes = {f["id"]: f["lanes"]
+                  for f in json.loads((GOLDEN / "openlane_pred.json").read_text())["frames"]}
+    for fid in kept:
+        svg = (plot / f"frame_{fid}.svg").read_text()
+        assert svg.count("<polyline ") == len(gt_lanes[fid]) + len(pred_lanes[fid])
+        assert svg.count('fill="none" stroke="green"/>') == len(gt_lanes[fid])
+        assert svg.count('stroke="red" stroke-dasharray="4"/>') == len(pred_lanes[fid])
+
+
 @pytest.mark.parametrize("which, edit, pointer, message", [
     ("gt", lambda d: _repeat_frame(d, 0), "/frames/1/id", "frame id 'north' repeats /frames/0/id"),
     ("pred", lambda d: _repeat_frame(d, 0), "/frames/1/id",
@@ -318,6 +357,17 @@ def test_evaluate_tag_filter_still_skips_the_predictions_of_filtered_frames(tmp_
     ("pred", _drop_class_probs, "/frames/0/lanes/0", "lane lacks class_probs"),
     ("pred", _rename_frame, "/frames/0/id", "no matching ground-truth frame"),
     ("gt", _off_grid, "/frames/0/lanes/2", "lane is not on the profile y-grid"),
+    ("pred", _drop_last_point, "/frames/0/lanes/1", "lane is not on the profile y-grid"),
+    ("pred", _prepend_a_probability, "/frames/0/lanes/0/class_probs",
+     "expected S+1 = 2 values, got shape (3,)"),
+    ("pred", _no_probabilities, "/frames/0/lanes/1/class_probs",
+     "expected S+1 = 2 values, got shape (0,)"),
+    ("gt", lambda d: d["frames"][0]["lanes"][0].update(category=-1),
+     "/frames/0/lanes/0/category", "expected a category in 0..0, got -1"),
+    ("gt", lambda d: d["frames"][0]["lanes"][1].update(category=1),
+     "/frames/0/lanes/1/category", "expected a category in 0..0, got 1"),
+    ("gt", lambda d: d["frames"][0]["lanes"][2].update(category=2),
+     "/frames/0/lanes/2/category", "expected a category in 0..0, got 2"),
 ])
 def test_loss_errors_name_the_file_and_frame_index(tmp_path, which, edit, pointer, message):
     config, gt = _loss_inputs(tmp_path)
@@ -338,6 +388,106 @@ def test_forward_names_the_scene_file_of_a_frame_without_a_rig(tmp_path):
     code, _, err = call("forward", "--config", config, "--scene", gt.parent,
                         "--weights", weights, "--out", tmp_path / "preds.json")
     assert code == EXIT_INPUT and f"{gt}: at /frames/0/camera: frame has no rig" in err
+
+
+# --- which tensors a frame reads -----------------------------------------------------
+
+
+def _chain_scene(tmp_path) -> tuple[Path, Path, Path]:
+    """Config, scene directory and weights of the golden chain."""
+    config, gt = _loss_inputs(tmp_path)
+    weights = tmp_path / "weights.a3t"
+    assert call("gen-weights", "--config", config, "--seed", 1, "--out", weights)[0] == EXIT_OK
+    return config, gt.parent, weights
+
+
+def _anchors_and_forward(config, scene: Path, weights, out: Path) -> dict:
+    """Run ``anchors`` and ``forward`` on ``scene`` into ``out``; their (code, stdout, stderr)."""
+    return {
+        "anchors": call("anchors", "--config", config, "--features", scene / "features.a3t",
+                        "--weights", weights, "--out", out / "anchors.json"),
+        "forward": call("forward", "--config", config, "--scene", scene, "--weights", weights,
+                        "--out", out / "preds.json"),
+    }
+
+
+def _outputs_are_golden(out: Path) -> bool:
+    return all((out / name).read_bytes() == (CHAIN / name).read_bytes()
+               for name in ("anchors.json", "preds.json"))
+
+
+def _shifted(tensors: dict) -> dict:
+    """Every tensor plus one: valid input that changes every output."""
+    return {name: t + 1.0 for name, t in tensors.items()}
+
+
+def test_a_frames_own_tensors_win_over_the_shared_ones(tmp_path):
+    config, scene, weights = _chain_scene(tmp_path)
+    features = scene / "features.a3t"
+    tensors = read_tensors(features)
+    write_tensors(features, {**{f"0/{name}": t for name, t in tensors.items()},
+                             **_shifted(tensors)})
+    results = _anchors_and_forward(config, scene, weights, tmp_path)
+    assert all(code == EXIT_OK for code, _, _ in results.values()), results
+    assert _outputs_are_golden(tmp_path)
+    # The shared tensors alone change the outputs, so they were not read above.
+    write_tensors(features, _shifted(tensors))
+    _anchors_and_forward(config, scene, weights, tmp_path)
+    assert not _outputs_are_golden(tmp_path)
+
+
+def test_a_volume_without_its_extent_is_not_the_frames_own(tmp_path):
+    # 0/L<l> without 0/L<l>.extent: data and extent both come from the shared pair.
+    config, scene, weights = _chain_scene(tmp_path)
+    features = scene / "features.a3t"
+    tensors = read_tensors(features)
+    own = {f"0/L{level}": tensors[f"L{level}"] + 1.0 for level in (3, 4, 5)}
+    write_tensors(features, {**tensors, **own})
+    results = _anchors_and_forward(config, scene, weights, tmp_path)
+    assert all(code == EXIT_OK for code, _, _ in results.values()), results
+    assert _outputs_are_golden(tmp_path)
+
+
+@pytest.mark.parametrize("command, level, plan", [
+    ("anchors", 5, None), ("forward", 5, None), ("forward", 4, None), ("forward", 3, None),
+    ("forward", 5, [[4, "s2"]]),  # the anchors read level 5 whatever the stages read
+])
+def test_a_missing_feature_level_exits_2_at_its_name(tmp_path, command, level, plan):
+    config, scene, weights = _chain_scene(tmp_path)
+    if plan:
+        config = _bad_config(tmp_path, lambda d: d.update(plan=plan))
+    features = scene / "features.a3t"
+    tensors = read_tensors(features)
+    del tensors[f"F{level}"]
+    write_tensors(features, tensors)
+    code, out, err = _anchors_and_forward(config, scene, weights, tmp_path)[command]
+    assert code == EXIT_INPUT and out == ""
+    assert f"{features}: at F{level}: " in err
+
+
+@pytest.mark.parametrize("dropped, pointer", [
+    (("L3", "L3.extent", "L4", "L4.extent", "L5", "L5.extent"), "L5"),
+    (("L5.extent",), "L5"),
+    (("L4.extent",), "L4"),
+])
+def test_fusion_without_a_volume_exits_2_at_its_name(tmp_path, dropped, pointer):
+    config, scene, weights = _chain_scene(tmp_path)
+    features = scene / "features.a3t"
+    tensors = read_tensors(features)
+    write_tensors(features, {k: t for k, t in tensors.items() if k not in dropped})
+    code, out, err = _anchors_and_forward(config, scene, weights, tmp_path)["forward"]
+    assert code == EXIT_INPUT and out == ""
+    assert f"{features}: at {pointer}: " in err
+
+
+def test_levels_no_stage_reads_may_be_missing(tmp_path):
+    config, scene, weights = _chain_scene(tmp_path)
+    config = _bad_config(tmp_path, lambda d: d.update(plan=[[5, "s1"]]))
+    features = scene / "features.a3t"
+    tensors = read_tensors(features)
+    write_tensors(features, {k: t for k, t in tensors.items() if k[1] == "5"})
+    code, _, err = _anchors_and_forward(config, scene, weights, tmp_path)["forward"]
+    assert (code, err) == (EXIT_OK, "")
 
 
 def test_weights_file_names_a_missing_tensor(tmp_path):
@@ -407,3 +557,37 @@ def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, messag
     assert f"{path}: at {pointer}: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "scene").exists()
+
+
+# --- integer literals too long to convert -----------------------------------------
+
+# How each command reads a JSON file: (its document, the command line reading ``path``).
+JSON_INPUTS = {
+    "pred": (lambda: json.loads((GOLDEN / "openlane_pred.json").read_text()),
+             lambda path: ["evaluate", "--protocol", "openlane",
+                           "--gt", GOLDEN / "openlane_gt.json", "--pred", path]),
+    "config": (chain_config, lambda path: ["grad-check", "--trials", 1, "--config", path]),
+    "spec": (lambda: dict(CHAIN_SPEC),
+             lambda path: ["gen-scene", "--spec", path, "--out", path.parent / "scene"]),
+}
+
+
+@pytest.mark.parametrize("kind, edit, pointer", [
+    ("pred", lambda d: d["frames"][1]["lanes"][0].update(score="HUGE"), "/frames/1/lanes/0/score"),
+    ("pred", lambda d: d["frames"][2]["lanes"][3]["points"][4].__setitem__(2, "HUGE"),
+     "/frames/2/lanes/3/points/4/2"),
+    ("config", lambda d: d.update(num_anchors="HUGE"), "/num_anchors"),
+    ("config", lambda d: d["meta_ranges"].update(xs_min="-HUGE"), "/meta_ranges/xs_min"),
+    ("spec", lambda d: d.update(seed="HUGE"), "/seed"),
+    ("spec", lambda d: d.update(slope=[0.0, "HUGE"]), "/slope/1"),
+])
+def test_an_overlong_integer_exits_2_at_its_pointer(tmp_path, kind, edit, pointer):
+    document, argv = JSON_INPUTS[kind]
+    doc = document()
+    edit(doc)
+    path = tmp_path / f"{kind}.json"
+    # "HUGE" becomes an integer literal of 5000 digits, past int()'s 4300-digit limit.
+    path.write_text(re.sub('"(-?)HUGE"', r"\g<1>" + "7" * 5000, json.dumps(doc)))
+    code, out, err = call(*argv(path))
+    assert code == EXIT_INPUT and out == ""
+    assert f"{path}: at {pointer}: integer literal exceeds the limit of 4300 digits" in err
