@@ -19,6 +19,7 @@ from . import (
     laneio,
     losses,
     sampling,
+    scoring,
     synth,
     tensorio,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "losses",
     "make_profile",
     "sampling",
+    "scoring",
     "synth",
     "tensorio",
 ]

@@ -2,13 +2,9 @@
 
 Subcommands: gen-scene, gen-weights, anchors, forward, loss, evaluate,
 grad-check.  Exit codes: 0 success, 2 input error, 3 invariant/verification
-failure.  ``loss`` and ``evaluate`` leave out ground-truth lanes with no
-visible point, and reject a prediction frame whose id is in no
-ground-truth frame (``evaluate --tag-filter`` still skips the prediction
-frames of ground-truth frames it filters out).  ``loss`` checks every lane
-of both files against the profile, at the lane's pointer: its y-samples
-must be the profile's, its ``category`` must be in 0..S-1, and its
-``class_probs``, which a prediction lane must have, must hold S+1 values.
+failure.  ``loss`` and ``evaluate`` score their files through
+:mod:`lane3d_kit.scoring`, which states how frames are paired and lanes
+checked.
 """
 
 from __future__ import annotations
@@ -22,16 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import CoefficientHeadWeights, PrototypeBank, generate_anchors
-from .config import DatasetProfile, RunConfig, check_positive, make_profile
+from .config import RunConfig, check_positive, make_profile
 from .errors import FileFormatError, Lane3DKitError
-from .evaluation import evaluate_once, evaluate_openlane, format_report_table
+from .evaluation import EvalReport, format_report_table
 from .gradcheck import run_grad_check
-from .head import HeadWeights, Proposal, run_pipeline
+from .head import HeadWeights, run_pipeline
 from .jsonable import from_json, read_json, to_json
-from .lanes import Lane3D
 from .laneio import Frame, read_lane_file, write_lane_file
-from .losses import assign, total_loss
 from .sampling import FeatureMap, FeatureVolume
+from .scoring import score_losses, score_protocol
 from .synth import (
     NoiseSpec,
     SceneSpec,
@@ -233,6 +228,10 @@ def cmd_forward(args) -> int:
     frames = read_lane_file(scene / "gt.json")
     tensors = read_tensors(scene / "features.a3t")
     weights = load_weights_file(args.weights)
+    for i, (_, wid) in enumerate(cfg.plan.stages):
+        if wid not in weights[2]:
+            raise FileFormatError(args.config or "default config", f"/plan/{i}",
+                                  f"head weights id {wid!r} is not in {args.weights}")
 
     out_frames = []
     traces = []
@@ -251,75 +250,13 @@ def cmd_forward(args) -> int:
     return EXIT_OK
 
 
-def _proposal_from_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> Proposal:
-    _check_lane(lane, profile, path, where)
-    if lane.class_probs is None:
-        raise FileFormatError(path, where, "lane lacks class_probs; run forward to produce them")
-    return Proposal(
-        class_probs=lane.class_probs, x=lane.x, z=lane.z, vis=lane.visibility,
-        score=lane.score,
-    )
-
-
-def _check_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> None:
-    """Reject a lane ``loss`` cannot score on ``profile``: off its y-grid, a
-    category outside 0..S-1, or ``class_probs`` without S+1 values."""
-    y, s = profile.y_samples, profile.num_categories
-    if lane.y.shape != y.shape or not np.allclose(lane.y, y, atol=1e-9):
-        raise FileFormatError(path, where, "lane is not on the profile y-grid")
-    if not 0 <= lane.category < s:
-        raise FileFormatError(path, f"{where}/category",
-                              f"expected a category in 0..{s - 1}, got {lane.category}")
-    if lane.class_probs is not None and lane.class_probs.shape != (s + 1,):
-        raise FileFormatError(path, f"{where}/class_probs",
-                              f"expected S+1 = {s + 1} values, got shape {lane.class_probs.shape}")
-
-
-def _gt_frame_of_each(gt_frames, pred_frames, pred_path) -> list[int]:
-    """The index of each prediction frame's ground-truth frame, matched by id.
-
-    A prediction frame whose id is in no ground-truth frame is an input error.
-    """
-    gt_index = {f.id: g for g, f in enumerate(gt_frames)}
-    for k, pf in enumerate(pred_frames):
-        if pf.id not in gt_index:
-            raise FileFormatError(pred_path, f"/frames/{k}/id", "no matching ground-truth frame")
-    return [gt_index[pf.id] for pf in pred_frames]
-
-
 def cmd_loss(args) -> int:
     cfg = _load_config(args.config)
-    gt_frames = read_lane_file(args.gt)
-    pred_frames = read_lane_file(args.pred)
-    per_frame = []
-    sums = {"cls": 0.0, "reg": 0.0, "ew": 0.0, "total": 0.0}
-    gt_of = _gt_frame_of_each(gt_frames, pred_frames, args.pred)
-    for k, pf in enumerate(pred_frames):
-        g = gt_of[k]
-        for i, lane in enumerate(gt_frames[g].lanes):
-            _check_lane(lane, cfg.profile, args.gt, f"/frames/{g}/lanes/{i}")
-        # a lane with no visible point is left out
-        gts = [lane for lane in gt_frames[g].lanes if lane.visibility.sum() > 0]
-        props = [
-            _proposal_from_lane(lane, cfg.profile, args.pred, f"/frames/{k}/lanes/{i}")
-            for i, lane in enumerate(pf.lanes)
-        ]
-        assignment = assign(gts, props, cfg.loss)
-        breakdown, _ = total_loss(gts, props, assignment, cfg.loss, cfg.profile.y_samples)
-        per_frame.append({"id": pf.id, **to_json(breakdown)})
-        for key in sums:
-            sums[key] += per_frame[-1][key]
+    per_frame = [{"id": fid, **to_json(breakdown)}
+                 for fid, breakdown, _ in score_losses(cfg, args.gt, args.pred)]
+    sums = {key: sum((f[key] for f in per_frame), 0.0) for key in ("cls", "reg", "ew", "total")}
     _print_json({"frames": per_frame, "sum": sums})
     return EXIT_OK
-
-
-def _frame_pairs(gt_frames, pred_frames, pred_path, tag_filter):
-    """The (GT lanes, predicted lanes) of each GT frame ``tag_filter`` keeps, and its id."""
-    preds = [[] for _ in gt_frames]
-    for pf, g in zip(pred_frames, _gt_frame_of_each(gt_frames, pred_frames, pred_path)):
-        preds[g] = pf.lanes
-    kept = [g for g, gf in enumerate(gt_frames) if not tag_filter or tag_filter in gf.tags]
-    return [(gt_frames[g].lanes, preds[g]) for g in kept], [gt_frames[g].id for g in kept]
 
 
 def _write_svg(path, gts, preds) -> None:
@@ -342,24 +279,24 @@ def _write_svg(path, gts, preds) -> None:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
-    gt_frames = read_lane_file(args.gt)
-    pred_frames = read_lane_file(args.pred)
-    pairs, ids = _frame_pairs(gt_frames, pred_frames, args.pred, args.tag_filter)
+    scored = score_protocol(cfg, args.protocol, args.gt, args.pred, args.tag_filter)
+    report = scored.report
+    doc = to_json(report)
+    if isinstance(report, EvalReport):
+        doc["empty_gt_frames"] = [scored.ids[i] for i in report.empty_gt_frames]
     if args.plot:
+        for g, fid in zip(scored.frames, scored.ids):
+            if "/" in fid or "\0" in fid:
+                raise FileFormatError(args.gt, f"/frames/{g}/id",
+                                      "a frame id with '/' or NUL cannot name a plot file")
         plot_dir = Path(args.plot)
         plot_dir.mkdir(parents=True, exist_ok=True)
-        for (gts, preds), fid in zip(pairs, ids):
+        for (gts, preds), fid in zip(scored.pairs, scored.ids):
             _write_svg(plot_dir / f"frame_{fid}.svg", gts, preds)
-    if args.protocol == "openlane":
-        report = evaluate_openlane(pairs, cfg.eval_openlane)
-        doc = {**to_json(report), "empty_gt_frames": [ids[i] for i in report.empty_gt_frames]}
-    else:
-        report = evaluate_once(pairs, cfg.eval_once)
-        doc = to_json(report)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     _print_json(doc)
-    if args.protocol == "openlane":
+    if isinstance(report, EvalReport):
         print(format_report_table(report))
     return EXIT_OK
 
@@ -434,7 +371,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, Lane3DKitError, ValueError, KeyError) as e:
+    except (OSError, Lane3DKitError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

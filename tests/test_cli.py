@@ -27,19 +27,21 @@ def run(capsys, *argv):
     return code, out, err
 
 
+# The table ``evaluate --protocol openlane`` prints after the report on the golden pair.
+OPENLANE_TABLE = ("     F1    CAcc    Ex/N    Ex/F    Ez/N    Ez/F      AP\n"
+                  "  60.19   90.32   0.288   0.250   0.068   0.046   43.75\n")
+
+
 def test_evaluate_openlane_writes_the_report(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, err = run(capsys, "evaluate", "--protocol", "openlane",
                          "--gt", GOLDEN / "openlane_gt.json",
                          "--pred", GOLDEN / "openlane_pred.json", "--out", out_path)
     assert code == EXIT_OK and err == ""
-    want = json.loads((GOLDEN / "openlane_report.json").read_text())
-    # The command names empty frames by id rather than by position.
-    want["empty_gt_frames"] = [str(i) for i in want["empty_gt_frames"]]
-    assert json.loads(out_path.read_text()) == want
-    table = out.splitlines()[-2:]
-    assert table[0].split() == ["F1", "CAcc", "Ex/N", "Ex/F", "Ez/N", "Ez/F", "AP"]
-    assert float(table[1].split()[0]) == pytest.approx(want["f1"], abs=0.005)
+    # The library's openlane_report.json with the empty frames named by id.
+    want = (GOLDEN / "openlane_cli_report.json").read_text()
+    assert out_path.read_text() == want
+    assert out == want + OPENLANE_TABLE
 
 
 def test_evaluate_once_writes_the_report(capsys, tmp_path):
@@ -49,7 +51,7 @@ def test_evaluate_once_writes_the_report(capsys, tmp_path):
                          "--pred", GOLDEN / "once_pred.json", "--out", out_path)
     assert code == EXIT_OK and err == ""
     assert out_path.read_text() == (GOLDEN / "once_report.json").read_text()
-    assert json.loads(out) == json.loads(out_path.read_text())
+    assert out == out_path.read_text()
 
 
 @pytest.mark.parametrize("protocol", ["openlane", "once"])
@@ -316,6 +318,29 @@ def test_evaluate_rejects_a_prediction_frame_with_no_gt_frame(tmp_path):
     assert f"{pred}: at /frames/1/id: no matching ground-truth frame" in err
 
 
+def _drop_scores(doc):
+    for frame in doc["frames"]:
+        for lane in frame["lanes"]:
+            del lane["score"]
+
+
+def test_openlane_needs_a_score_on_every_predicted_lane(tmp_path):
+    pred = _edited(GOLDEN / "openlane_pred.json", tmp_path / "pred.json",
+                   lambda d: d["frames"][3]["lanes"][1].pop("score"))
+    code, out, err = call("evaluate", "--protocol", "openlane",
+                          "--gt", GOLDEN / "openlane_gt.json", "--pred", pred)
+    assert code == EXIT_INPUT and out == ""
+    assert f"{pred}: at /frames/3/lanes/1/score: " in err
+
+
+def test_once_reads_no_scores(tmp_path):
+    pred = _edited(GOLDEN / "once_pred.json", tmp_path / "pred.json", _drop_scores)
+    code, out, err = call("evaluate", "--protocol", "once",
+                          "--gt", GOLDEN / "once_gt.json", "--pred", pred)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN / "once_report.json").read_text()
+
+
 def test_evaluate_tag_filter_still_skips_the_predictions_of_filtered_frames(tmp_path):
     gt = _edited(GOLDEN / "openlane_gt.json", tmp_path / "gt.json",
                  lambda d: d["frames"][2].update(tags=["curve"]))
@@ -350,6 +375,37 @@ def test_evaluate_plot_draws_each_kept_frame(tmp_path, tag_filter, kept):
         assert svg.count('stroke="red" stroke-dasharray="4"/>') == len(pred_lanes[fid])
 
 
+def _plot_with_frame_id(tmp_path, fid) -> tuple[int, str, Path, Path]:
+    """``evaluate --plot`` with frame 2 of both golden OpenLane files renamed to ``fid``."""
+    gt, pred = (_edited(GOLDEN / f"openlane_{name}.json", tmp_path / f"{name}.json",
+                        lambda d: d["frames"][2].update(id=fid)) for name in ("gt", "pred"))
+    plot = tmp_path / "plot"
+    code, out, err = call("evaluate", "--protocol", "openlane", "--gt", gt, "--pred", pred,
+                          "--plot", plot)
+    assert out == "" and "Traceback" not in err
+    return code, err, gt, plot
+
+
+@pytest.mark.parametrize("fid", ["a/b", "a\0b"])
+def test_a_plot_id_that_cannot_name_a_file_exits_2_before_any_plot(tmp_path, fid):
+    code, err, gt, plot = _plot_with_frame_id(tmp_path, fid)
+    assert code == EXIT_INPUT and f"{gt}: at /frames/2/id: " in err
+    assert not plot.exists()
+
+
+def test_a_plot_id_too_long_for_the_file_system_exits_2(tmp_path):
+    code, err, _, plot = _plot_with_frame_id(tmp_path, "x" * 300)
+    assert code == EXIT_INPUT and "File name too long" in err
+    assert str(plot / f"frame_{'x' * 300}.svg") in err
+
+
+def test_evaluate_out_to_a_directory_exits_2(tmp_path):
+    code, out, err = call("evaluate", "--protocol", "once", "--gt", GOLDEN / "once_gt.json",
+                          "--pred", GOLDEN / "once_pred.json", "--out", tmp_path)
+    assert code == EXIT_INPUT and out == "" and "Traceback" not in err
+    assert "Is a directory" in err and str(tmp_path) in err
+
+
 @pytest.mark.parametrize("which, edit, pointer, message", [
     ("gt", lambda d: _repeat_frame(d, 0), "/frames/1/id", "frame id 'north' repeats /frames/0/id"),
     ("pred", lambda d: _repeat_frame(d, 0), "/frames/1/id",
@@ -368,6 +424,7 @@ def test_evaluate_plot_draws_each_kept_frame(tmp_path, tag_filter, kept):
      "/frames/0/lanes/1/category", "expected a category in 0..0, got 1"),
     ("gt", lambda d: d["frames"][0]["lanes"][2].update(category=2),
      "/frames/0/lanes/2/category", "expected a category in 0..0, got 2"),
+    ("pred", lambda d: d["frames"][0].update(lanes=[]), "/frames/0/lanes", "no lane to assign"),
 ])
 def test_loss_errors_name_the_file_and_frame_index(tmp_path, which, edit, pointer, message):
     config, gt = _loss_inputs(tmp_path)
@@ -388,6 +445,20 @@ def test_forward_names_the_scene_file_of_a_frame_without_a_rig(tmp_path):
     code, _, err = call("forward", "--config", config, "--scene", gt.parent,
                         "--weights", weights, "--out", tmp_path / "preds.json")
     assert code == EXIT_INPUT and f"{gt}: at /frames/0/camera: frame has no rig" in err
+
+
+@pytest.mark.parametrize("plan, pointer", [
+    ([[5, "s9"]], "/plan/0"),
+    ([[5, "s1"], [4, "s9"]], "/plan/1"),
+])
+def test_forward_names_a_plan_head_id_missing_from_the_weights(tmp_path, plan, pointer):
+    config, scene, weights = _chain_scene(tmp_path)
+    config = _bad_config(tmp_path, lambda d: d.update(plan=plan))
+    out = tmp_path / "out.json"
+    code, stdout, err = call("forward", "--config", config, "--scene", scene,
+                             "--weights", weights, "--out", out)
+    assert code == EXIT_INPUT and stdout == "" and not out.exists()
+    assert f"{config}: at {pointer}: head weights id 's9' is not in {weights}" in err
 
 
 # --- which tensors a frame reads -----------------------------------------------------
