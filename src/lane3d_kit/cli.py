@@ -291,8 +291,16 @@ def cmd_evaluate(args) -> int:
                                       "a frame id with '/' or NUL cannot name a plot file")
         plot_dir = Path(args.plot)
         plot_dir.mkdir(parents=True, exist_ok=True)
-        for (gts, preds), fid in zip(scored.pairs, scored.ids):
-            _write_svg(plot_dir / f"frame_{fid}.svg", gts, preds)
+        written = []
+        try:
+            for (gts, preds), fid in zip(scored.pairs, scored.ids):
+                path = plot_dir / f"frame_{fid}.svg"
+                _write_svg(path, gts, preds)
+                written.append(path)
+        except OSError:
+            for path in written:  # leave no partial set of plots behind
+                path.unlink(missing_ok=True)
+            raise
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     _print_json(doc)

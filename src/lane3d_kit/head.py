@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -253,7 +252,6 @@ def run_pipeline(
     plan: StagePlan,
     y_samples: np.ndarray,
     ranges: MetaRanges,
-    predict_fn: Callable[[int, int, list[Anchor3D], np.ndarray], list[Proposal]] | None = None,
 ) -> PipelineResult:
     """Run all refinement stages and return final proposals plus the trace.
 
@@ -263,9 +261,7 @@ def run_pipeline(
     sampling pass per modality (camera, and LiDAR when volumes are
     supplied) over all anchors, and builds the (M, N*C) head input with the
     camera channels first at every point, the layout of
-    :func:`~lane3d_kit.sampling.fuse`'s ``flat``.  ``predict_fn`` swaps out
-    the weight-based head, which test harnesses use to drive the loop with
-    oracle predictors.
+    :func:`~lane3d_kit.sampling.fuse`'s ``flat``.
     """
     y_samples = np.asarray(y_samples, dtype=np.float64)
     for level, wid in plan.stages:
@@ -273,7 +269,7 @@ def run_pipeline(
             raise ShapeMismatch("feature levels", f"level {level} present", sorted(features))
         if lidar is not None and level not in lidar:
             raise ShapeMismatch("lidar levels", f"level {level} present", sorted(lidar))
-        if predict_fn is None and wid not in head_weights:
+        if wid not in head_weights:
             raise KeyError(f"stage plan references unknown head weights id {wid!r}")
 
     anchors = generate_anchors(features[5], bank, coeff_weights, ranges, y_samples)
@@ -288,10 +284,7 @@ def run_pipeline(
                 )
                 values = np.concatenate([values, lidar_values], axis=2)
             matrix = values.reshape(len(anchors), -1)
-            if predict_fn is not None:
-                proposals = predict_fn(idx, level, anchors, matrix)
-            else:
-                proposals = predict(matrix, anchors, head_weights[wid])
+            proposals = predict(matrix, anchors, head_weights[wid])
         except Exception as e:
             raise PipelineStageError(idx, e) from e
         trace.append(StageTrace(stage=idx, level=level, anchors=anchors, proposals=proposals))

@@ -11,9 +11,12 @@ Gradients are exposed with respect to proposal coordinates (x, z, vis) so
 they can be verified against finite differences; at kinks of |.| terms the
 subgradient 0 is used.
 
-Each loss treats all its lanes or lane pairs at once: matched rows are
-gathered into (K, N) arrays, and the equal-width functions broadcast over
-leading axes.  Totals add the per-pair values in pair order, as a loop would.
+Only :func:`assign` and :func:`total_loss` read lane objects: each stacks
+the fields it needs into (L, N) rows, one array per field, and the costs and
+losses work on those arrays.  :func:`total_loss` gathers the K matched pairs
+into (3, K, N) x, z and visibility rows, and the equal-width functions
+broadcast over leading axes.  Totals add the per-pair values in pair order,
+as a loop would.
 """
 
 from __future__ import annotations
@@ -72,48 +75,52 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _pair_costs(gts: list[Lane3D], props: list[Proposal], cfg: LossConfig) -> np.ndarray:
-    """(G, P) matching costs: ``beta_dis`` times the visibility-weighted mean
-    pointwise (x, z) distance, minus ``beta_cls`` times the proposal's
-    probability of the lane's class.  Low when a proposal is near the lane
-    and confident in its class."""
-    vis = np.array([gt.visibility for gt in gts])
+def _stack(lanes: list, *names: str) -> list[np.ndarray]:
+    """Each named field of every lane, stacked into one array per name."""
+    return [np.array([getattr(lane, name) for lane in lanes]) for name in names]
+
+
+def _pair_costs(gt: list[np.ndarray], cats: np.ndarray, pred: list[np.ndarray],
+                probs: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """(G, P) matching costs between GT lanes with x, z and visibility rows
+    ``gt`` and categories ``cats`` and proposals with x and z rows ``pred``
+    and class probabilities ``probs`` (P, S + 1): ``beta_dis`` times the
+    visibility-weighted mean pointwise (x, z) distance, minus ``beta_cls``
+    times the proposal's probability of the lane's class.  Low when a
+    proposal is near the lane and confident in its class."""
+    (gx, gz, vis), (px, pz) = gt, pred
     total = vis.sum(axis=1)
     if np.any(total <= 0):
         raise AllInvisible("ground-truth lane has no visible points")
-    gx = np.array([gt.x for gt in gts])[:, None]
-    gz = np.array([gt.z for gt in gts])[:, None]
-    d = np.sqrt((gx - np.array([p.x for p in props])) ** 2
-                + (gz - np.array([p.z for p in props])) ** 2)
+    d = np.sqrt((gx[:, None] - px) ** 2 + (gz[:, None] - pz) ** 2)
     dist = (vis[:, None] * d).sum(axis=2) / total[:, None]
-    probs = np.array([p.class_probs for p in props])[:, [gt.category for gt in gts]].T
-    return -cfg.beta_cls * probs + cfg.beta_dis * dist
+    return -cfg.beta_cls * probs[:, cats].T + cfg.beta_dis * dist
 
 
 def assign(gts: list[Lane3D], props: list[Proposal], cfg: LossConfig) -> Assignment:
     """Optimally match every ground-truth lane to a distinct proposal."""
     if not props:
         raise LengthMismatch("assignment needs at least one proposal")
-    non_lane = props[0].class_probs.shape[0] - 1
-    labels = np.full(len(props), non_lane, dtype=np.intp)
+    probs, *pred = _stack(props, "class_probs", "x", "z")
+    labels = np.full(len(props), probs.shape[1] - 1, dtype=np.intp)
     if not gts:
         return Assignment(sigma={}, positives=[], labels=labels)
-    pairs = solve_assignment(_pair_costs(gts, props, cfg))
-    sigma = {i: j for i, j in pairs}
+    cats, *gt = _stack(gts, "category", "x", "z", "visibility")
+    sigma = dict(solve_assignment(_pair_costs(gt, cats, pred, probs, cfg)))
     positives = [sigma[i] for i in sorted(sigma)]
     for i, j in sigma.items():
-        labels[j] = gts[i].category
+        labels[j] = cats[i]
     return Assignment(sigma=sigma, positives=positives, labels=labels)
 
 
-def classification_loss(props: list[Proposal], assignment: Assignment) -> float:
-    """Negative log-likelihood of each proposal's assigned label.
+def classification_loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Negative log-likelihood of each proposal's label.
 
-    Probabilities below 1e-30 are clamped and reported through a
-    :class:`ProbabilityUnderflow` warning rather than producing inf.
+    ``probs`` is (P, S + 1) and ``labels`` (P,).  Probabilities below 1e-30
+    are clamped and reported through a :class:`ProbabilityUnderflow` warning
+    rather than producing inf.
     """
-    probs = np.array([p.class_probs for p in props])
-    picked = probs[np.arange(len(props)), assignment.labels]
+    picked = probs[np.arange(len(probs)), labels]
     low = picked < _PROB_FLOOR
     if np.any(low):
         warnings.warn(
@@ -136,31 +143,21 @@ class GradBundle:
 
 def _loop_sum(values: np.ndarray) -> float:
     """``values`` added one at a time in order (``np.sum`` adds pairwise)."""
-    return float(np.cumsum(values)[-1])
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def regression_loss(
-    gts: list[Lane3D], props: list[Proposal], assignment: Assignment
-) -> tuple[float, GradBundle]:
-    """Visibility-masked L1 loss over assigned pairs plus its gradient.
+def regression_loss(gt: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray]:
+    """Visibility-masked L1 loss over matched pairs plus its gradient.
 
-    Invisible GT points contribute nothing to the coordinate terms; the
-    visibility term always compares the full vectors.
+    ``gt`` and ``pred`` are the (3, K, N) rows of the K pairs.  Invisible GT
+    points contribute nothing to the coordinate terms; the visibility term
+    always compares the full vectors.  Returns the loss and its (3, K, N)
+    gradient with respect to ``pred``.
     """
-    n = props[0].num_points if props else 0
-    grad = GradBundle(*np.zeros((3, len(props), n)))
-    if not assignment.sigma:
-        return 0.0, grad
-    rows, cols = sorted(assignment.sigma), assignment.positives
-    vis = np.array([gts[i].visibility for i in rows])
-    ex = np.array([props[j].x for j in cols]) - np.array([gts[i].x for i in rows])
-    ez = np.array([props[j].z for j in cols]) - np.array([gts[i].z for i in rows])
-    ev = np.array([props[j].vis for j in cols]) - vis
-    # The assignment is injective, so these indexed adds never collide.
-    grad.d_x[cols] += vis * np.sign(ex)
-    grad.d_z[cols] += vis * np.sign(ez)
-    grad.d_vis[cols] += np.sign(ev)
-    return _loop_sum(np.abs(vis * ex).sum(1) + np.abs(vis * ez).sum(1) + np.abs(ev).sum(1)), grad
+    weight = np.array([gt[2], gt[2], np.ones_like(gt[2])])
+    err = pred - gt
+    terms = np.abs(weight * err).sum(axis=2)
+    return _loop_sum(terms[0] + terms[1] + terms[2]), weight * np.sign(err)
 
 
 def ew_pair_widths(x_ref: np.ndarray, x_other: np.ndarray, y: np.ndarray) -> tuple:
@@ -229,18 +226,15 @@ def ew_pair_loss(
     return (float(loss) if loss.ndim == 0 else loss), g_ref, g_other
 
 
-def ew_loss(
-    positives: list[Proposal], y: np.ndarray, cfg: LossConfig
-) -> tuple[float, np.ndarray]:
-    """Equal-width loss averaged over all ordered pairs of positives.
+def ew_loss(x: np.ndarray, y: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """Equal-width loss averaged over all ordered pairs of the (M, N) rows ``x``.
 
-    Returns (loss, gradient wrt each positive's x, shaped (M_p, N)).
-    Fewer than two positives give a zero loss by definition.
+    Returns (loss, gradient wrt ``x``, shaped (M, N)).  Fewer than two rows
+    give a zero loss by definition.
     """
-    m = len(positives)
+    m = len(x)
     if m < 2:
         return 0.0, np.zeros((m, len(y)))
-    x = np.array([p.x for p in positives])
     pair, g_ref, g_other = ew_pair_loss(x[:, None], x[None, :], y, cfg.tau)
     off = ~np.eye(m, dtype=bool)  # row j against column jp, j != jp
     g_ref[~off] = g_other[~off] = 0.0
@@ -263,19 +257,26 @@ def total_loss(
     cfg: LossConfig,
     y: np.ndarray,
 ) -> tuple[LossBreakdown, GradBundle]:
-    """Coefficient-weighted sum of the three losses with merged gradients."""
-    l_cls = classification_loss(props, assignment)
-    l_reg, reg_grad = regression_loss(gts, props, assignment)
-    positives = [props[j] for j in assignment.positives]
-    l_ew, ew_grads = ew_loss(positives, np.asarray(y, dtype=np.float64), cfg)
+    """Coefficient-weighted sum of the three losses with merged gradients.
 
-    d_x = cfg.lambda_reg * reg_grad.d_x
-    d_z = cfg.lambda_reg * reg_grad.d_z
-    d_vis = cfg.lambda_reg * reg_grad.d_vis
-    d_x[assignment.positives] += cfg.lambda_ew * ew_grads
+    ``y`` is the (N,) grid that every lane is sampled on.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    (probs,) = _stack(props, "class_probs")
+    cols = assignment.positives
+    rows = (3, len(cols), len(y))  # also when no pair is matched
+    pred = np.reshape(_stack([props[j] for j in cols], "x", "z", "vis"), rows)
+    matched = [gts[i] for i in sorted(assignment.sigma)]
+    gt = np.reshape(_stack(matched, "x", "z", "visibility"), rows)
+    l_cls = classification_loss(probs, assignment.labels)
+    l_reg, reg_grads = regression_loss(gt, pred)
+    l_ew, ew_grads = ew_loss(pred[0], y, cfg)
+
+    grads = np.zeros((3, len(props), len(y)))
+    # The assignment is injective, so these indexed adds never collide.
+    grads[:, cols] += reg_grads
+    grads *= cfg.lambda_reg
+    grads[0, cols] += cfg.lambda_ew * ew_grads
 
     total = cfg.lambda_cls * l_cls + cfg.lambda_reg * l_reg + cfg.lambda_ew * l_ew
-    return (
-        LossBreakdown(cls=l_cls, reg=l_reg, ew=l_ew, total=total),
-        GradBundle(d_x=d_x, d_z=d_z, d_vis=d_vis),
-    )
+    return LossBreakdown(cls=l_cls, reg=l_reg, ew=l_ew, total=total), GradBundle(*grads)

@@ -20,21 +20,29 @@ MAGIC = b"A3TN"
 VERSION = 1
 
 
-def _tensor_bytes(array: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(array, dtype="<f4")
+def _tensor_bytes(name: str, array: np.ndarray) -> bytes:
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(array, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"tensor {name!r}: element {bad[0]} is not finite as float32")
     header = MAGIC + struct.pack("<BB2x", VERSION, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
     return header + dims + arr.tobytes()
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named tensors; values are stored as float32."""
+    """Write named tensors; values are stored as float32.
+
+    A value that is NaN or infinite as float32, also one that overflows the
+    cast, raises ``ValueError`` naming the tensor, and no file is written.
+    """
     chunks = []
     for name, array in tensors.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name!r}")
-        chunks.append(struct.pack("<H", len(encoded)) + encoded + _tensor_bytes(np.asarray(array)))
+        chunks.append(struct.pack("<H", len(encoded)) + encoded + _tensor_bytes(name, array))
     Path(path).write_bytes(b"".join(chunks))
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +398,8 @@ def test_a_plot_id_too_long_for_the_file_system_exits_2(tmp_path):
     code, err, _, plot = _plot_with_frame_id(tmp_path, "x" * 300)
     assert code == EXIT_INPUT and "File name too long" in err
     assert str(plot / f"frame_{'x' * 300}.svg") in err
+    # Frames 0 and 1 were plotted before frame 2 failed; their files are removed.
+    assert list(plot.glob("frame_*.svg")) == []
 
 
 def test_evaluate_out_to_a_directory_exits_2(tmp_path):
@@ -584,6 +587,23 @@ def test_failing_grad_check_exits_3(capsys, monkeypatch):
         "trials": 2, "max_rel_error": 0.5, "tolerance": 1e-5, "passed": False,
     }
     assert '"passed": false' in out
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_grad_check_without_a_trial_exits_2(trials):
+    code, out, err = call("grad-check", "--trials", trials)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert f"trials must be >= 1, got {trials}" in err
+
+
+def test_weights_that_overflow_float32_exit_2_and_write_no_file(tmp_path):
+    weights = tmp_path / "w.a3t"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = call("gen-weights", "--scale", 1e200, "--out", weights)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "tensor 'coeff.a_xs': element 0 is not finite as float32" in err
+    assert not weights.exists()
 
 
 # --- gen-scene specs ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lane3d_kit import head
 from lane3d_kit.anchors import (
     Anchor3D,
     CoefficientHeadWeights,
@@ -140,10 +141,10 @@ def test_single_stage_plan_equals_one_predict(rng):
     assert len(result.proposals) == 3
 
 
-def test_oracle_head_reaches_fixed_point(rng):
+def test_oracle_head_reaches_fixed_point(rng, monkeypatch):
     profile, gts, rig, features, bank, coeff, heads = pipeline_fixture(rng, 3, 3)
 
-    def oracle(stage, level, anchors, matrix):
+    def oracle(matrix, anchors, weights):
         out = []
         for j, a in enumerate(anchors):
             gt = gts[j % len(gts)]
@@ -154,8 +155,9 @@ def test_oracle_head_reaches_fixed_point(rng):
             ))
         return out
 
+    monkeypatch.setattr(head, "predict", oracle)
     result = run_pipeline(features, None, rig, bank, coeff, heads, StagePlan(),
-                          profile.y_samples, MetaRanges(), predict_fn=oracle)
+                          profile.y_samples, MetaRanges())
     for stage in result.trace[1:]:
         for j, a in enumerate(stage.anchors):
             gt = gts[j % len(gts)]
@@ -257,7 +259,7 @@ def test_fusion_with_zero_lidar_matches_camera_only(rng):
         np.testing.assert_allclose(p2.vis, p1.vis, atol=1e-12)
 
 
-def test_fused_head_input_equals_the_per_anchor_fuse_layout(rng):
+def test_fused_head_input_equals_the_per_anchor_fuse_layout(rng, monkeypatch):
     # The benchmark's fusion shape: 30 anchors of 20 points, 64 camera and
     # 8 LiDAR channels, four stages.
     profile = make_profile("openlane")
@@ -277,13 +279,13 @@ def test_fused_head_input_equals_the_per_anchor_fuse_layout(rng):
 
     matrices = []
 
-    def recording(stage, level, anchors, matrix):
+    def recording(matrix, anchors, weights):
         matrices.append(matrix)
-        return predict(matrix, anchors, heads["s"])
+        return predict(matrix, anchors, weights)
 
     result = run_pipeline(features, lidar, rig, bank, coeff, heads, plan, y, MetaRanges())
-    run_pipeline(features, lidar, rig, bank, coeff, heads, plan, y, MetaRanges(),
-                 predict_fn=recording)
+    monkeypatch.setattr(head, "predict", recording)
+    run_pipeline(features, lidar, rig, bank, coeff, heads, plan, y, MetaRanges())
 
     anchors = generate_anchors(features[5], bank, coeff, MetaRanges(), y)
     for stage, (level, _) in enumerate(plan.stages):

@@ -185,58 +185,54 @@ def test_assign_total_matches_brute_force_on_lanes(rng):
         assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
 
 
-def identity_assignment(m, labels=None):
-    return Assignment(
-        sigma={i: i for i in range(m)},
-        positives=list(range(m)),
-        labels=np.zeros(m, dtype=np.intp) if labels is None else np.asarray(labels),
-    )
+def rows(lanes):
+    """The losses' (3, L, N) rows of GT lanes or proposals: x, z and visibility."""
+    return np.array([[q.x for q in lanes], [q.z for q in lanes],
+                     [q.visibility if isinstance(q, Lane3D) else q.vis for q in lanes]])
 
 
 def test_classification_loss_perfect():
-    props = [prop([0, 0, 0], probs=(1.0, 0.0))]
-    assert classification_loss(props, identity_assignment(1)) == 0.0
+    assert classification_loss(np.array([[1.0, 0.0]]), np.array([0])) == 0.0
 
 
 def test_classification_loss_hand_values():
-    p1 = prop([0, 0, 0], probs=(math.exp(-1.0), 1.0 - math.exp(-1.0)))
-    assert classification_loss([p1], identity_assignment(1)) == pytest.approx(1.0, abs=1e-12)
-    pair = [prop([0, 0, 0], probs=(0.5, 0.5)), prop([1, 1, 1], probs=(0.5, 0.5))]
+    p1 = np.array([[math.exp(-1.0), 1.0 - math.exp(-1.0)]])
+    assert classification_loss(p1, np.array([0])) == pytest.approx(1.0, abs=1e-12)
+    pair = np.array([[0.5, 0.5], [0.5, 0.5]])
     expected = 2.0 * math.log(2.0)
-    assert classification_loss(pair, identity_assignment(2)) == pytest.approx(expected, abs=1e-12)
+    assert classification_loss(pair, np.array([0, 0])) == pytest.approx(expected, abs=1e-12)
 
 
 def test_classification_loss_underflow_warns():
-    p = prop([0, 0, 0], probs=(0.0, 1.0))
     with pytest.warns(ProbabilityUnderflow):
-        value = classification_loss([p], identity_assignment(1))
+        value = classification_loss(np.array([[0.0, 1.0]]), np.array([0]))
     assert value == pytest.approx(-math.log(1e-30))
 
 
 def test_regression_loss_zero_when_coincident():
-    gts = [lane([1, 2, 3], z=[0.1, 0.2, 0.3], vis=[1, 1, 0])]
-    props = [prop([1, 2, 3], z=[0.1, 0.2, 0.3], vis=[1, 1, 0])]
-    value, grad = regression_loss(gts, props, identity_assignment(1))
+    gt = rows([lane([1, 2, 3], z=[0.1, 0.2, 0.3], vis=[1, 1, 0])])
+    pred = rows([prop([1, 2, 3], z=[0.1, 0.2, 0.3], vis=[1, 1, 0])])
+    value, grad = regression_loss(gt, pred)
     assert value == 0.0
-    np.testing.assert_array_equal(grad.d_x, 0.0)
+    np.testing.assert_array_equal(grad[0], 0.0)
 
 
 def test_regression_loss_hand_l1():
     y2 = np.array([10.0, 20.0])
-    gts = [lane([0.0, 0.0], y=y2)]
-    props = [prop([0.1, -0.2], z=[0.0, 0.0])]
-    value, grad = regression_loss(gts, props, identity_assignment(1))
+    gt = rows([lane([0.0, 0.0], y=y2)])
+    pred = rows([prop([0.1, -0.2], z=[0.0, 0.0])])
+    value, grad = regression_loss(gt, pred)
     assert value == pytest.approx(0.3, abs=1e-12)
-    np.testing.assert_array_equal(grad.d_x[0], [1.0, -1.0])
+    np.testing.assert_array_equal(grad[0, 0], [1.0, -1.0])
 
 
 def test_regression_loss_invisible_points_masked():
-    gts = [lane([0.0, 0.0, 0.0], vis=[0, 0, 0])]
-    props = [prop([100.0, -50.0, 3.0], vis=[0.25, 0.5, 0.75])]
-    value, grad = regression_loss(gts, props, identity_assignment(1))
+    gt = rows([lane([0.0, 0.0, 0.0], vis=[0, 0, 0])])
+    pred = rows([prop([100.0, -50.0, 3.0], vis=[0.25, 0.5, 0.75])])
+    value, grad = regression_loss(gt, pred)
     assert value == pytest.approx(0.25 + 0.5 + 0.75, abs=1e-12)
-    np.testing.assert_array_equal(grad.d_x, 0.0)
-    np.testing.assert_array_equal(grad.d_vis[0], [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(grad[0], 0.0)
+    np.testing.assert_array_equal(grad[2, 0], [1.0, 1.0, 1.0])
 
 
 def test_ew_pair_parallel_lanes_zero():
@@ -269,7 +265,7 @@ def test_ew_pair_degenerate_segment():
 
 
 def test_ew_loss_needs_two_positives():
-    value, grads = ew_loss([prop([0, 0, 0])], Y3, LossConfig())
+    value, grads = ew_loss(np.zeros((1, 3)), Y3, LossConfig())
     assert value == 0.0 and grads.shape == (1, 3)
 
 
@@ -278,10 +274,8 @@ def test_ew_loss_zero_on_parallel_any_n(rng):
     for n in (2, 3, 7, 12):
         y = np.sort(rng.uniform(1, 100, n))
         base = rng.uniform(-0.2, 0.2) * y
-        props = [prop(base + off, z=np.zeros(n)) for off in (0.0, 3.5, 7.0)]
-        for p in props:
-            p.vis = np.ones(n)
-        value, grads = ew_loss(props, y, cfg)
+        x = np.array([base + off for off in (0.0, 3.5, 7.0)])
+        value, grads = ew_loss(x, y, cfg)
         assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -291,11 +285,9 @@ def test_ew_translation_invariance(shift):
     rng = np.random.default_rng(7)
     y = np.sort(rng.uniform(1, 60, 5))
     xs = [rng.uniform(-5, 5, 5) for _ in range(3)]
-    props_a = [prop(x, z=np.zeros(5)) for x in xs]
-    props_b = [prop(x + shift, z=np.zeros(5)) for x in xs]
     cfg = LossConfig()
-    a, _ = ew_loss(props_a, y, cfg)
-    b, _ = ew_loss(props_b, y, cfg)
+    a, _ = ew_loss(np.array(xs), y, cfg)
+    b, _ = ew_loss(np.array(xs) + shift, y, cfg)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -352,28 +344,27 @@ def local_fd(f, arr, h=1e-6):
 
 def test_ew_gradient_matches_fd():
     y = np.array([5.0, 15.0, 25.0, 40.0])
-    props = [
-        prop([0.01, -0.02, 0.015, -0.01], z=np.zeros(4)),
-        prop([3.5, 3.52, 3.49, 3.51], z=np.zeros(4)),
-        prop([7.03, 6.98, 7.01, 7.04], z=np.zeros(4)),
-    ]
+    x = np.array([
+        [0.01, -0.02, 0.015, -0.01],
+        [3.5, 3.52, 3.49, 3.51],
+        [7.03, 6.98, 7.01, 7.04],
+    ])
     cfg = LossConfig()
-    value, grads = ew_loss(props, y, cfg)
+    value, grads = ew_loss(x, y, cfg)
     assert value > 0.0  # instance must exercise the active branch
-    for j, p in enumerate(props):
-        fd = local_fd(lambda: ew_loss(props, y, cfg)[0], p.x)
+    for j in range(len(x)):
+        fd = local_fd(lambda: ew_loss(x, y, cfg)[0], x[j])
         np.testing.assert_allclose(grads[j], fd, rtol=1e-5, atol=1e-8)
 
 
 def test_regression_gradient_matches_fd():
     y = np.array([5.0, 15.0, 25.0])
-    gts = [lane([0.0, 1.0, 2.0], y=y, z=[0.1, 0.0, -0.1], vis=[1, 0, 1])]
-    props = [prop([0.3, 1.4, 1.8], z=[0.15, 0.2, -0.4], vis=[0.3, 0.6, 0.8])]
-    a = identity_assignment(1)
-    value, grad = regression_loss(gts, props, a)
-    for name, rows in (("x", grad.d_x), ("z", grad.d_z), ("vis", grad.d_vis)):
-        fd = local_fd(lambda: regression_loss(gts, props, a)[0], getattr(props[0], name))
-        np.testing.assert_allclose(rows[0], fd, rtol=1e-5, atol=1e-8)
+    gt = rows([lane([0.0, 1.0, 2.0], y=y, z=[0.1, 0.0, -0.1], vis=[1, 0, 1])])
+    pred = rows([prop([0.3, 1.4, 1.8], z=[0.15, 0.2, -0.4], vis=[0.3, 0.6, 0.8])])
+    value, grad = regression_loss(gt, pred)
+    for f in range(3):  # x, z, visibility
+        fd = local_fd(lambda: regression_loss(gt, pred)[0], pred[f, 0])
+        np.testing.assert_allclose(grad[f, 0], fd, rtol=1e-5, atol=1e-8)
 
 
 # --- per-pair references for the broadcast losses ------------------------------------
@@ -417,13 +408,15 @@ def reference_ew_pair_loss(x_ref, x_other, y, tau):
 
 def reference_ew_loss(positives, y, cfg):
     """Equal-width loss by a loop over ordered pairs, the reference for
-    ew_loss's one broadcast call."""
+    ew_loss's one broadcast call.  A lane's gradient adds its pairs as the
+    reference lane, then its pairs as the other lane, each in pair order."""
     m = len(positives)
     grads = np.zeros((m, y.shape[0]))
     if m < 2:
         return 0.0, grads
     total = 0.0
     norm = 1.0 / (m * (m - 1))
+    as_other = np.zeros_like(grads)
     for j in range(m):
         for jp in range(m):
             if jp == j:
@@ -432,64 +425,88 @@ def reference_ew_loss(positives, y, cfg):
                 positives[j].x, positives[jp].x, y, cfg.tau)
             total += pair
             grads[j] += g_ref
-            grads[jp] += g_other
-    return total * norm, grads * norm
+            as_other[jp] += g_other
+    return total * norm, (grads + as_other) * norm
+
+
+def reference_classification_loss(props, labels):
+    """Per-proposal pick of its label's probability, the reference for
+    classification_loss's gather."""
+    picked = np.array([max(q.class_probs[c], 1e-30) for q, c in zip(props, labels)])
+    return float(-np.log(picked).sum())
 
 
 def same_float(a, b) -> bool:
     return type(a) is type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(g=st.integers(0, 6), p=st.integers(1, 6), n=st.integers(2, 10),
-       tau_quantile=st.sampled_from([0.0, 0.3, 0.5, 1.0, None]),
-       seed=st.integers(0, 2**32 - 1))
-def test_broadcast_losses_equal_their_per_pair_references(g, p, n, tau_quantile, seed):
+def random_instance(g, p, n, seed):
+    """Near-parallel GT lanes and proposals with jitter, so the widths vary a
+    little or a lot, and a random injective matching of them."""
     rng = np.random.default_rng(seed)
     y = np.cumsum(rng.uniform(0.5, 5.0, n))
-    # Near-parallel lanes with jitter, so the widths vary a little or a lot.
     slope, jitter = rng.uniform(-0.3, 0.3), rng.choice([1e-3, 0.05, 1.0])
     offsets = np.cumsum(rng.uniform(1.0, 4.0, max(g, p)))
     vis = rng.choice([0.0, 0.3, 1.0], size=(g, n))
     vis[rng.random(g) < 0.3] = 0.0  # some GT lanes wholly invisible
     gts = [Lane3D(x=slope * y + offsets[i] + rng.normal(0, jitter, n), y=y,
                   z=rng.normal(0, 1, n), visibility=vis[i], category=0) for i in range(g)]
-    props = [Proposal(class_probs=np.array([0.6, 0.4]),
+    props = [Proposal(class_probs=rng.dirichlet([1.0, 1.0]),
                       x=slope * y + offsets[j] + rng.normal(0, jitter, n),
                       z=rng.normal(0, 1, n), vis=rng.uniform(0, 1, n)) for j in range(p)]
-    # A random injective matching; with p < g some GT lanes stay unmatched.
+    # With p < g some GT lanes stay unmatched.
     k = min(g, p)
-    rows = np.sort(rng.permutation(g)[:k])
-    sigma = dict(zip(rows.tolist(), rng.permutation(p)[:k].tolist()))
+    rows_ = np.sort(rng.permutation(g)[:k])
+    sigma = dict(zip(rows_.tolist(), rng.permutation(p)[:k].tolist()))
     positives = [sigma[i] for i in sorted(sigma)]
     labels = np.ones(p, dtype=np.intp)
     labels[positives] = 0
-    a = Assignment(sigma=sigma, positives=positives, labels=labels)
+    return y, gts, props, Assignment(sigma=sigma, positives=positives, labels=labels)
 
-    value, grad = regression_loss(gts, props, a)
+
+def tau_among(x, y, quantile):
+    """A fork threshold at, among or (``quantile`` None) above the deviations
+    of the ordered pairs of rows ``x``, so that the gate exempts all, some or
+    none of the pairs."""
+    deltas = [ew_pair_widths(x[j], x[k], y)[-1] for j in range(len(x))
+              for k in range(len(x)) if j != k]
+    if not deltas:
+        return 0.1
+    if quantile is None:
+        return 2.0 * max(deltas)
+    return max(float(np.quantile(deltas, quantile)), 1e-9)
+
+
+INSTANCES = dict(g=st.integers(0, 6), p=st.integers(1, 6), n=st.integers(2, 10),
+                 tau_quantile=st.sampled_from([0.0, 0.3, 0.5, 1.0, None]),
+                 seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**INSTANCES)
+def test_broadcast_losses_equal_their_per_pair_references(g, p, n, tau_quantile, seed):
+    y, gts, props, a = random_instance(g, p, n, seed)
+    k = len(a.positives)
+
+    gt = rows([gts[i] for i in sorted(a.sigma)]).reshape(3, k, n)
+    value, grad = regression_loss(gt, rows(props)[:, a.positives])
     want, want_grads = reference_regression_loss(gts, props, a)
     assert same_float(value, want)
-    for got_rows, want_rows in zip((grad.d_x, grad.d_z, grad.d_vis), want_grads):
+    assert grad.shape == (3, k, n)
+    scattered = np.zeros((3, p, n))
+    scattered[:, a.positives] = grad
+    for got_rows, want_rows in zip(scattered, want_grads):
         np.testing.assert_array_equal(got_rows, want_rows)
 
-    pos = [props[j] for j in positives]
-    x = np.array([q.x for q in pos]).reshape(len(pos), n)
-    deltas = [ew_pair_widths(x[j], x[k], y)[-1] for j in range(len(pos))
-              for k in range(len(pos)) if j != k]
-    # tau at, among and above the pairs' deviations, so that the fork gate
-    # exempts all, some or none of the pairs.
-    if not deltas:
-        tau = 0.1
-    elif tau_quantile is None:
-        tau = 2.0 * max(deltas)
-    else:
-        tau = max(float(np.quantile(deltas, tau_quantile)), 1e-9)
+    pos = [props[j] for j in a.positives]
+    x = rows(props)[0, a.positives]
+    tau = tau_among(x, y, tau_quantile)
     cfg = LossConfig(tau=tau)
-    value, grads = ew_loss(pos, y, cfg)
+    value, grads = ew_loss(x, y, cfg)
     want, want_grads = reference_ew_loss(pos, y, cfg)
     assert same_float(value, want)
     assert grads.shape == want_grads.shape == (len(pos), n)
-    np.testing.assert_allclose(grads, want_grads, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(grads, want_grads)
 
     pair, g_ref, g_other = ew_pair_loss(x[:, None], x[None, :], y, tau)
     assert pair.shape == (len(pos),) * 2 and g_ref.shape == g_other.shape == (*pair.shape, n)
@@ -502,3 +519,27 @@ def test_broadcast_losses_equal_their_per_pair_references(g, p, n, tau_quantile,
         assert same_float(float(pair[j, k]), one[0])
         np.testing.assert_array_equal(g_ref[j, k], one[1])
         np.testing.assert_array_equal(g_other[j, k], one[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(**INSTANCES, lambdas=st.tuples(*[st.floats(0.0, 10.0)] * 3))
+def test_total_loss_equals_its_references_composed_bitwise(g, p, n, tau_quantile, seed,
+                                                           lambdas):
+    y, gts, props, a = random_instance(g, p, n, seed)
+    pos = [props[j] for j in a.positives]
+    lambda_cls, lambda_reg, lambda_ew = lambdas
+    cfg = LossConfig(lambda_cls=lambda_cls, lambda_reg=lambda_reg, lambda_ew=lambda_ew,
+                     tau=tau_among(rows(props)[0, a.positives], y, tau_quantile))
+    breakdown, grads = total_loss(gts, props, a, cfg, y)
+
+    cls = reference_classification_loss(props, a.labels)
+    reg, (d_x, d_z, d_vis) = reference_regression_loss(gts, props, a)
+    ew, ew_grads = reference_ew_loss(pos, y, cfg)
+    total = lambda_cls * cls + lambda_reg * reg + lambda_ew * ew
+    for got, want in zip((breakdown.cls, breakdown.reg, breakdown.ew, breakdown.total),
+                         (cls, reg, ew, total)):
+        assert same_float(got, want)
+    d_x, d_z, d_vis = lambda_reg * d_x, lambda_reg * d_z, lambda_reg * d_vis
+    d_x[a.positives] += lambda_ew * ew_grads
+    for got, want in zip((grads.d_x, grads.d_z, grads.d_vis), (d_x, d_z, d_vis)):
+        assert got.shape == want.shape == (p, n) and got.tobytes() == want.tobytes()

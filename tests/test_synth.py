@@ -3,7 +3,6 @@ import pytest
 
 from lane3d_kit.config import DatasetProfile, make_profile
 from lane3d_kit.evaluation import EvalConfigOL, evaluate_openlane
-from lane3d_kit.head import Proposal
 from lane3d_kit.losses import LossConfig, ew_loss
 from lane3d_kit.synth import (
     NoiseSpec,
@@ -22,11 +21,7 @@ def test_two_straight_lanes():
     np.testing.assert_allclose(gts[1].x, 1.75, atol=1e-12)
     np.testing.assert_array_equal(gts[0].z, 0.0)
     assert all(g.visible_mask.all() for g in gts)
-    props = [
-        Proposal(class_probs=np.array([1.0, 0.0]), x=g.x, z=g.z, vis=g.visibility)
-        for g in gts
-    ]
-    value, _ = ew_loss(props, profile.y_samples, LossConfig())
+    value, _ = ew_loss(np.array([g.x for g in gts]), profile.y_samples, LossConfig())
     assert value == 0.0
 
 
@@ -34,11 +29,7 @@ def test_shared_linear_curvature_is_parallel():
     profile = make_profile("openlane")
     spec = SceneSpec(n_lanes=3, curvature=(1.0, 0.05))
     gts, _ = generate_scene(spec, profile)
-    props = [
-        Proposal(class_probs=np.array([1.0, 0.0]), x=g.x, z=g.z, vis=g.visibility)
-        for g in gts
-    ]
-    value, _ = ew_loss(props, profile.y_samples, LossConfig())
+    value, _ = ew_loss(np.array([g.x for g in gts]), profile.y_samples, LossConfig())
     assert value == pytest.approx(0.0, abs=1e-12)
 
 

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -82,17 +83,31 @@ def test_unicode_names(tmp_path):
     assert "тензор" in read_tensors(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e200])
+def test_writer_refuses_a_value_not_finite_as_float32(tmp_path, value):
+    path = tmp_path / "t.a3t"
+    second = np.zeros((2, 3))
+    second[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"tensor 'F5': element 5 is not finite as float32"):
+            write_tensors(path, {"ok": np.ones(4), "F5": second})
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_element_reports_its_byte_and_tensor(tmp_path, bad):
     path = tmp_path / "t.a3t"
-    second = np.zeros((2, 3), dtype=np.float32)
-    second[1, 2] = bad
-    write_tensors(path, {"ok": np.ones(4, dtype=np.float32), "F5": second})
-    with pytest.raises(FileFormatError) as exc:
-        read_tensors(path)
+    write_tensors(path, {"ok": np.ones(4, dtype=np.float32), "F5": np.zeros((2, 3))})
     # First record: 2 + 2 (name) + 8 (header) + 8 (one dim) + 16 (payload) = 36 bytes.
     # Second record: 2 + 2 (name) + 8 + 16 (two dims) = 28 bytes before its payload,
-    # and the bad element is the sixth float of it.
+    # and the bad element, written over the file since the writer refuses it, is
+    # the sixth float of it.
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<f", blob, 36 + 28 + 4 * 5, bad)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError) as exc:
+        read_tensors(path)
     assert exc.value.location == f"byte {36 + 28 + 4 * 5}"
     assert "non-finite" in exc.value.message and "'F5'" in exc.value.message
     assert not np.isfinite(struct.unpack_from("<f", path.read_bytes(), 36 + 28 + 4 * 5)[0])
