@@ -20,7 +20,7 @@ from .errors import ShapeMismatch
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .sampling import FeatureMap
 
-_ROW_SUM_TOL = 1e-6
+ROW_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class CoefficientMatrices:
         for name, m in (("xs", self.xs), ("phi", self.phi), ("theta", self.theta)):
             if np.any(m < 0.0):
                 raise ValueError(f"{name} coefficients contain negative entries")
-            if not np.allclose(m.sum(axis=1), 1.0, atol=_ROW_SUM_TOL):
+            if not np.allclose(m.sum(axis=1), 1.0, atol=ROW_SUM_TOL):
                 raise ValueError(f"{name} coefficient rows do not sum to 1")
 
     @property

@@ -89,7 +89,7 @@ def load_weights_file(path):
     return bank, coeff, {wid: take(f"head.{wid}", HeadWeights) for wid in head_ids}
 
 
-def make_random_weights(cfg: RunConfig, seed: int, scale: float = 0.02):
+def make_random_weights(cfg: RunConfig, seed: int, scale: float):
     rng = np.random.default_rng(seed)
     m_xs, m_phi, m_theta = cfg.num_prototypes
     bank = PrototypeBank.uniform(m_xs, m_phi, m_theta)
@@ -158,12 +158,8 @@ def cmd_gen_scene(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_lane_file(out / "gt.json", [Frame(id="0", camera=rig, lanes=gts)])
 
-    h_f, w_f = rig.feature_size
-    tensors = {}
-    for level in _LEVELS:
-        fm = rasterize_features(gts, rig, (h_f, w_f, spec.feature_channels), spec.sigma,
-                                level=level)
-        tensors[f"F{level}"] = fm.data
+    fm = rasterize_features(gts, rig, (*rig.feature_size, spec.feature_channels), spec.sigma)
+    tensors = {f"F{level}": fm.data for level in _LEVELS}
     if spec.lidar:
         extent = np.array([[-15.0, 15.0], [0.0, 105.0], [-2.0, 3.0]])
         dims = (*_DEFAULT_LIDAR_DIMS, spec.lidar_channels)

@@ -13,6 +13,12 @@ Two protocols are implemented:
 
 Frames evaluate independently; corpus metrics aggregate raw TP/FP/FN
 counts rather than per-frame averages.
+
+Only :func:`evaluate_openlane` and :func:`evaluate_once` read lane objects,
+each frame's lanes once.  OpenLane works below them on each frame side's
+lanes with a visible eval sample, resampled and stacked as (L, N) rows in
+one :class:`ResampledLane`; ONCE works on each lane's (K, 2) top-view
+polyline of visible points.
 """
 
 from __future__ import annotations
@@ -112,13 +118,16 @@ class EvalReport:
 
 @dataclass
 class ResampledLane:
-    """A lane interpolated onto the shared evaluation y grid."""
+    """Lanes interpolated onto the shared evaluation y grid: one lane, or a
+    frame side's lanes stacked as rows.  ``x``, ``z`` and boolean ``vis`` are
+    (..., N); ``category`` and ``score`` (NaN where absent in a stack) are
+    (...)."""
 
     x: np.ndarray
     z: np.ndarray
-    vis: np.ndarray  # boolean per eval sample
-    category: int
-    score: float | None
+    vis: np.ndarray
+    category: int | np.ndarray
+    score: float | None | np.ndarray
 
 
 def resample_lane(lane: Lane3D, y_eval: np.ndarray) -> ResampledLane:
@@ -138,7 +147,7 @@ def resample_lane(lane: Lane3D, y_eval: np.ndarray) -> ResampledLane:
 
 
 def _cost_matrix(
-    gts: list[ResampledLane], preds: list[ResampledLane], cfg: EvalConfigOL
+    gt: ResampledLane, pred: ResampledLane, cfg: EvalConfigOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """(G, P) matching costs and (G, P, N) per-point distances of all pairs.
 
@@ -146,41 +155,17 @@ def _cost_matrix(
     point threshold) so partially overlapping lanes are penalized but stay
     matchable; a pair's cost is the square root of its distance sum.
     """
-    shape = (-1, cfg.y_eval_samples.shape[0])
-
-    def stack(lanes):
-        return (
-            np.array([r.x for r in lanes], dtype=np.float64).reshape(shape),
-            np.array([r.z for r in lanes], dtype=np.float64).reshape(shape),
-            np.array([r.vis for r in lanes], dtype=bool).reshape(shape),
-        )
-
-    gx, gz, gv = stack(gts)
-    px, pz, pv = stack(preds)
-    dist = np.sqrt((gx[:, None] - px[None]) ** 2 + (gz[:, None] - pz[None]) ** 2)
-    d = np.where(gv[:, None] & pv[None], dist, cfg.tp_point_threshold)
+    dist = np.sqrt((gt.x[:, None] - pred.x[None]) ** 2 + (gt.z[:, None] - pred.z[None]) ** 2)
+    d = np.where(gt.vis[:, None] & pred.vis[None], dist, cfg.tp_point_threshold)
     return np.sqrt(d.sum(axis=2)), d
 
 
-def _tp_matrix(gts: list[ResampledLane], d: np.ndarray, cfg: EvalConfigOL) -> np.ndarray:
-    """(G, P) bool: whether each pair, if matched, is a true positive.
-
-    Every GT lane must have a visible point (``_prepare_frame`` drops the
-    others).
-    """
-    # Denominator is the GT-visible point count: a perfect prediction of a
-    # partially visible lane must still count as a hit.
-    visible = np.array([np.count_nonzero(g.vis) for g in gts], dtype=np.int64)[:, None]
-    close = np.count_nonzero(d < cfg.tp_point_threshold, axis=2)
-    return close / visible > cfg.tp_fraction
-
-
-def _match_resampled(cost: np.ndarray, d: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-    """Minimum-total-cost pairs (row, column, per-point distances) of a
-    :func:`_cost_matrix` result or a column subset of one."""
+def _match_resampled(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Minimum-total-cost (row, column) pairs of a :func:`_cost_matrix`
+    result or a column subset of one."""
     if cost.size == 0:
         return []
-    return [(i, j, d[i, j]) for i, j in solve_assignment(cost)]
+    return solve_assignment(cost)
 
 
 def _check_finite(frame: int, gts: list[Lane3D], preds: list[Lane3D]) -> None:
@@ -199,18 +184,23 @@ def _check_finite(frame: int, gts: list[Lane3D], preds: list[Lane3D]) -> None:
                 raise ValueError(f"frame {frame}: {kind} lane {j}: non-finite score")
 
 
-def _prepare_frame(frame, gts, preds, cfg):
+def _stack(rs: list[ResampledLane], n: int) -> ResampledLane:
+    """Resampled lanes stacked as (L, N) rows; ``vis`` is boolean also for L = 0."""
+    x, z, vis = (np.array([getattr(r, k) for r in rs]).reshape(-1, n) for k in ("x", "z", "vis"))
+    return ResampledLane(x, z, vis.astype(bool), np.array([r.category for r in rs], np.int64),
+                         np.array([r.score for r in rs], np.float64))
+
+
+def _prepare_frame(frame, gts, preds, cfg) -> tuple[ResampledLane, ResampledLane]:
+    """The frame's GT and predicted lanes with a visible eval sample, each
+    resampled once and stacked as (L, N) rows."""
     _check_finite(frame, gts, preds)
+    if any(p.score is None for p in preds):
+        raise ValueError("predictions must carry scores for evaluation")
     y = cfg.y_eval_samples
-    gt_rs = [r for r in (resample_lane(g, y) for g in gts) if np.any(r.vis)]
-    pred_rs = []
-    for p in preds:
-        if p.score is None:
-            raise ValueError("predictions must carry scores for evaluation")
-        r = resample_lane(p, y)
-        if np.any(r.vis):
-            pred_rs.append(r)
-    return gt_rs, pred_rs
+    gt, pred = ([r for r in (resample_lane(lane, y) for lane in lanes) if r.vis.any()]
+                for lanes in (gts, preds))
+    return _stack(gt, y.shape[0]), _stack(pred, y.shape[0])
 
 
 @dataclass
@@ -218,36 +208,37 @@ class _FrameSteps:
     """One frame's (tp, fp, fn) as a step function of the score threshold.
 
     Row k of ``counts`` keeps the predictions scoring at least the k-th
-    highest of ``levels`` (row 0 keeps none); ``hits[k]`` lists that row's
-    true-positive (GT index, prediction index) pairs.
+    highest of ``levels`` (row 0 keeps none); ``hits[k]`` holds that row's
+    true-positive pairs as (2, T) (GT row, prediction row) indices.
     """
 
     levels: np.ndarray  # the frame's distinct prediction scores, ascending
     counts: np.ndarray  # (len(levels) + 1, 3) int64
-    hits: list[list[tuple[int, int]]]
+    hits: list[np.ndarray]
 
     def rows(self, thresholds):
         """Row in effect at each threshold: the number of levels >= it."""
         return self.levels.shape[0] - np.searchsorted(self.levels, thresholds, side="left")
 
 
-def _frame_steps(gt_rs, pred_rs, cfg: EvalConfigOL) -> _FrameSteps:
-    cost, d = _cost_matrix(gt_rs, pred_rs, cfg)
-    hit = _tp_matrix(gt_rs, d, cfg)
-    scores = np.array([p.score for p in pred_rs], dtype=np.float64)
-    levels = np.unique(scores)
-    counts = [(0, 0, len(gt_rs))]
-    hits = [[]]
+def _frame_steps(gt: ResampledLane, pred: ResampledLane, cfg: EvalConfigOL) -> _FrameSteps:
+    cost, d = _cost_matrix(gt, pred, cfg)
+    # A pair, if matched, is a true positive when more than tp_fraction of
+    # the GT-visible points are close: a perfect prediction of a partially
+    # visible lane must still count as a hit.
+    close = np.count_nonzero(d < cfg.tp_point_threshold, axis=2)
+    hit = close / np.count_nonzero(gt.vis, axis=1)[:, None] > cfg.tp_fraction
+    g = gt.x.shape[0]
+    levels = np.unique(pred.score)
+    counts = [(0, 0, g)]
+    hits = [np.empty((2, 0), dtype=np.intp)]
     for level in levels[::-1]:
-        keep = np.flatnonzero(scores >= level)
-        tp_pairs = [
-            (gi, int(keep[pi]))
-            for gi, pi, _ in _match_resampled(cost[:, keep], d[:, keep])
-            if hit[gi, keep[pi]]
-        ]
+        keep = np.flatnonzero(pred.score >= level)
+        tp_pairs = [(gi, keep[pi]) for gi, pi in _match_resampled(cost[:, keep])
+                    if hit[gi, keep[pi]]]
         tp = len(tp_pairs)
-        counts.append((tp, keep.shape[0] - tp, len(gt_rs) - tp))
-        hits.append(tp_pairs)
+        counts.append((tp, keep.shape[0] - tp, g - tp))
+        hits.append(np.array(tp_pairs, dtype=np.intp).reshape(-1, 2).T)
     return _FrameSteps(levels, np.array(counts, dtype=np.int64), hits)
 
 
@@ -287,56 +278,51 @@ def evaluate_openlane(frames, cfg: EvalConfigOL) -> EvalReport:
     steps = []
     empty_frames = []
     for idx, (gts, preds) in enumerate(frames):
-        gt_rs, pred_rs = _prepare_frame(idx, gts, preds, cfg)
-        if not gt_rs:
+        gt, pred = _prepare_frame(idx, gts, preds, cfg)
+        if not gt.x.shape[0]:
             empty_frames.append(idx)
-            if not pred_rs:
+            if not pred.x.shape[0]:
                 continue
-        steps.append((gt_rs, pred_rs, _frame_steps(gt_rs, pred_rs, cfg)))
+        steps.append((gt, pred, _frame_steps(gt, pred, cfg)))
 
-    thresholds = sorted({p.score for _, pred_rs, _ in steps for p in pred_rs}, reverse=True)
-    if not thresholds:
-        thresholds = [1.0]
+    scores = np.concatenate([np.empty(0), *(pred.score for _, pred, _ in steps)])
+    thresholds = np.unique(scores)[::-1].tolist() or [1.0]
     at = np.array(thresholds, dtype=np.float64)
     total = np.zeros((len(thresholds), 3), dtype=np.int64)
     for _, _, fs in steps:
         total += fs.counts[fs.rows(at)]
     counts = [ThresholdCounts(t, *row) for t, row in zip(thresholds, total.tolist())]
 
-    best = counts[0]
-    for c in counts:
-        if c.f1 > best.f1 or (c.f1 == best.f1 and c.threshold < best.threshold):
-            best = c
+    # The best F1, at the lowest threshold among ties.
+    best = max(counts, key=lambda c: (c.f1, -c.threshold))
 
     y = cfg.y_eval_samples
     near = (y >= cfg.near_range[0]) & (y < cfg.near_range[1])
     far = (y >= cfg.far_range[0]) & (y <= cfg.far_range[1])
-    ex_near, ex_far, ez_near, ez_far = [], [], [], []
+    # The rows of every TP pair at the best threshold, in frame order, then
+    # hit order.
+    ex, ez, mutual = ([np.empty((0, y.shape[0]), dtype)] for dtype in (float, float, bool))
     cat_hits = 0
-    for gt_rs, pred_rs, fs in steps:
-        for gi, pj in fs.hits[fs.rows(best.threshold)]:
-            g, p = gt_rs[gi], pred_rs[pj]
-            if p.category == g.category:
-                cat_hits += 1
-            mutual = g.vis & p.vis
-            ex = np.abs(g.x - p.x)
-            ez = np.abs(g.z - p.z)
-            ex_near.extend(ex[mutual & near].tolist())
-            ex_far.extend(ex[mutual & far].tolist())
-            ez_near.extend(ez[mutual & near].tolist())
-            ez_far.extend(ez[mutual & far].tolist())
+    for gt, pred, fs in steps:
+        gi, pj = fs.hits[fs.rows(best.threshold)]
+        cat_hits += np.count_nonzero(gt.category[gi] == pred.category[pj])
+        ex.append(np.abs(gt.x[gi] - pred.x[pj]))
+        ez.append(np.abs(gt.z[gi] - pred.z[pj]))
+        mutual.append(gt.vis[gi] & pred.vis[pj])
+    ex, ez, mutual = (np.concatenate(parts) for parts in (ex, ez, mutual))
 
-    def mean(values):
-        return float(np.mean(values)) if values else 0.0
+    def mean(err, span):
+        values = err[mutual & span]
+        return float(np.mean(values)) if values.size else 0.0
 
     return EvalReport(
         f1=100.0 * best.f1,
         ap=100.0 * _average_precision(counts),
         category_accuracy=100.0 * cat_hits / best.tp if best.tp else 0.0,
-        ex_near=mean(ex_near),
-        ex_far=mean(ex_far),
-        ez_near=mean(ez_near),
-        ez_far=mean(ez_far),
+        ex_near=mean(ex, near),
+        ex_far=mean(ex, far),
+        ez_near=mean(ez, near),
+        ez_far=mean(ez, far),
         counts=counts,
         best_threshold=best.threshold,
         empty_gt_frames=empty_frames,
@@ -418,27 +404,20 @@ def rasterize_top_view(poly: np.ndarray, cfg: EvalConfigONCE) -> set:
     return cells
 
 
-def _point_to_polyline_distance(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each (x, y) point to the nearest point on the polyline."""
-    if poly.shape[0] == 1:
-        return np.hypot(points[:, 0] - poly[0, 0], points[:, 1] - poly[0, 1])
-    a = poly[:-1]
-    seg = poly[1:] - a
-    seg_len2 = np.maximum((seg ** 2).sum(axis=1), 1e-300)
-    rel = points[:, None, :] - a[None, :, :]
-    t = np.clip((rel * seg[None, :, :]).sum(axis=2) / seg_len2[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * seg[None, :, :]
-    return np.sqrt(((points[:, None, :] - proj) ** 2).sum(axis=2)).min(axis=1)
-
-
-def unilateral_chamfer(pred: Lane3D, gt: Lane3D) -> float:
-    """Mean top-view distance from the prediction's visible points to the
-    ground-truth polyline."""
-    pts = _visible_polyline(pred)
-    poly = _visible_polyline(gt)
-    if pts.shape[0] == 0 or poly.shape[0] == 0:
-        return float("inf")
-    return float(_point_to_polyline_distance(pts, poly).mean())
+def unilateral_chamfer(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Mean top-view distance from the points of a prediction's visible
+    polyline to the ground-truth polyline; both are non-empty (K, 2)."""
+    if gt.shape[0] == 1:
+        dist = np.hypot(pred[:, 0] - gt[0, 0], pred[:, 1] - gt[0, 1])
+    else:
+        a = gt[:-1]
+        seg = gt[1:] - a
+        seg_len2 = np.maximum((seg ** 2).sum(axis=1), 1e-300)
+        rel = pred[:, None, :] - a[None, :, :]
+        t = np.clip((rel * seg[None, :, :]).sum(axis=2) / seg_len2[None, :], 0.0, 1.0)
+        proj = a[None, :, :] + t[:, :, None] * seg[None, :, :]
+        dist = np.sqrt(((pred[:, None, :] - proj) ** 2).sum(axis=2)).min(axis=1)
+    return float(dist.mean())
 
 
 @dataclass
@@ -467,16 +446,17 @@ def evaluate_once(frames, cfg: EvalConfigONCE) -> OnceReport:
     cd_hits: list[float] = []
     for idx, (gts, preds) in enumerate(frames):
         _check_finite(idx, gts, preds)
-        gts = [g for g in gts if g.num_visible() > 0]
-        preds = [p for p in preds if p.num_visible() > 0]
+        # A lane is visible when its polyline is non-empty.
+        gts, preds = ([poly for poly in map(_visible_polyline, lanes) if poly.shape[0]]
+                      for lanes in (gts, preds))
         if not gts and not preds:
             continue
         if not gts or not preds:
             fn += len(gts)
             fp += len(preds)
             continue
-        gt_cells = [rasterize_top_view(_visible_polyline(g), cfg) for g in gts]
-        pred_cells = [rasterize_top_view(_visible_polyline(p), cfg) for p in preds]
+        gt_cells = [rasterize_top_view(g, cfg) for g in gts]
+        pred_cells = [rasterize_top_view(p, cfg) for p in preds]
         cost = np.full((len(gts), len(preds)), _NON_CANDIDATE)
         candidate = np.zeros((len(gts), len(preds)), dtype=bool)
         for i, g in enumerate(gts):

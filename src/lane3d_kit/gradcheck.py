@@ -36,18 +36,18 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def _central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def _central_difference(f, x: np.ndarray) -> np.ndarray:
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     out = grad.reshape(-1)
     for i in range(flat.shape[0]):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         hi = f()
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         lo = f()
         flat[i] = orig
-        out[i] = (hi - lo) / (2.0 * h)
+        out[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad
 
 

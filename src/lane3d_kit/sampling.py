@@ -37,10 +37,6 @@ class FeatureMap:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature map contains non-finite values")
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
 
 @dataclass
 class FeatureVolume:
@@ -63,10 +59,6 @@ class FeatureVolume:
             raise ShapeMismatch("volume extent", "(3, 2)", self.extent.shape)
         if not np.all(self.extent[:, 0] < self.extent[:, 1]):
             raise ValueError(f"volume extent min must be < max per axis: {self.extent}")
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.data.shape
 
 
 @dataclass

@@ -9,8 +9,9 @@ Both functions take the file paths, so every input error is a
   prediction frame, or against none when no prediction frame has its id.
 - Ground-truth lanes with no visible point are left out.
 - The losses need every lane of both files on the profile's y-grid with a
-  ``category`` in 0..S-1, ``class_probs`` of S+1 values on every predicted
-  lane, and at least one lane in every prediction frame.
+  ``category`` in 0..S-1 and ``visibility`` in [0, 1], ``class_probs`` of
+  S+1 values in [0, 1] summing to 1 on every predicted lane, and at least
+  one lane in every prediction frame.
 - OpenLane needs a ``score`` on every predicted lane of a kept frame; ONCE
   reads no scores.
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anchors import ROW_SUM_TOL
 from .config import DatasetProfile, RunConfig
 from .errors import FileFormatError
 from .evaluation import EvalReport, OnceReport, evaluate_once, evaluate_openlane
@@ -44,18 +46,35 @@ def _read_paired(gt_path, pred_path):
     return gt_frames, [(k, pf, gt_index[pf.id]) for k, pf in enumerate(pred_frames)]
 
 
+def _check_unit_interval(values: np.ndarray, path, where: str) -> None:
+    """Reject, at its element's pointer, the first of ``values`` outside [0, 1]."""
+    bad = np.flatnonzero((values < 0.0) | (values > 1.0))
+    if bad.size:
+        raise FileFormatError(path, f"{where}/{bad[0]}",
+                              f"expected a value in [0, 1], got {float(values[bad[0]])}")
+
+
 def _check_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> None:
     """Reject a lane the losses cannot score on ``profile``: off its y-grid, a
-    category outside 0..S-1, or ``class_probs`` without S+1 values."""
+    category outside 0..S-1, a visibility outside [0, 1], or ``class_probs``
+    that are not S+1 values in [0, 1] summing to 1."""
     y, s = profile.y_samples, profile.num_categories
     if lane.y.shape != y.shape or not np.allclose(lane.y, y, atol=1e-9):
         raise FileFormatError(path, where, "lane is not on the profile y-grid")
     if not 0 <= lane.category < s:
         raise FileFormatError(path, f"{where}/category",
                               f"expected a category in 0..{s - 1}, got {lane.category}")
-    if lane.class_probs is not None and lane.class_probs.shape != (s + 1,):
+    _check_unit_interval(lane.visibility, path, f"{where}/visibility")
+    if lane.class_probs is None:
+        return
+    if lane.class_probs.shape != (s + 1,):
         raise FileFormatError(path, f"{where}/class_probs",
                               f"expected S+1 = {s + 1} values, got shape {lane.class_probs.shape}")
+    _check_unit_interval(lane.class_probs, path, f"{where}/class_probs")
+    total = float(lane.class_probs.sum())
+    if abs(total - 1.0) > ROW_SUM_TOL:
+        raise FileFormatError(path, f"{where}/class_probs",
+                              f"expected probabilities summing to 1, got a sum of {total}")
 
 
 def _proposal_from_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> Proposal:

@@ -64,6 +64,11 @@ class NoiseSpec:
     score: float = 1.0
     drop_rate: float = 0.0
 
+    def __post_init__(self):
+        for name in ("score", "drop_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+
 
 def build_rig(spec: SceneSpec, with_lidar: bool = False) -> CameraRig:
     """Camera rig for a scene: height above the origin, optional down-pitch.
@@ -176,12 +181,12 @@ def rasterize_volume(
     gts: list[Lane3D],
     dims: tuple[int, int, int, int],
     extent: np.ndarray,
-    sigma_cells: float = 1.0,
 ) -> FeatureVolume:
     """Voxel-grid analogue of :func:`rasterize_features` for fusion tests.
 
-    Visible lane points splat Gaussian bumps into channel 0 of the volume;
-    the extent gives first/last cell-center positions per axis (x, y, z).
+    Visible lane points splat Gaussian bumps, of one cell's standard
+    deviation, into channel 0 of the volume; the extent gives first/last
+    cell-center positions per axis (x, y, z).
     """
     d, h, w, c = dims
     extent = np.asarray(extent, dtype=np.float64)
@@ -202,7 +207,7 @@ def rasterize_volume(
             fz = (zs - pz) / steps[2]
             bump = np.exp(
                 -(fz[:, None, None] ** 2 + fy[None, :, None] ** 2 + fx[None, None, :] ** 2)
-                / (2.0 * sigma_cells ** 2)
+                / 2.0
             )
             np.maximum(data[:, :, :, 0], bump, out=data[:, :, :, 0])
     return FeatureVolume(data=data, extent=extent)

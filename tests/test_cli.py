@@ -428,6 +428,20 @@ def test_evaluate_out_to_a_directory_exits_2(tmp_path):
     ("gt", lambda d: d["frames"][0]["lanes"][2].update(category=2),
      "/frames/0/lanes/2/category", "expected a category in 0..0, got 2"),
     ("pred", lambda d: d["frames"][0].update(lanes=[]), "/frames/0/lanes", "no lane to assign"),
+    ("gt", lambda d: d["frames"][0]["lanes"][0].update(visibility=[7] * 10),
+     "/frames/0/lanes/0/visibility/0", "expected a value in [0, 1], got 7.0"),
+    ("gt", lambda d: d["frames"][0]["lanes"][1].update(visibility=[1, -1] + [0] * 8),
+     "/frames/0/lanes/1/visibility/1", "expected a value in [0, 1], got -1.0"),
+    ("pred", lambda d: d["frames"][0]["lanes"][2]["visibility"].__setitem__(3, 1.5),
+     "/frames/0/lanes/2/visibility/3", "expected a value in [0, 1], got 1.5"),
+    ("pred", lambda d: d["frames"][0]["lanes"][0].update(class_probs=[1.5, -0.5]),
+     "/frames/0/lanes/0/class_probs/0", "expected a value in [0, 1], got 1.5"),
+    ("pred", lambda d: d["frames"][0]["lanes"][1].update(class_probs=[1.2, -0.2]),
+     "/frames/0/lanes/1/class_probs/0", "expected a value in [0, 1], got 1.2"),
+    ("pred", lambda d: d["frames"][0]["lanes"][1].update(class_probs=[0.5, 0.6]),
+     "/frames/0/lanes/1/class_probs", "expected probabilities summing to 1, got a sum of 1.1"),
+    ("pred", lambda d: d["frames"][0]["lanes"][2].update(class_probs=[0.5, 0.5 - 2e-6]),
+     "/frames/0/lanes/2/class_probs", "expected probabilities summing to 1"),
 ])
 def test_loss_errors_name_the_file_and_frame_index(tmp_path, which, edit, pointer, message):
     config, gt = _loss_inputs(tmp_path)
@@ -639,6 +653,10 @@ def test_gen_scene_fills_omitted_keys_with_defaults(tmp_path):
     ({"feature_channels": 0}, "/", "feature_channels must be >= 1, got 0"),
     ({"image_size": [360, 0]}, "/", "image_size[1] // feature_stride must be >= 1, got 0"),
     ({"lidar": True, "lidar_channels": -1}, "/", "lidar_channels must be >= 1, got -1"),
+    ({"noise": {"score": 1.5}}, "/noise", "score must be in [0, 1], got 1.5"),
+    ({"noise": {"score": -0.2}}, "/noise", "score must be in [0, 1], got -0.2"),
+    ({"noise": {"drop_rate": 1.01}}, "/noise", "drop_rate must be in [0, 1], got 1.01"),
+    ({"noise": {"drop_rate": -0.5}}, "/noise", "drop_rate must be in [0, 1], got -0.5"),
 ])
 def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, message):
     path = tmp_path / "spec.json"

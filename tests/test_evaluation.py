@@ -8,6 +8,8 @@ from lane3d_kit.evaluation import (
     evaluate_openlane,
     _cost_matrix,
     _match_resampled,
+    _stack,
+    _visible_polyline,
     format_report_table,
     rasterize_top_view,
     resample_lane,
@@ -36,9 +38,13 @@ def cfg_ol():
     return EvalConfigOL(y_eval_samples=Y20)
 
 
+def stacked(resampled):
+    return _stack(resampled, Y20.shape[0])
+
+
 def pair_cost(g, p, cfg):
     """The matching cost of one (GT, prediction) pair, and its distances."""
-    cost, d = _cost_matrix([resample_lane(g, Y20)], [resample_lane(p, Y20)], cfg)
+    cost, d = _cost_matrix(stacked([resample_lane(g, Y20)]), stacked([resample_lane(p, Y20)]), cfg)
     assert cost.shape == (1, 1) and d.shape == (1, 1, Y20.shape[0])
     return cost[0, 0], d[0, 0]
 
@@ -70,7 +76,7 @@ def test_cost_matrix_equals_the_per_pair_formula(rng):
             ln.visibility = (rng.random(20) < 0.7).astype(float)
             lanes.append(resample_lane(ln, Y20))
         gts, preds = lanes[: len(lanes) // 2], lanes[len(lanes) // 2:]
-        cost, d = _cost_matrix(gts, preds, cfg)
+        cost, d = _cost_matrix(stacked(gts), stacked(preds), cfg)
         assert cost.shape == (len(gts), len(preds))
         assert d.shape == (len(gts), len(preds), 20)
         for i, g in enumerate(gts):
@@ -85,16 +91,15 @@ def test_cost_matrix_equals_the_per_pair_formula(rng):
 
 
 def resampled_costs(gts, preds, cfg):
-    return _cost_matrix(
-        [resample_lane(g, Y20) for g in gts], [resample_lane(p, Y20) for p in preds], cfg
-    )
+    return _cost_matrix(stacked([resample_lane(g, Y20) for g in gts]),
+                        stacked([resample_lane(p, Y20) for p in preds]), cfg)
 
 
 def test_match_lanes_coincident():
     cost, d = resampled_costs([lane(0.0)], [lane(0.0, score=1.0)], cfg_ol())
-    [(i, j, dist)] = _match_resampled(cost, d)
+    [(i, j)] = _match_resampled(cost)
     assert (i, j) == (0, 0)
-    np.testing.assert_array_equal(dist, 0.0)
+    np.testing.assert_array_equal(d[i, j], 0.0)
 
 
 def test_match_lanes_crossed_costs_vs_brute_force(rng):
@@ -102,11 +107,11 @@ def test_match_lanes_crossed_costs_vs_brute_force(rng):
     for _ in range(20):
         gts = [lane(v) for v in rng.uniform(-8, 8, size=int(rng.integers(1, 5)))]
         preds = [lane(v, score=1.0) for v in rng.uniform(-8, 8, size=int(rng.integers(1, 5)))]
-        cost, d = resampled_costs(gts, preds, cfg)
-        pairs = _match_resampled(cost, d)
+        cost, _ = resampled_costs(gts, preds, cfg)
+        pairs = _match_resampled(cost)
         assert len(pairs) == min(len(gts), len(preds))
-        assert len({i for i, _, _ in pairs}) == len({j for _, j, _ in pairs}) == len(pairs)
-        total = sum(cost[i, j] for i, j, _ in pairs)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        total = sum(cost[i, j] for i, j in pairs)
         assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
 
 
@@ -242,7 +247,7 @@ def test_once_shift_beyond_tau_is_fp():
     report = evaluate_once([(gts, preds)], EvalConfigONCE())
     assert report.tp == 0 and report.fp == 1 and report.fn == 1
     wide = EvalConfigONCE(lane_width=0.5)
-    cd = unilateral_chamfer(preds[0], gts[0])
+    cd = unilateral_chamfer(_visible_polyline(preds[0]), _visible_polyline(gts[0]))
     assert cd == pytest.approx(0.4, abs=1e-9)
     report = evaluate_once([(gts, preds)], wide)
     assert report.tp == 0 and report.fp == 1 and report.fn == 1

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lane3d_kit import losses
@@ -477,13 +477,20 @@ def tau_among(x, y, quantile):
     return max(float(np.quantile(deltas, quantile)), 1e-9)
 
 
-INSTANCES = dict(g=st.integers(0, 6), p=st.integers(1, 6), n=st.integers(2, 10),
+# Up to 12 matched pairs: np.sum adds 8 or more values pairwise, so only
+# then does a total that is not added in pair order show.
+INSTANCES = dict(g=st.integers(0, 12), p=st.integers(1, 12), n=st.integers(2, 10),
                  tau_quantile=st.sampled_from([0.0, 0.3, 0.5, 1.0, None]),
                  seed=st.integers(0, 2**32 - 1))
+# Instances of 8 and 10 pairs whose regression total np.sum rounds differently.
+MANY_PAIRS = [dict(g=10, p=12, n=6, tau_quantile=0.5, seed=0),
+              dict(g=8, p=8, n=10, tau_quantile=None, seed=0)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(**INSTANCES)
+@example(**MANY_PAIRS[0])
+@example(**MANY_PAIRS[1])
 def test_broadcast_losses_equal_their_per_pair_references(g, p, n, tau_quantile, seed):
     y, gts, props, a = random_instance(g, p, n, seed)
     k = len(a.positives)
@@ -523,6 +530,8 @@ def test_broadcast_losses_equal_their_per_pair_references(g, p, n, tau_quantile,
 
 @settings(max_examples=200, deadline=None)
 @given(**INSTANCES, lambdas=st.tuples(*[st.floats(0.0, 10.0)] * 3))
+@example(**MANY_PAIRS[0], lambdas=(1.0, 1.0, 1.0))
+@example(**MANY_PAIRS[1], lambdas=(0.5, 2.0, 1.0))
 def test_total_loss_equals_its_references_composed_bitwise(g, p, n, tau_quantile, seed,
                                                            lambdas):
     y, gts, props, a = random_instance(g, p, n, seed)
