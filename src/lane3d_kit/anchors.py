@@ -103,10 +103,6 @@ class CoefficientMatrices:
             if not np.allclose(m.sum(axis=1), 1.0, atol=ROW_SUM_TOL):
                 raise ValueError(f"{name} coefficient rows do not sum to 1")
 
-    @property
-    def num_anchors(self) -> int:
-        return self.xs.shape[0]
-
 
 @dataclass
 class CoefficientHeadWeights:

@@ -224,10 +224,17 @@ def cmd_forward(args) -> int:
     frames = read_lane_file(scene / "gt.json")
     tensors = read_tensors(scene / "features.a3t")
     weights = load_weights_file(args.weights)
+    columns = {"cls_w": ("S+1", cfg.profile.num_categories + 1),
+               "reg_w": ("3N", 3 * cfg.profile.num_points)}
     for i, (_, wid) in enumerate(cfg.plan.stages):
         if wid not in weights[2]:
             raise FileFormatError(args.config or "default config", f"/plan/{i}",
                                   f"head weights id {wid!r} is not in {args.weights}")
+        for name, (label, want) in columns.items():
+            got = getattr(weights[2][wid], name).shape[1]
+            if got != want:
+                raise FileFormatError(args.weights, f"head.{wid}.{name}",
+                                      f"expected {label} = {want} columns, got {got}")
 
     out_frames = []
     traces = []

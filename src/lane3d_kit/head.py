@@ -54,10 +54,6 @@ class Proposal:
             self.score = float(self.class_probs[:-1].max()) if self.class_probs.shape[0] > 1 else float(self.class_probs[0])
 
     @property
-    def num_points(self) -> int:
-        return self.x.shape[0]
-
-    @property
     def category(self) -> int:
         """Most likely lane category (ignoring the non-lane slot)."""
         return int(np.argmax(self.class_probs[:-1])) if self.class_probs.shape[0] > 1 else 0
@@ -123,16 +119,6 @@ class HeadWeights:
         return self.reg_w.shape[1] // 3
 
     @classmethod
-    def zeros(cls, feature_len: int, num_classes: int, num_points: int) -> "HeadWeights":
-        c = feature_len
-        return cls(
-            w_q=np.zeros((c, c)), w_k=np.zeros((c, c)),
-            w_v=np.zeros((c, c)), w_o=np.zeros((c, c)),
-            cls_w=np.zeros((c, num_classes + 1)), cls_b=np.zeros(num_classes + 1),
-            reg_w=np.zeros((c, 3 * num_points)), reg_b=np.zeros(3 * num_points),
-        )
-
-    @classmethod
     def random(cls, rng: np.random.Generator, feature_len: int, num_classes: int,
                num_points: int, scale: float = 0.02) -> "HeadWeights":
         c = feature_len
@@ -161,9 +147,6 @@ class StagePlan:
                 raise ValueError(f"pyramid level must be 3, 4 or 5, got {level}")
         if not self.stages:
             raise ValueError("stage plan is empty")
-
-    def __len__(self) -> int:
-        return len(self.stages)
 
 
 def self_attention(x: np.ndarray, w: HeadWeights) -> np.ndarray:

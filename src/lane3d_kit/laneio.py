@@ -30,9 +30,17 @@ declaration, so one policy holds at every level:
   them.
 
 Beyond that, ``points`` must be (K, 3) with strictly increasing y and
-``visibility`` must hold K values; an invalid rig is reported at
-``.../camera``.  Every error is a :class:`FileFormatError` at the JSON
-pointer of the value that caused it.
+``visibility`` must hold K values in [0, 1]; an invalid rig is reported at
+``.../camera``.  Every coordinate's magnitude must be below 1e150
+(``COORD_LIMIT``): below it, every squared distance between two points and
+every per-lane sum of such distances that the losses and metrics form stays
+finite.  Every error is a :class:`FileFormatError` at the JSON pointer of
+the value that caused it.
+
+This module checks what every reader of a lane file needs.  What only the
+losses need (the profile's y-grid, a ``category`` in 0..S-1 and
+``class_probs`` of S+1 probabilities) is checked by
+:mod:`lane3d_kit.scoring`.
 
 Reading is dominated by parsing.  ``read_lane_file`` pauses Python's cyclic
 garbage collector from the parse until the parsed document is dropped:
@@ -43,7 +51,8 @@ all of it and no collection is put off.  The collector's prior state is
 restored on return and on error; one that was off stays off.  Each array
 field (``points``, ``visibility``, ``class_probs``) is then converted once
 for the whole file (:func:`lane3d_kit.jsonable.decode_arrays`) and sliced
-per lane.
+per lane; the coordinate and visibility ranges are checked once per file the
+same way.
 """
 
 from __future__ import annotations
@@ -61,6 +70,8 @@ from .errors import FileFormatError
 from .geometry import CameraRig
 from .jsonable import decode_arrays, from_json, read_json, to_json
 from .lanes import Lane3D
+
+COORD_LIMIT = 1e150
 
 
 @dataclass
@@ -143,6 +154,18 @@ def _lane(ld: _LaneDoc, points, vis, probs, path, ptr: str) -> Lane3D:
         raise FileFormatError(path, f"{ptr}/points", str(e)) from e
 
 
+def _check_range(arrays: list[np.ndarray], bad, path, where, message: str) -> None:
+    """Reject, at its pointer below ``where(k)``, the first element of ``arrays``
+    for which ``bad`` holds; one test covers the whole file, and the element is
+    only looked for once that test fails."""
+    if not arrays or not bad(np.concatenate([a.ravel() for a in arrays])).any():
+        return
+    k = next(k for k, a in enumerate(arrays) if bad(a).any())
+    first = tuple(np.argwhere(bad(arrays[k]))[0])
+    raise FileFormatError(path, "/".join([where(k), *map(str, first)]),
+                          message.format(float(arrays[k][first])))
+
+
 def read_lane_file(path) -> list[Frame]:
     enabled = gc.isenabled()
     gc.disable()  # see the module docstring
@@ -174,7 +197,12 @@ def _decode(doc, path) -> list[Frame]:
                              lambda n: f"{ptrs[ks[n]]}/{name}")
 
     every = range(len(lanes))
-    points, vis = column("points", every), column("visibility", every)
+    points = column("points", every)
+    _check_range(points, lambda v: np.abs(v) >= COORD_LIMIT, path,
+                 lambda k: f"{ptrs[k]}/points", "expected a magnitude below 1e150, got {}")
+    vis = column("visibility", every)
+    _check_range(vis, lambda v: (v < 0.0) | (v > 1.0), path,
+                 lambda k: f"{ptrs[k]}/visibility", "expected a value in [0, 1], got {}")
     with_probs = [k for k in every if lanes[k].class_probs is not None]
     probs = dict(zip(with_probs, column("class_probs", with_probs)))
     first = {}

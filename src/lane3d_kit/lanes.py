@@ -44,9 +44,6 @@ class Lane3D:
         if self.class_probs is not None:
             self.class_probs = np.asarray(self.class_probs, dtype=np.float64)
 
-    def __len__(self) -> int:
-        return self.y.shape[0]
-
     @property
     def points(self) -> np.ndarray:
         """(N, 3) array of xyz coordinates."""

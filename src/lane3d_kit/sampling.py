@@ -3,6 +3,9 @@
 Grids are center-aligned: a sample exactly on an integer cell coordinate
 returns that cell's stored value.  Samples outside the grid (or behind the
 camera) return zeros and are flagged invalid so they stay inert downstream.
+One multilinear interpolation, :func:`_interpolate`, reads both kinds of
+grid; :func:`bilinear_sample` and :func:`trilinear_sample` only map their
+points to fractional cell coordinates.
 
 Each refinement stage makes one sampling pass per modality:
 :func:`sample_anchors` projects and bilinearly samples every anchor's
@@ -12,7 +15,7 @@ trilinearly samples them in one call; both then slice the result per anchor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +47,8 @@ class FeatureVolume:
 
     Axis mapping: D indexes z (up), H indexes y (forward), W indexes x
     (right).  ``extent`` is a (3, 2) array of per-axis (min, max) in x, y, z
-    order, giving the positions of the first and last cell centers.
+    order, giving the positions of the first and last cell centers.  Along
+    an axis with a single cell, that cell's center sits mid-extent.
     """
 
     data: np.ndarray
@@ -86,87 +90,51 @@ class AnchorFeature:
         return self.values.reshape(-1)
 
 
+def _interpolate(grid: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multilinear interpolation over ``grid``'s leading d axes at (M, d)
+    fractional cell coordinates.
+
+    Returns (values (M, C), valid (M,)); a point outside the grid along any
+    axis is zeroed and flagged invalid.  The lerps nest with the last axis
+    innermost.
+    """
+    d = frac.shape[1]
+    size = np.array(grid.shape[:d])
+    valid = np.all((frac >= 0.0) & (frac <= size - 1.0), axis=1)
+    frac = np.clip(frac, 0.0, size - 1.0)
+    lo = np.minimum(np.floor(frac).astype(np.intp), np.maximum(size - 2, 0))
+    corners = (lo, np.minimum(lo + 1, size - 1))
+    t = frac - lo
+
+    def lerp(axis: int, index: tuple) -> np.ndarray:
+        if axis == d:
+            return grid[index]
+        a, b = (lerp(axis + 1, (*index, c[:, axis])) for c in corners)
+        f = t[:, axis, None]
+        return a * (1 - f) + b * f
+
+    out = lerp(0, ())
+    out[~valid] = 0.0
+    return out, valid
+
+
 def bilinear_sample(
     fm: FeatureMap, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear interpolation of a feature map at (M,) fractional (u, v) points.
-
-    Returns (values (M, C), valid (M,)); points outside the grid are zeroed
-    and flagged invalid.
-    """
-    data = fm.data
-    h, w, _ = data.shape
-    valid = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    uc = np.clip(u, 0.0, w - 1.0)
-    vc = np.clip(v, 0.0, h - 1.0)
-    u0 = np.minimum(np.floor(uc).astype(np.intp), w - 2 if w > 1 else 0)
-    v0 = np.minimum(np.floor(vc).astype(np.intp), h - 2 if h > 1 else 0)
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    fu = (uc - u0)[:, None]
-    fv = (vc - v0)[:, None]
-    out = (
-        data[v0, u0] * (1.0 - fu) * (1.0 - fv)
-        + data[v0, u1] * fu * (1.0 - fv)
-        + data[v1, u0] * (1.0 - fu) * fv
-        + data[v1, u1] * fu * fv
-    )
-    out[~valid] = 0.0
-    return out, valid
-
-
-def _volume_fractional_coords(fv: FeatureVolume, xyz: np.ndarray) -> np.ndarray:
-    """Map ground/LiDAR-frame points to fractional (iz, iy, ix) cell coords."""
-    d, h, w, _ = fv.data.shape
-    counts = np.array([w, h, d], dtype=np.float64)  # x, y, z order
-    span = fv.extent[:, 1] - fv.extent[:, 0]
-    # With a single cell along an axis the center sits mid-extent.
-    denom = np.where(counts > 1, span, 1.0)
-    steps = np.where(counts > 1, denom / np.maximum(counts - 1, 1), 1.0)
-    rel = (xyz - fv.extent[:, 0]) / steps
-    single = counts == 1
-    if np.any(single):
-        mid = (fv.extent[:, 0] + fv.extent[:, 1]) * 0.5
-        rel[:, single] = (xyz[:, single] - mid[single]) / steps[single]
-    return rel[:, ::-1]  # -> (iz, iy, ix)
+    """Bilinear interpolation of a feature map at (M,) fractional (u, v)
+    points; the result is :func:`_interpolate`'s."""
+    return _interpolate(fm.data, np.stack([v, u], axis=1))
 
 
 def trilinear_sample(fv: FeatureVolume, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trilinear interpolation of a feature volume at (M, 3) LiDAR-frame points.
-
-    Returns (values (M, C), valid (M,)); points outside the extent are
-    zeroed and flagged invalid.
-    """
-    d, h, w, _ = fv.data.shape
-    frac = _volume_fractional_coords(fv, np.asarray(xyz, dtype=np.float64))
-    iz, iy, ix = frac[:, 0], frac[:, 1], frac[:, 2]
-    valid = (
-        (ix >= 0.0) & (ix <= w - 1.0)
-        & (iy >= 0.0) & (iy <= h - 1.0)
-        & (iz >= 0.0) & (iz <= d - 1.0)
-    )
-    ixc = np.clip(ix, 0.0, w - 1.0)
-    iyc = np.clip(iy, 0.0, h - 1.0)
-    izc = np.clip(iz, 0.0, d - 1.0)
-    x0 = np.minimum(np.floor(ixc).astype(np.intp), w - 2 if w > 1 else 0)
-    y0 = np.minimum(np.floor(iyc).astype(np.intp), h - 2 if h > 1 else 0)
-    z0 = np.minimum(np.floor(izc).astype(np.intp), d - 2 if d > 1 else 0)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    z1 = np.minimum(z0 + 1, d - 1)
-    fx = (ixc - x0)[:, None]
-    fy = (iyc - y0)[:, None]
-    fz = (izc - z0)[:, None]
-    g = fv.data
-    c00 = g[z0, y0, x0] * (1 - fx) + g[z0, y0, x1] * fx
-    c01 = g[z0, y1, x0] * (1 - fx) + g[z0, y1, x1] * fx
-    c10 = g[z1, y0, x0] * (1 - fx) + g[z1, y0, x1] * fx
-    c11 = g[z1, y1, x0] * (1 - fx) + g[z1, y1, x1] * fx
-    c0 = c00 * (1 - fy) + c01 * fy
-    c1 = c10 * (1 - fy) + c11 * fy
-    out = c0 * (1 - fz) + c1 * fz
-    out[~valid] = 0.0
-    return out, valid
+    """Trilinear interpolation of a feature volume at (M, 3) LiDAR-frame
+    points; the result is :func:`_interpolate`'s."""
+    counts = np.array(fv.data.shape[2::-1])  # cells along x, y, z
+    lo, hi = fv.extent[:, 0], fv.extent[:, 1]
+    origin = np.where(counts > 1, lo, (lo + hi) * 0.5)
+    step = np.where(counts > 1, (hi - lo) / np.maximum(counts - 1, 1), 1.0)
+    rel = (np.asarray(xyz, dtype=np.float64) - origin) / step
+    return _interpolate(fv.data, rel[:, ::-1])  # -> (iz, iy, ix)
 
 
 def _per_anchor(values: np.ndarray, valid: np.ndarray, n: int) -> list[AnchorFeature]:

@@ -9,9 +9,11 @@ Both functions take the file paths, so every input error is a
   prediction frame, or against none when no prediction frame has its id.
 - Ground-truth lanes with no visible point are left out.
 - The losses need every lane of both files on the profile's y-grid with a
-  ``category`` in 0..S-1 and ``visibility`` in [0, 1], ``class_probs`` of
-  S+1 values in [0, 1] summing to 1 on every predicted lane, and at least
-  one lane in every prediction frame.
+  ``category`` in 0..S-1, ``class_probs`` of S+1 values in [0, 1] summing
+  to 1 on every predicted lane, and at least one lane in every prediction
+  frame.  These rules are checked here; what every reader needs (finite
+  coordinates below :data:`~lane3d_kit.laneio.COORD_LIMIT` in magnitude, a
+  ``visibility`` in [0, 1]) is checked by :mod:`lane3d_kit.laneio`.
 - OpenLane needs a ``score`` on every predicted lane of a kept frame; ONCE
   reads no scores.
 
@@ -56,15 +58,14 @@ def _check_unit_interval(values: np.ndarray, path, where: str) -> None:
 
 def _check_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> None:
     """Reject a lane the losses cannot score on ``profile``: off its y-grid, a
-    category outside 0..S-1, a visibility outside [0, 1], or ``class_probs``
-    that are not S+1 values in [0, 1] summing to 1."""
+    category outside 0..S-1, or ``class_probs`` that are not S+1 values in
+    [0, 1] summing to 1."""
     y, s = profile.y_samples, profile.num_categories
     if lane.y.shape != y.shape or not np.allclose(lane.y, y, atol=1e-9):
         raise FileFormatError(path, where, "lane is not on the profile y-grid")
     if not 0 <= lane.category < s:
         raise FileFormatError(path, f"{where}/category",
                               f"expected a category in 0..{s - 1}, got {lane.category}")
-    _check_unit_interval(lane.visibility, path, f"{where}/visibility")
     if lane.class_probs is None:
         return
     if lane.class_probs.shape != (s + 1,):

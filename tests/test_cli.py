@@ -260,6 +260,33 @@ def test_evaluate_rejects_a_repeated_frame_id(tmp_path, which):
     assert f"{files[which]}: at /frames/16/id: frame id '1' repeats /frames/1/id" in err
 
 
+@pytest.mark.parametrize("protocol", ["openlane", "once"])
+def test_evaluate_rejects_a_visibility_outside_the_unit_interval(tmp_path, protocol):
+    gt = _edited(GOLDEN / f"{protocol}_gt.json", tmp_path / "gt.json",
+                 lambda d: d["frames"][2]["lanes"][0].update(
+                     visibility=[7] * len(d["frames"][2]["lanes"][0]["visibility"])))
+    code, out, err = call("evaluate", "--protocol", protocol, "--gt", gt,
+                          "--pred", GOLDEN / f"{protocol}_pred.json")
+    assert code == EXIT_INPUT and out == ""
+    assert f"{gt}: at /frames/2/lanes/0/visibility/0: expected a value in [0, 1], got 7.0" in err
+
+
+def test_coordinates_whose_squares_overflow_exit_2_at_their_pointer(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"noise": {"lateral_offset": 1.7e308}}))
+    scene = tmp_path / "scene"
+    assert call("gen-scene", "--spec", spec, "--out", scene)[0] == EXIT_OK
+    files = ("--gt", scene / "gt.json", "--pred", scene / "preds.json")
+    for argv in (("evaluate", "--protocol", "openlane", *files), ("loss", *files)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = call(*argv)
+        assert code == EXIT_INPUT and out == "" and caught == [], argv
+        assert "RuntimeWarning" not in err
+        assert (f"{scene / 'preds.json'}: at /frames/0/lanes/0/points/0/0: "
+                "expected a magnitude below 1e150, got 1.7e+308") in err
+
+
 def _loss_inputs(tmp_path) -> tuple[Path, Path]:
     """Config and GT of the golden chain, whose predictions are ``CHAIN/preds.json``."""
     spec, config = tmp_path / "spec.json", tmp_path / "config.json"
@@ -476,6 +503,28 @@ def test_forward_names_a_plan_head_id_missing_from_the_weights(tmp_path, plan, p
                              "--weights", weights, "--out", out)
     assert code == EXIT_INPUT and stdout == "" and not out.exists()
     assert f"{config}: at {pointer}: head weights id 's9' is not in {weights}" in err
+
+
+@pytest.mark.parametrize("weights_profile, profile, name, message", [
+    ("openlane", "apollosim", "cls_w", "expected S+1 = 2 columns, got 15"),
+    ("openlane", "once", "cls_w", "expected S+1 = 2 columns, got 15"),
+    ("once", "apollosim", "reg_w", "expected 3N = 60 columns, got 30"),
+])
+def test_forward_names_a_head_built_for_another_profile(tmp_path, weights_profile, profile,
+                                                        name, message):
+    _, scene, _ = _chain_scene(tmp_path)
+    configs = {}
+    for p in {weights_profile, profile}:
+        configs[p] = tmp_path / f"config_{p}.json"
+        configs[p].write_text(json.dumps({**chain_config(), "profile": to_json(make_profile(p))}))
+    weights = tmp_path / "other.a3t"
+    assert call("gen-weights", "--config", configs[weights_profile],
+                "--out", weights)[0] == EXIT_OK
+    out = tmp_path / "out.json"
+    code, stdout, err = call("forward", "--config", configs[profile], "--scene", scene,
+                             "--weights", weights, "--out", out)
+    assert code == EXIT_INPUT and stdout == "" and not out.exists()
+    assert f"{weights}: at head.s1.{name}: {message}" in err
 
 
 # --- which tensors a frame reads -----------------------------------------------------

@@ -64,9 +64,16 @@ def test_attention_shape_mismatch(rng):
         self_attention(rng.normal(size=(4, 7)), w)
 
 
+def zero_weights(c: int, s: int, n: int) -> HeadWeights:
+    """All-zero head weights for C features, S categories and N points."""
+    shapes = {"w_q": (c, c), "w_k": (c, c), "w_v": (c, c), "w_o": (c, c),
+              "cls_w": (c, s + 1), "cls_b": (s + 1,), "reg_w": (c, 3 * n), "reg_b": (3 * n,)}
+    return HeadWeights(**{name: np.zeros(shape) for name, shape in shapes.items()})
+
+
 def test_predict_zero_network():
     n, s, c = 3, 4, 6
-    w = HeadWeights.zeros(c, s, n)
+    w = zero_weights(c, s, n)
     anchors = anchors_at([-2.0, 1.0], n=n)
     feats = np.zeros((2, c))
     props = predict(feats, anchors, w)
@@ -79,7 +86,7 @@ def test_predict_zero_network():
 
 def test_predict_bias_only_offset():
     n, s, c = 3, 1, 4
-    w = HeadWeights.zeros(c, s, n)
+    w = zero_weights(c, s, n)
     w.reg_b[:n] = 1.0  # x offsets
     anchors = anchors_at([0.5], n=n)
     props = predict(np.zeros((1, c)), anchors, w)
@@ -168,8 +175,8 @@ def test_oracle_head_reaches_fixed_point(rng, monkeypatch):
 def test_zero_regression_weights_pass_anchors_through(rng):
     profile, gts, rig, features, bank, coeff, _ = pipeline_fixture(rng)
     heads = {
-        f"stage{i}": HeadWeights.zeros(profile.num_points * 2,
-                                       profile.num_categories, profile.num_points)
+        f"stage{i}": zero_weights(profile.num_points * 2, profile.num_categories,
+                                   profile.num_points)
         for i in range(1, 5)
     }
     result = run_pipeline(features, None, rig, bank, coeff, heads, StagePlan(),

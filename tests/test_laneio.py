@@ -110,6 +110,22 @@ def pointer_table_doc() -> dict:
     ]}
 
 
+def pointer_table_doc_with(field, index, pointer, bad) -> dict:
+    """:func:`pointer_table_doc` with item ``index`` of ``field`` of the lane
+    at ``pointer`` set to ``bad``."""
+    doc = pointer_table_doc()
+    frame, lane = (int(part) for part in pointer.split("/")[2:5:2])
+    lane = doc["frames"][frame]["lanes"][lane]
+    if index:
+        target = lane[field]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = bad
+    else:
+        lane[field] = bad
+    return doc
+
+
 @pytest.mark.parametrize(
     "field, index, pointer",
     [
@@ -125,21 +141,45 @@ def pointer_table_doc() -> dict:
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_value_reports_its_pointer(tmp_path, field, index, pointer, bad):
     path = tmp_path / "lanes.json"
-    doc = pointer_table_doc()
-    frame, lane = (int(part) for part in pointer.split("/")[2:5:2])
-    lane = doc["frames"][frame]["lanes"][lane]
-    if index:
-        target = lane[field]
-        for i in index[:-1]:
-            target = target[i]
-        target[index[-1]] = bad
-    else:
-        lane[field] = bad
-    path.write_text(json.dumps(doc))  # writes the NaN / Infinity literals
+    # json.dumps writes the NaN / Infinity literals.
+    path.write_text(json.dumps(pointer_table_doc_with(field, index, pointer, bad)))
     with pytest.raises(FileFormatError) as exc:
         read_lane_file(path)
     assert exc.value.location == pointer
     assert "non-finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("field, index, pointer, bad, message", [
+    ("points", (1, 0), "/frames/0/lanes/1/points/1/0", 1e150,
+     "expected a magnitude below 1e150, got 1e+150"),
+    ("points", (2, 2), "/frames/1/lanes/2/points/2/2", -1.7e308,
+     "expected a magnitude below 1e150, got -1.7e+308"),
+    ("visibility", (0,), "/frames/0/lanes/1/visibility/0", 7,
+     "expected a value in [0, 1], got 7.0"),
+    ("visibility", (3,), "/frames/1/lanes/1/visibility/3", -0.5,
+     "expected a value in [0, 1], got -0.5"),
+    ("visibility", (1,), "/frames/1/lanes/0/visibility/1", 1 + 1e-15,
+     "expected a value in [0, 1], got 1.000000000000001"),
+])
+def test_value_out_of_range_reports_its_pointer(tmp_path, field, index, pointer, bad, message):
+    path = tmp_path / "lanes.json"
+    path.write_text(json.dumps(pointer_table_doc_with(field, index, pointer, bad)))
+    with pytest.raises(FileFormatError) as exc:
+        read_lane_file(path)
+    assert (exc.value.location, exc.value.message) == (pointer, message)
+
+
+def test_values_at_the_edges_of_their_ranges_are_read(tmp_path):
+    path = tmp_path / "lanes.json"
+    doc = pointer_table_doc()
+    below = float(np.nextafter(laneio.COORD_LIMIT, 0.0))
+    lane = doc["frames"][1]["lanes"][1]
+    lane["points"][0][0], lane["points"][3][2] = below, -below
+    lane["visibility"] = [0, 1, 0.0, 1.0]
+    path.write_text(json.dumps(doc))
+    read = read_lane_file(path)[1].lanes[1]
+    assert (read.x[0], read.z[3]) == (below, -below)
+    np.testing.assert_array_equal(read.visibility, [0, 1, 0, 1])
 
 
 def test_lanes_of_different_lengths_keep_their_own_points(tmp_path):

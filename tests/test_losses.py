@@ -372,7 +372,7 @@ def test_regression_gradient_matches_fd():
 
 def reference_regression_loss(gts, props, assignment):
     """Per-pair regression loss, the reference for regression_loss's gathered rows."""
-    n = props[0].num_points if props else 0
+    n = props[0].x.shape[0] if props else 0
     d_x, d_z, d_vis = (np.zeros((len(props), n)) for _ in range(3))
     loss = 0.0
     for i in sorted(assignment.sigma):

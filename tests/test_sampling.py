@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lane3d_kit.anchors import Anchor3D
@@ -119,6 +119,148 @@ def test_trilinear_outside_extent():
     values, valid = trilinear_sample(volume_2x2x2(), points)
     assert valid.tolist() == [False, False, False, True]
     assert values[:, 0].tolist() == [0.0, 0.0, 0.0, 7.0]
+
+
+# --- the one interpolation against the two it replaced ------------------------------
+
+
+def reference_bilinear(fm, u, v):
+    """Bilinear interpolation as a sum of four weighted corners."""
+    data = fm.data
+    h, w, _ = data.shape
+    valid = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    uc = np.clip(u, 0.0, w - 1.0)
+    vc = np.clip(v, 0.0, h - 1.0)
+    u0 = np.minimum(np.floor(uc).astype(np.intp), w - 2 if w > 1 else 0)
+    v0 = np.minimum(np.floor(vc).astype(np.intp), h - 2 if h > 1 else 0)
+    u1 = np.minimum(u0 + 1, w - 1)
+    v1 = np.minimum(v0 + 1, h - 1)
+    fu = (uc - u0)[:, None]
+    fv = (vc - v0)[:, None]
+    out = (
+        data[v0, u0] * (1.0 - fu) * (1.0 - fv)
+        + data[v0, u1] * fu * (1.0 - fv)
+        + data[v1, u0] * (1.0 - fu) * fv
+        + data[v1, u1] * fu * fv
+    )
+    out[~valid] = 0.0
+    return out, valid
+
+
+def reference_volume_fractional_coords(fv, xyz):
+    """LiDAR-frame points as fractional (iz, iy, ix) cells, with a second
+    formula for single-cell axes."""
+    d, h, w, _ = fv.data.shape
+    counts = np.array([w, h, d], dtype=np.float64)  # x, y, z order
+    span = fv.extent[:, 1] - fv.extent[:, 0]
+    denom = np.where(counts > 1, span, 1.0)
+    steps = np.where(counts > 1, denom / np.maximum(counts - 1, 1), 1.0)
+    rel = (xyz - fv.extent[:, 0]) / steps
+    single = counts == 1
+    if np.any(single):
+        mid = (fv.extent[:, 0] + fv.extent[:, 1]) * 0.5
+        rel[:, single] = (xyz[:, single] - mid[single]) / steps[single]
+    return rel[:, ::-1]
+
+
+def reference_trilinear(fv, xyz):
+    """Trilinear interpolation as hand-unrolled nested lerps, x innermost."""
+    d, h, w, _ = fv.data.shape
+    frac = reference_volume_fractional_coords(fv, np.asarray(xyz, dtype=np.float64))
+    iz, iy, ix = frac[:, 0], frac[:, 1], frac[:, 2]
+    valid = (
+        (ix >= 0.0) & (ix <= w - 1.0)
+        & (iy >= 0.0) & (iy <= h - 1.0)
+        & (iz >= 0.0) & (iz <= d - 1.0)
+    )
+    ixc = np.clip(ix, 0.0, w - 1.0)
+    iyc = np.clip(iy, 0.0, h - 1.0)
+    izc = np.clip(iz, 0.0, d - 1.0)
+    x0 = np.minimum(np.floor(ixc).astype(np.intp), w - 2 if w > 1 else 0)
+    y0 = np.minimum(np.floor(iyc).astype(np.intp), h - 2 if h > 1 else 0)
+    z0 = np.minimum(np.floor(izc).astype(np.intp), d - 2 if d > 1 else 0)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    z1 = np.minimum(z0 + 1, d - 1)
+    fx = (ixc - x0)[:, None]
+    fy = (iyc - y0)[:, None]
+    fz = (izc - z0)[:, None]
+    g = fv.data
+    c00 = g[z0, y0, x0] * (1 - fx) + g[z0, y0, x1] * fx
+    c01 = g[z0, y1, x0] * (1 - fx) + g[z0, y1, x1] * fx
+    c10 = g[z1, y0, x0] * (1 - fx) + g[z1, y0, x1] * fx
+    c11 = g[z1, y1, x0] * (1 - fx) + g[z1, y1, x1] * fx
+    c0 = c00 * (1 - fy) + c01 * fy
+    c1 = c10 * (1 - fy) + c11 * fy
+    out = c0 * (1 - fz) + c1 * fz
+    out[~valid] = 0.0
+    return out, valid
+
+
+# Where a drawn point lies along one grid axis of n cells, in cell units.
+_AXIS_PLACES = ("center", "inside", "first", "last", "below", "above")
+
+
+def _axis_coords(rng, places: np.ndarray, n: int) -> np.ndarray:
+    """Fractional cell coordinates along an n-cell axis, one per place."""
+    return np.select(
+        [places == "center", places == "inside", places == "first", places == "last",
+         places == "below"],
+        [rng.integers(0, n, size=places.shape).astype(float),
+         rng.uniform(0.0, n - 1.0, size=places.shape), np.zeros(places.shape),
+         np.full(places.shape, n - 1.0), -rng.uniform(1e-9, 2.0, size=places.shape)],
+        n - 1.0 + rng.uniform(1e-9, 2.0, size=places.shape),
+    )
+
+
+@st.composite
+def grid_cases(draw, axes: int):
+    """A grid whose ``axes`` leading sizes are 1 to 4 cells (so 1-cell axes
+    are common), its values in [-1, 1], and (M, axes) fractional cell
+    coordinates on cell centers, inside cells, on the grid's first and last
+    centers, and outside it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = [draw(st.integers(1, 4)) for _ in range(axes)]
+    data = rng.uniform(-1.0, 1.0, size=(*sizes, draw(st.integers(1, 3))))
+    m = draw(st.integers(1, 12))
+    places = np.array(draw(st.lists(st.sampled_from(_AXIS_PLACES), min_size=m * axes,
+                                    max_size=m * axes))).reshape(m, axes)
+    frac = np.stack([_axis_coords(rng, places[:, k], n) for k, n in enumerate(sizes)], axis=1)
+    return rng, data, frac
+
+
+@seed(14)
+@settings(max_examples=300, deadline=None)
+@given(grid_cases(axes=2))
+def test_bilinear_sample_equals_the_four_corner_sum(case):
+    # Values lie in [-1, 1], so a few roundings of difference stay below 1e-15.
+    _, data, frac = case
+    fm = FeatureMap(data=data)
+    v, u = frac[:, 0], frac[:, 1]
+    values, valid = bilinear_sample(fm, u, v)
+    want, want_valid = reference_bilinear(fm, u, v)
+    np.testing.assert_array_equal(valid, want_valid)
+    np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-15)
+
+
+@seed(14)
+@settings(max_examples=300, deadline=None)
+@given(grid_cases(axes=3))
+def test_trilinear_sample_equals_the_nested_lerps_bitwise(case):
+    rng, data, frac = case
+    d, h, w, _ = data.shape
+    lo = rng.uniform(-20.0, 20.0, size=3)
+    hi = lo + rng.uniform(0.5, 30.0, size=3)
+    fv = FeatureVolume(data=data, extent=np.stack([lo, hi], axis=1))
+    # Map the (iz, iy, ix) cells to LiDAR-frame points; a single cell sits mid-extent.
+    counts = np.array([w, h, d])
+    step = np.where(counts > 1, (hi - lo) / np.maximum(counts - 1, 1), 1.0)
+    origin = np.where(counts > 1, lo, (lo + hi) / 2)
+    xyz = origin + frac[:, ::-1] * step
+    values, valid = trilinear_sample(fv, xyz)
+    want, want_valid = reference_trilinear(fv, xyz)
+    np.testing.assert_array_equal(valid, want_valid)
+    assert values.tobytes() == want.tobytes()
 
 
 def anchor_at(x, n=5, y_span=(5.0, 45.0), z=0.0):
