@@ -10,7 +10,6 @@ checked.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -23,7 +22,7 @@ from .errors import FileFormatError, Lane3DKitError
 from .evaluation import EvalReport, format_report_table
 from .gradcheck import run_grad_check
 from .head import HeadWeights, run_pipeline
-from .jsonable import from_json, read_json, to_json
+from .jsonable import dumps, from_json, read_json, to_json
 from .laneio import Frame, read_lane_file, write_lane_file
 from .sampling import FeatureMap, FeatureVolume
 from .scoring import score_losses, score_protocol
@@ -53,7 +52,7 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=1))
+    print(dumps(obj))
 
 
 # --- weights file ------------------------------------------------------------
@@ -192,7 +191,7 @@ def cmd_anchors(args) -> int:
                                cfg.profile.y_samples)
     doc = {"metas": to_json([a.metas for a in anchors]),
            "anchors": [a.points.tolist() for a in anchors]}
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(args.out).write_text(dumps(doc) + "\n")
     print(f"wrote {len(anchors)} anchors to {args.out}")
     return EXIT_OK
 
@@ -248,7 +247,7 @@ def cmd_forward(args) -> int:
             )
     write_lane_file(args.out, out_frames)
     if args.trace:
-        Path(args.trace).write_text(json.dumps(traces, indent=1) + "\n")
+        Path(args.trace).write_text(dumps(traces) + "\n")
     print(f"wrote proposals for {len(out_frames)} frame(s) to {args.out}")
     return EXIT_OK
 
@@ -305,7 +304,7 @@ def cmd_evaluate(args) -> int:
                 path.unlink(missing_ok=True)
             raise
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+        Path(args.out).write_text(dumps(doc) + "\n")
     _print_json(doc)
     if isinstance(report, EvalReport):
         print(format_report_table(report))

@@ -24,6 +24,11 @@ from .errors import InvalidRig, MissingLidarExtrinsics
 MIN_DEPTH = 1e-6
 
 _ORTHO_TOL = 1e-6
+_EYE = np.eye(3)
+# np.allclose(R @ R.T, _EYE, atol=_ORTHO_TOL) with its default rtol of 1e-5,
+# spelled out because allclose costs most of a rig's construction.  Any NaN
+# or infinity in R fails the comparison, as it fails allclose.
+_ORTHO_BOUND = _ORTHO_TOL + 1e-5 * _EYE
 
 
 @dataclass(kw_only=True)
@@ -58,7 +63,7 @@ class CameraRig:
         if self.K[2, 2] != 1.0 or any(self.K[i, j] != 0.0 for i, j in ((1, 0), (2, 0), (2, 1))):
             raise InvalidRig("K is not in upper-triangular pinhole form")
         R = self.T_gc[:, :3]
-        if not np.allclose(R @ R.T, np.eye(3), atol=_ORTHO_TOL):
+        if not (np.abs(R @ R.T - _EYE) <= _ORTHO_BOUND).all():
             raise InvalidRig("rotation block of T_gc is not orthonormal")
         hi, wi = self.image_size
         hf, wf = self.feature_size

@@ -9,11 +9,12 @@ lists.
 same way, ``X | None`` accepts ``null``, tuples and lists decode each item
 (a fixed-length tuple also checks its length), ``np.ndarray`` becomes a
 float64 array, ``bool`` accepts only ``true``/``false``, ``str`` only
-strings, ``int`` rejects booleans and non-integral numbers, and ``int``
-and ``float`` then go through their constructors.  ``typing.Any`` keeps
-the parsed value for the caller to decode (``decode_arrays`` decodes many
-arrays in one pass).  Floats and arrays must be finite, and an array
-element must be a number, not a string.  Every field that ``__init__`` takes must be present and
+strings, ``int`` rejects strings, booleans and non-integral numbers,
+``float`` rejects strings and booleans, and ``int`` and ``float`` then go
+through their constructors.  ``typing.Any`` keeps the parsed value for the
+caller to decode (``decode_arrays`` decodes many arrays in one pass).
+Floats and arrays must be finite, and an array element must be a number,
+not a string.  Every field that ``__init__`` takes must be present and
 no other key may be; derived fields (``init=False``) are written but
 never read.  Every failure becomes a :class:`FileFormatError` at the JSON
 pointer of the value that caused it; an error raised while constructing a
@@ -22,6 +23,9 @@ dataclass (``ValueError``, ``TypeError`` or a lane3d-kit error such as
 each annotation is built once and reused.  ``read_json`` parses a JSON
 file and locates a syntax error at its character offset, and an integer
 literal too long for ``int`` at its JSON pointer.
+
+``dumps`` is the one text encoder: every JSON file and every JSON print of
+the package goes through it, and its text is ``json.dumps(obj, indent=1)``'s.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import math
 import sys
 import types
 import typing
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +61,60 @@ def read_json(path):
         doc = json.loads(text, parse_int=lambda s: e if len(s.lstrip("-")) > limit else int(s))
         raise FileFormatError(path, _pointer("", _first(doc, lambda v: v is e)),
                               f"integer literal exceeds the limit of {limit} digits") from e
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=1)``, the one text encoder the package writes
+    JSON with, built for documents that are mostly lists of floats.
+
+    CPython's C encoder does not indent, so ``json.dumps`` with ``indent``
+    encodes item by item in Python.  Here a list of floats is joined in one
+    pass of ``float.__repr__``, and a list of equal-length rows of floats is
+    filled into one row template.  Every other value, and a list holding a
+    NaN or an infinity, goes to ``json.dumps``.
+    """
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, nl: str) -> str:
+    """``obj`` encoded as by ``dumps`` at the depth where a line starts with ``nl``."""
+    inner = nl + " "
+    if isinstance(obj, (list, tuple)) and obj:
+        items = _float_items(obj, inner)
+        if items is None:
+            items = ("," + inner).join([_dumps(v, inner) for v in obj])
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        items = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                                    for k, v in obj.items()])
+        return "{" + inner + items + nl + "}"
+    elif isinstance(obj, (list, tuple, dict)):
+        # Only indentation puts a newline in json.dumps's text (strings escape theirs).
+        return json.dumps(obj, indent=1).replace("\n", nl)
+    else:
+        return json.dumps(obj)  # a scalar: indent changes nothing, so the C encoder runs
+    return "[" + inner + items + nl + "]"
+
+
+def _float_items(obj, inner: str) -> str | None:
+    """The items of the non-empty list ``obj`` encoded at ``inner``, when ``obj``
+    holds finite floats or equal-length non-empty rows of them; else None."""
+    first = obj[0]
+    try:
+        if isinstance(first, (list, tuple)):
+            width = len(first)
+            rows = set(map(type, obj)) <= {list, tuple} and set(map(len, obj)) == {width}
+            if not (width and rows):
+                return None
+            cell = "," + inner + " "
+            row = "[" + inner + " " + cell.join(["%s"] * width) + inner + "]"
+            values = map(float.__repr__, itertools.chain.from_iterable(obj))
+            text = ("," + inner).join([row] * len(obj)) % tuple(values)
+        else:
+            text = ("," + inner).join(map(float.__repr__, obj))
+    except TypeError:  # float.__repr__ of something that is not a float
+        return None
+    # A finite float's repr has no letter n; "nan", "inf" and "-inf" do.
+    return None if "n" in text else text
 
 
 def to_json(obj):
@@ -238,12 +297,14 @@ def _str(doc) -> str:
 
 
 def _int(doc) -> int:
-    if isinstance(doc, bool) or isinstance(doc, float) and not doc.is_integer():
+    if isinstance(doc, (bool, str)) or isinstance(doc, float) and not doc.is_integer():
         raise ValueError(f"expected an integer, got {json.dumps(doc)}")
     return int(doc)
 
 
 def _float(doc) -> float:
+    if isinstance(doc, (bool, str)):
+        raise ValueError(f"expected a number, got {json.dumps(doc)}")
     value = float(doc)
     if not math.isfinite(value):
         raise ValueError("non-finite value")

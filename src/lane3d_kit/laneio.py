@@ -24,10 +24,11 @@ declaration, so one policy holds at every level:
 - Unknown keys are rejected, in the document, a frame, a lane and a camera.
 - Frame ids are strings, unique within a file: a repeated id is reported
   at the later frame's ``/frames/<i>/id``.
-- Integers are strict: ``category`` rejects ``true``/``false`` and
-  non-integral numbers.  NaN and infinite numbers, and strings inside
-  arrays (``["1.0", 5.0, 0.0]``), are rejected at the element that holds
-  them.
+- Numbers are strict: ``category`` rejects strings (``"3"``),
+  ``true``/``false`` and non-integral numbers, and ``score`` rejects
+  strings and ``true``/``false``.  NaN and infinite numbers, and strings
+  inside arrays (``["1.0", 5.0, 0.0]``), are rejected at the element that
+  holds them.
 
 Beyond that, ``points`` must be (K, 3) with strictly increasing y and
 ``visibility`` must hold K values in [0, 1]; an invalid rig is reported at
@@ -35,7 +36,10 @@ Beyond that, ``points`` must be (K, 3) with strictly increasing y and
 (``COORD_LIMIT``): below it, every squared distance between two points and
 every per-lane sum of such distances that the losses and metrics form stays
 finite.  Every error is a :class:`FileFormatError` at the JSON pointer of
-the value that caused it.
+the value that caused it.  ``write_lane_file`` refuses a non-finite
+number and these two ranges the same way, in the file it would write,
+before it writes any byte, so no command writes a lane file that no
+command reads.
 
 This module checks what every reader of a lane file needs.  What only the
 losses need (the profile's y-grid, a ``category`` in 0..S-1 and
@@ -59,7 +63,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -68,7 +71,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .geometry import CameraRig
-from .jsonable import decode_arrays, from_json, read_json, to_json
+from .jsonable import decode_arrays, dumps, from_json, read_json, to_json
 from .lanes import Lane3D
 
 COORD_LIMIT = 1e150
@@ -82,32 +85,60 @@ class Frame:
     tags: tuple[str, ...] = ()
 
 
-def _lane_to_dict(lane: Lane3D) -> dict:
-    d = {
-        "category": int(lane.category),
-        "points": lane.points.tolist(),
-        "visibility": lane.visibility.tolist(),
-    }
-    if lane.score is not None:
-        d["score"] = float(lane.score)
-    if lane.class_probs is not None:
-        d["class_probs"] = lane.class_probs.tolist()
-    return d
+def _too_large(v: np.ndarray) -> np.ndarray:
+    return np.abs(v) >= COORD_LIMIT
+
+
+def _outside_unit(v: np.ndarray) -> np.ndarray:
+    return (v < 0.0) | (v > 1.0)
+
+
+_TOO_LARGE = "expected a magnitude below 1e150, got {}"
+_OUTSIDE_UNIT = "expected a value in [0, 1], got {}"
 
 
 def write_lane_file(path, frames: list[Frame]) -> None:
+    """Write ``frames`` to the lane file ``path``.
+
+    A value that :func:`read_lane_file` rejects is refused first, at its
+    pointer in ``path``, and then nothing is written: a non-finite number, a
+    coordinate of magnitude ``COORD_LIMIT`` or more, or a visibility outside
+    [0, 1].
+    """
+    numbers = []  # (pointer, array) of every number array and float, in document order
+    lanes = []  # (pointer, category, number fields) of every lane
+    for i, f in enumerate(frames):
+        if f.camera is not None:
+            numbers += [(f"/frames/{i}/camera/{name}", getattr(f.camera, name))
+                        for name in ("K", "T_gc", "T_gl") if getattr(f.camera, name) is not None]
+        for j, lane in enumerate(f.lanes):
+            fields = {"points": lane.points, "visibility": lane.visibility,
+                      "score": lane.score, "class_probs": lane.class_probs}
+            fields = {key: np.asarray(value, dtype=np.float64)
+                      for key, value in fields.items() if value is not None}
+            where = f"/frames/{i}/lanes/{j}"
+            numbers += [(f"{where}/{key}", value) for key, value in fields.items()]
+            lanes.append((where, lane.category, fields))
+    _check_range([a for _, a in numbers], lambda v: ~np.isfinite(v), path,
+                 lambda k: numbers[k][0], "non-finite value")
+    for key, bad, message in (("points", _too_large, _TOO_LARGE),
+                              ("visibility", _outside_unit, _OUTSIDE_UNIT)):
+        _check_range([fields[key] for _, _, fields in lanes], bad, path,
+                     lambda k: f"{lanes[k][0]}/{key}", message)
+    docs = iter([{"category": int(category), **{key: a.tolist() for key, a in fields.items()}}
+                 for _, category, fields in lanes])
     doc = {
         "frames": [
             {
                 "id": f.id,
                 "camera": to_json(f.camera),
-                "lanes": [_lane_to_dict(lane) for lane in f.lanes],
+                "lanes": list(itertools.islice(docs, len(f.lanes))),
                 **({"tags": list(f.tags)} if f.tags else {}),
             }
             for f in frames
         ]
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(dumps(doc) + "\n")
 
 
 @dataclass
@@ -198,11 +229,9 @@ def _decode(doc, path) -> list[Frame]:
 
     every = range(len(lanes))
     points = column("points", every)
-    _check_range(points, lambda v: np.abs(v) >= COORD_LIMIT, path,
-                 lambda k: f"{ptrs[k]}/points", "expected a magnitude below 1e150, got {}")
+    _check_range(points, _too_large, path, lambda k: f"{ptrs[k]}/points", _TOO_LARGE)
     vis = column("visibility", every)
-    _check_range(vis, lambda v: (v < 0.0) | (v > 1.0), path,
-                 lambda k: f"{ptrs[k]}/visibility", "expected a value in [0, 1], got {}")
+    _check_range(vis, _outside_unit, path, lambda k: f"{ptrs[k]}/visibility", _OUTSIDE_UNIT)
     with_probs = [k for k in every if lanes[k].class_probs is not None]
     probs = dict(zip(with_probs, column("class_probs", with_probs)))
     first = {}

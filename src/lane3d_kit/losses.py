@@ -17,6 +17,11 @@ losses work on those arrays.  :func:`total_loss` gathers the K matched pairs
 into (3, K, N) x, z and visibility rows, and the equal-width functions
 broadcast over leading axes.  Totals add the per-pair values in pair order,
 as a loop would.
+
+SciPy's assignment solver is imported inside :func:`solve_assignment`, at
+the first match, not with this module: the package imports this module, so a
+module-level import would load ``scipy.optimize`` into every command,
+inference included, which never matches (about 48 MB and 0.35 s).
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AllInvisible, DegenerateSegment, LengthMismatch, ProbabilityUnderflow
 from .head import Proposal
@@ -70,6 +74,9 @@ class Assignment:
 
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost injective row-to-column assignment (rectangular)."""
+    # Imported here so that commands that never match never load scipy.optimize.
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=np.float64)
     rows, cols = linear_sum_assignment(cost)
     return list(zip(rows.tolist(), cols.tolist()))

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -99,14 +102,14 @@ def call(*argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_chain(work: Path) -> dict[str, tuple[int, str, str]]:
-    """gen-scene -> gen-weights -> anchors -> forward --trace -> loss ->
-    grad-check in ``work``; the last two write their stdout to files."""
+def chain_steps(work: Path) -> dict[str, tuple]:
+    """The command lines of the chain in ``work``, by command, in run order:
+    gen-scene -> gen-weights -> anchors -> forward --trace -> loss -> grad-check."""
     (work / "spec.json").write_text(json.dumps(CHAIN_SPEC))
     config = work / "config.json"
     config.write_text(json.dumps(chain_config()))
     scene, weights = work / "scene", work / "weights.a3t"
-    steps = {
+    return {
         "gen-scene": ("gen-scene", "--spec", work / "spec.json", "--out", scene),
         "gen-weights": ("gen-weights", "--config", config, "--seed", 1, "--out", weights),
         "anchors": ("anchors", "--config", config, "--features", scene / "features.a3t",
@@ -117,7 +120,11 @@ def run_chain(work: Path) -> dict[str, tuple[int, str, str]]:
                  "--pred", work / "preds.json"),
         "grad-check": ("grad-check", "--config", config, "--trials", 5, "--seed", 0),
     }
-    results = {name: call(*argv) for name, argv in steps.items()}
+
+
+def run_chain(work: Path) -> dict[str, tuple[int, str, str]]:
+    """The chain run in ``work``; loss and grad-check write their stdout to files."""
+    results = {name: call(*argv) for name, argv in chain_steps(work).items()}
     (work / "loss.json").write_text(results["loss"][1])
     (work / "grad_check.json").write_text(results["grad-check"][1])
     return results
@@ -130,6 +137,31 @@ def test_chain_outputs_match_golden(tmp_path):
         assert err == "", name
     for name in CHAIN_FILES:
         assert (tmp_path / name).read_bytes() == (CHAIN / name).read_bytes(), name
+
+
+# Runs CLI commands in order and prints, per command, its exit code and whether
+# scipy.optimize was loaded once it returned.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from lane3d_kit.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([argv[0], code, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_only_matching_loads_the_assignment_solver(tmp_path):
+    steps = chain_steps(tmp_path)
+    order = ["gen-scene", "gen-weights", "anchors", "forward", "grad-check", "loss"]
+    argvs = [[str(a) for a in steps[name]] for name in order]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    loaded = [json.loads(line) for line in done.stdout.splitlines()]
+    assert loaded == [[name, EXIT_OK, name == "loss"] for name in order]
 
 
 def _bad_config(tmp_path, edit) -> Path:
@@ -154,7 +186,10 @@ def _bad_config(tmp_path, edit) -> Path:
     (lambda d: d["meta_ranges"].update(xs_min=None), "/meta_ranges/xs_min", "float()"),
     (lambda d: d.update(num_prototypes=5), "/num_prototypes", "not iterable"),
     (lambda d: d.update(plan=[[5]]), "/plan/0", "not enough values"),
-    (lambda d: d.update(num_anchors="thirty"), "/num_anchors", "invalid literal"),
+    (lambda d: d.update(num_anchors="thirty"), "/num_anchors", 'expected an integer, got "thirty"'),
+    (lambda d: d.update(num_anchors="30"), "/num_anchors", 'expected an integer, got "30"'),
+    (lambda d: d["loss"].update(tau="0.1"), "/loss/tau", 'expected a number, got "0.1"'),
+    (lambda d: d["loss"].update(tau=True), "/loss/tau", "expected a number, got true"),
     (lambda d: d.update(num_anchors=30.9), "/num_anchors", "expected an integer, got 30.9"),
     (lambda d: d.update(feature_stride=True), "/feature_stride", "expected an integer, got true"),
     (lambda d: d.update(fusion="false"), "/fusion", "expected true or false"),
@@ -271,12 +306,19 @@ def test_evaluate_rejects_a_visibility_outside_the_unit_interval(tmp_path, proto
     assert f"{gt}: at /frames/2/lanes/0/visibility/0: expected a value in [0, 1], got 7.0" in err
 
 
+def _shift_x(doc, offset):
+    for lane in doc["frames"][0]["lanes"]:
+        for point in lane["points"]:
+            point[0] += offset
+
+
 def test_coordinates_whose_squares_overflow_exit_2_at_their_pointer(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"noise": {"lateral_offset": 1.7e308}}))
+    spec.write_text(json.dumps({"noise": {"lateral_offset": 0.0}}))
     scene = tmp_path / "scene"
     assert call("gen-scene", "--spec", spec, "--out", scene)[0] == EXIT_OK
-    files = ("--gt", scene / "gt.json", "--pred", scene / "preds.json")
+    pred = _edited(scene / "preds.json", scene / "preds.json", lambda d: _shift_x(d, 1.7e308))
+    files = ("--gt", scene / "gt.json", "--pred", pred)
     for argv in (("evaluate", "--protocol", "openlane", *files), ("loss", *files)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -285,6 +327,18 @@ def test_coordinates_whose_squares_overflow_exit_2_at_their_pointer(tmp_path):
         assert "RuntimeWarning" not in err
         assert (f"{scene / 'preds.json'}: at /frames/0/lanes/0/points/0/0: "
                 "expected a magnitude below 1e150, got 1.7e+308") in err
+
+
+@pytest.mark.parametrize("offset", [1.7e308, 1e200])
+def test_gen_scene_writes_no_lane_file_that_readers_reject(tmp_path, offset):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"noise": {"lateral_offset": offset}}))
+    scene = tmp_path / "scene"
+    code, out, err = call("gen-scene", "--spec", spec, "--out", scene)
+    assert code == EXIT_INPUT and out == ""
+    assert (f"{scene / 'preds.json'}: at /frames/0/lanes/0/points/0/0: "
+            f"expected a magnitude below 1e150, got {offset!r}") in err
+    assert not (scene / "preds.json").exists()
 
 
 def _loss_inputs(tmp_path) -> tuple[Path, Path]:
@@ -692,9 +746,9 @@ def test_gen_scene_fills_omitted_keys_with_defaults(tmp_path):
     ({"noise": 0.5}, "/noise", "expected an object"),
     ({"lidar": "false"}, "/lidar", "expected true or false"),
     ({"curvatuer": [0.0]}, "/curvatuer", "unknown field"),
-    ({"n_lanes": "two"}, "/n_lanes", "invalid literal"),
+    ({"n_lanes": "two"}, "/n_lanes", 'expected an integer, got "two"'),
     ({"image_size": [96]}, "/image_size", "not enough values"),
-    ({"slope": [0.0, "up"]}, "/slope/1", "could not convert"),
+    ({"slope": [0.0, "up"]}, "/slope/1", 'expected a number, got "up"'),
     ({"sigma": None}, "/sigma", "float()"),
     ({"n_lanes": 0}, "/", "n_lanes must be >= 1"),
     ([3], "/", "expected an object"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lane3d_kit.errors import InvalidRig, MissingLidarExtrinsics
 from lane3d_kit.geometry import (
@@ -160,6 +162,27 @@ def test_rig_invariants():
         CameraRig(K=k, T_gc=bad_t, image_size=(360, 480), feature_size=(45, 60))
     with pytest.raises(InvalidRig):
         CameraRig(K=k, T_gc=t, image_size=(360, 480), feature_size=(45, 61))
+
+
+@seed(1689)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-8.0, -4.0),
+       st.none() | st.tuples(st.integers(0, 8), st.sampled_from([np.nan, np.inf, -np.inf])))
+def test_rig_rotation_check_is_allclose(draw_seed, log_scale, bad):
+    rng = np.random.default_rng(draw_seed)
+    rot = random_rotation(rng) + rng.normal(scale=10.0 ** log_scale, size=(3, 3))
+    if bad is not None:
+        rot.flat[bad[0]] = bad[1]
+    with np.errstate(invalid="ignore"):
+        close = np.allclose(rot @ rot.T, np.eye(3), atol=1e-6)
+        try:
+            CameraRig(K=unit_rig().K, T_gc=np.hstack([rot, np.ones((3, 1))]),
+                      image_size=(360, 480), feature_size=(45, 60))
+        except InvalidRig as e:
+            assert "rotation block" in str(e)
+            assert not close
+        else:
+            assert close
 
 
 def test_rig_json_round_trip(rng):

@@ -1,10 +1,13 @@
+import functools
 import gc
 import json
+import operator
 
 import numpy as np
 import pytest
 
 from lane3d_kit.errors import FileFormatError
+from lane3d_kit.geometry import CameraRig
 from lane3d_kit import jsonable, laneio
 from lane3d_kit.jsonable import to_json
 from lane3d_kit.lanes import Lane3D
@@ -169,6 +172,68 @@ def test_value_out_of_range_reports_its_pointer(tmp_path, field, index, pointer,
     assert (exc.value.location, exc.value.message) == (pointer, message)
 
 
+def frames_of(doc) -> list[Frame]:
+    """The frames of lane file document ``doc``, built in memory, not read."""
+    def lane(ld):
+        x, y, z = np.array(ld["points"], dtype=float).T
+        return Lane3D(x=x, y=y, z=z, visibility=ld["visibility"], category=ld["category"],
+                      score=ld.get("score"), class_probs=ld.get("class_probs"))
+
+    with np.errstate(invalid="ignore"):  # a non-finite rig makes its K @ T_gc warn
+        return [Frame(id=fd["id"], camera=fd["camera"] and CameraRig(**fd["camera"]),
+                      lanes=[lane(ld) for ld in fd["lanes"]])
+                for fd in doc["frames"]]
+
+
+def rig_table_doc_with(pointer, bad) -> dict:
+    """:func:`pointer_table_doc` with a rig on its second frame and the value at
+    JSON pointer ``pointer`` set to ``bad``."""
+    doc = pointer_table_doc()
+    doc["frames"][1]["camera"] = to_json(unit_rig())
+    *path, last = (int(key) if key.isdigit() else key for key in pointer.split("/")[1:])
+    functools.reduce(operator.getitem, path, doc)[last] = bad
+    return doc
+
+
+@pytest.mark.parametrize("pointer, bad", [
+    ("/frames/0/lanes/1/points/1/0", float("nan")),
+    ("/frames/1/lanes/2/points/2/2", float("-inf")),
+    ("/frames/1/lanes/1/visibility/3", float("inf")),
+    ("/frames/0/lanes/1/score", float("nan")),
+    ("/frames/0/lanes/1/class_probs/1", float("inf")),
+    ("/frames/1/camera/K/0/0", float("inf")),
+    ("/frames/1/camera/T_gc/2/3", float("nan")),
+    ("/frames/0/lanes/1/points/1/0", 1e150),
+    ("/frames/1/lanes/2/points/2/2", -1.7e308),
+    ("/frames/0/lanes/1/visibility/0", 7.0),
+    ("/frames/1/lanes/0/visibility/1", -0.5),
+])
+def test_writer_refuses_what_the_reader_rejects(tmp_path, pointer, bad):
+    doc = rig_table_doc_with(pointer, bad)
+    read = tmp_path / "read.json"
+    read.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError) as rejected:
+        read_lane_file(read)
+    written = tmp_path / "written.json"
+    with pytest.raises(FileFormatError) as refused:
+        write_lane_file(written, frames_of(doc))
+    assert (refused.value.path, refused.value.location, refused.value.message) == (
+        str(written), pointer, rejected.value.message)
+    assert rejected.value.location == pointer
+    assert not written.exists()
+
+
+def test_writer_writes_values_at_the_edges_of_their_ranges(tmp_path):
+    doc = pointer_table_doc()
+    lane = doc["frames"][1]["lanes"][1]
+    below = float(np.nextafter(laneio.COORD_LIMIT, 0.0))
+    lane["points"][0][0], lane["points"][3][2] = below, -below
+    lane["visibility"] = [0.0, 1.0, 0.0, 1.0]
+    path = tmp_path / "lanes.json"
+    write_lane_file(path, frames_of(doc))
+    assert json.loads(path.read_text()) == doc
+
+
 def test_values_at_the_edges_of_their_ranges_are_read(tmp_path):
     path = tmp_path / "lanes.json"
     doc = pointer_table_doc()
@@ -306,6 +371,14 @@ def one_lane_doc(**lane_edits) -> dict:
      "too large to convert to float"),
     (one_lane_doc(points=[[0, 5, int("1" + "0" * 400)], [0, 6, 0]]), "/frames/0/lanes/0/points",
      "too large to convert to float"),
+    (one_lane_doc(category="3"), "/frames/0/lanes/0/category", 'expected an integer, got "3"'),
+    (one_lane_doc(category=" 4 "), "/frames/0/lanes/0/category",
+     'expected an integer, got " 4 "'),
+    (one_lane_doc(score="0.9"), "/frames/0/lanes/0/score", 'expected a number, got "0.9"'),
+    (one_lane_doc(score=True), "/frames/0/lanes/0/score", "expected a number, got true"),
+    ({"frames": [{"id": "0", "camera": {**to_json(unit_rig()), "image_size": ["360", 480]},
+                  "lanes": []}]},
+     "/frames/0/camera/image_size/0", 'expected an integer, got "360"'),
 ])
 def test_malformed_document_reports_its_pointer(tmp_path, doc, pointer, message):
     path = tmp_path / "lanes.json"
