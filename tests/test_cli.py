@@ -186,7 +186,8 @@ def _bad_config(tmp_path, edit) -> Path:
     (lambda d: d["meta_ranges"].update(xs_min=None), "/meta_ranges/xs_min", "float()"),
     (lambda d: d.update(num_prototypes=5), "/num_prototypes", "not iterable"),
     (lambda d: d.update(plan=[[5]]), "/plan/0", "not enough values"),
-    (lambda d: d.update(num_anchors="thirty"), "/num_anchors", 'expected an integer, got "thirty"'),
+    pytest.param(lambda d: d.update(num_anchors="thirty"), "/num_anchors",
+                 'expected an integer, got "thirty"', id="/num_anchors-a word, not a number"),
     (lambda d: d.update(num_anchors="30"), "/num_anchors", 'expected an integer, got "30"'),
     (lambda d: d["loss"].update(tau="0.1"), "/loss/tau", 'expected a number, got "0.1"'),
     (lambda d: d["loss"].update(tau=True), "/loss/tau", "expected a number, got true"),
