@@ -338,12 +338,22 @@ def _visible_polyline(lane: Lane3D) -> np.ndarray:
     return np.stack([lane.x[mask], lane.y[mask]], axis=1)
 
 
+# Samples one stroke may take: 52 km of lane at the default 0.1 m cell, where
+# a real lane takes a few thousand.
+_MAX_STROKE_SAMPLES = 1 << 20
+
+
 def _stroke_samples(poly: np.ndarray, spacing: float) -> np.ndarray:
     """The first vertex, then every segment cut into the fewest equal steps
-    no longer than ``spacing``; (S, 2) step ends in polyline order."""
+    no longer than ``spacing``; (S, 2) step ends in polyline order.  Raises
+    ValueError, before allocating them, when S would exceed 2**20."""
     a = poly[:-1]
     seg = poly[1:] - a
-    steps = np.maximum(1, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / spacing).astype(np.int64))
+    steps = np.maximum(1.0, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / spacing))
+    if not 1.0 + steps.sum() <= _MAX_STROKE_SAMPLES:
+        raise ValueError(f"top-view stroke needs {1.0 + steps.sum():.0f} samples, "
+                         f"more than {_MAX_STROKE_SAMPLES}")
+    steps = steps.astype(np.int64)
     which = np.repeat(np.arange(seg.shape[0]), steps)
     s = np.arange(1, which.shape[0] + 1) - np.repeat(np.cumsum(steps) - steps, steps)
     return np.concatenate([poly[:1], a[which] + seg[which] * (s / steps[which])[:, None]])
@@ -361,8 +371,9 @@ def rasterize_top_view(poly: np.ndarray, cfg: EvalConfigONCE) -> set:
 
     The polyline is sampled at most ``grid_cell / 2`` apart; cell (ix, iy),
     centered at (ix, iy) * ``grid_cell``, is filled when its center lies
-    within ``lane_width`` of a sample.  Raises ValueError for NaN, inf or
-    coordinates beyond the int64 grid.
+    within ``lane_width`` of a sample.  Raises ValueError for NaN, inf,
+    coordinates beyond the int64 grid, or a stroke of more than 2**20
+    samples.
     """
     cells: set = set()
     if poly.shape[0] == 0:
@@ -436,6 +447,18 @@ class OnceReport:
 _NON_CANDIDATE = 1e9
 
 
+def _lane_cells(frame: int, kind: str, polys: dict, cfg: EvalConfigONCE) -> list[set]:
+    """The top-view cells of each of the frame's lane ``polys`` (by index in
+    the frame); a lane that cannot be rasterized is a ValueError naming it."""
+    cells = []
+    for j, poly in polys.items():
+        try:
+            cells.append(rasterize_top_view(poly, cfg))
+        except ValueError as e:
+            raise ValueError(f"frame {frame}: {kind} lane {j}: {e}") from e
+    return cells
+
+
 def evaluate_once(frames, cfg: EvalConfigONCE) -> OnceReport:
     """Evaluate frames under the top-view IoU + Chamfer-distance protocol.
 
@@ -446,17 +469,18 @@ def evaluate_once(frames, cfg: EvalConfigONCE) -> OnceReport:
     cd_hits: list[float] = []
     for idx, (gts, preds) in enumerate(frames):
         _check_finite(idx, gts, preds)
-        # A lane is visible when its polyline is non-empty.
-        gts, preds = ([poly for poly in map(_visible_polyline, lanes) if poly.shape[0]]
-                      for lanes in (gts, preds))
+        # A lane is visible when its polyline is non-empty; j is its index in the frame.
+        gts, preds = ({j: poly for j, poly in enumerate(map(_visible_polyline, lanes))
+                       if poly.shape[0]} for lanes in (gts, preds))
         if not gts and not preds:
             continue
         if not gts or not preds:
             fn += len(gts)
             fp += len(preds)
             continue
-        gt_cells = [rasterize_top_view(g, cfg) for g in gts]
-        pred_cells = [rasterize_top_view(p, cfg) for p in preds]
+        gt_cells, pred_cells = (_lane_cells(idx, kind, polys, cfg) for kind, polys in
+                                (("ground-truth", gts), ("predicted", preds)))
+        gts, preds = list(gts.values()), list(preds.values())
         cost = np.full((len(gts), len(preds)), _NON_CANDIDATE)
         candidate = np.zeros((len(gts), len(preds)), dtype=bool)
         for i, g in enumerate(gts):

@@ -39,7 +39,7 @@ class CameraRig:
     ground-to-camera transform (rotation | translation), ``T_gl`` the
     optional 3x4 ground-to-LiDAR transform.  ``image_size`` and
     ``feature_size`` are (height, width) pairs; the feature grid must tile
-    the image exactly (the usual ratio is 1/8).
+    the image exactly (the usual ratio is 1/8).  Every value is finite.
     """
 
     K: np.ndarray
@@ -65,6 +65,9 @@ class CameraRig:
         R = self.T_gc[:, :3]
         if not (np.abs(R @ R.T - _EYE) <= _ORTHO_BOUND).all():
             raise InvalidRig("rotation block of T_gc is not orthonormal")
+        for name, value in (("K", self.K), ("T_gc", self.T_gc), ("T_gl", self.T_gl)):
+            if value is not None and not np.isfinite(value).all():
+                raise InvalidRig(f"{name} holds a non-finite value")
         hi, wi = self.image_size
         hf, wf = self.feature_size
         if min(hi, wi, hf, wf) < 1:

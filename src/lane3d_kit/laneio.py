@@ -31,20 +31,23 @@ declaration, so one policy holds at every level:
   holds them.
 
 Beyond that, ``points`` must be (K, 3) with strictly increasing y and
-``visibility`` must hold K values in [0, 1]; an invalid rig is reported at
-``.../camera``.  Every coordinate's magnitude must be below 1e150
-(``COORD_LIMIT``): below it, every squared distance between two points and
-every per-lane sum of such distances that the losses and metrics form stays
-finite.  Every error is a :class:`FileFormatError` at the JSON pointer of
-the value that caused it.  ``write_lane_file`` refuses a non-finite
-number and these two ranges the same way, in the file it would write,
-before it writes any byte, so no command writes a lane file that no
-command reads.
+``visibility`` must hold K values.  One table of (field, test, message) rows
+holds the ranges, for reading and writing alike: every coordinate's
+magnitude is below 1e150 (``COORD_LIMIT``), so every squared distance
+between two points and every per-lane sum of them stays finite (ONCE's
+stroke and the equal-width gradient's cubed distance have limits of their
+own), and every visibility is in [0, 1].  An invalid rig is reported at
+``.../camera``; :class:`CameraRig` itself refuses non-finite values.  Every
+error is a :class:`FileFormatError` at the JSON pointer of the value that
+caused it.  ``write_lane_file`` refuses a lane's non-finite number, a value
+outside the table and a repeated frame id the same way, in the file it
+would write, before it writes any byte, so no command writes a lane file
+that no command reads.
 
 This module checks what every reader of a lane file needs.  What only the
 losses need (the profile's y-grid, a ``category`` in 0..S-1 and
 ``class_probs`` of S+1 probabilities) is checked by
-:mod:`lane3d_kit.scoring`.
+:mod:`lane3d_kit.scoring`, with :func:`check_range` for the probabilities.
 
 Reading is dominated by parsing.  ``read_lane_file`` pauses Python's cyclic
 garbage collector from the parse until the parsed document is dropped:
@@ -85,32 +88,30 @@ class Frame:
     tags: tuple[str, ...] = ()
 
 
-def _too_large(v: np.ndarray) -> np.ndarray:
-    return np.abs(v) >= COORD_LIMIT
-
-
-def _outside_unit(v: np.ndarray) -> np.ndarray:
+def outside_unit(v: np.ndarray) -> np.ndarray:
+    """Where ``v`` lies outside [0, 1]."""
     return (v < 0.0) | (v > 1.0)
 
 
-_TOO_LARGE = "expected a magnitude below 1e150, got {}"
-_OUTSIDE_UNIT = "expected a value in [0, 1], got {}"
+OUTSIDE_UNIT = "expected a value in [0, 1], got {}"
+
+# The range of each lane array field beyond finiteness, as (field, test for a
+# bad element, message); the reader and the writer both check these rows.
+_RULES = (("points", lambda v: np.abs(v) >= COORD_LIMIT,
+           "expected a magnitude below 1e150, got {}"),
+          ("visibility", outside_unit, OUTSIDE_UNIT))
 
 
 def write_lane_file(path, frames: list[Frame]) -> None:
     """Write ``frames`` to the lane file ``path``.
 
     A value that :func:`read_lane_file` rejects is refused first, at its
-    pointer in ``path``, and then nothing is written: a non-finite number, a
-    coordinate of magnitude ``COORD_LIMIT`` or more, or a visibility outside
-    [0, 1].
+    pointer in ``path``, and then nothing is written: a lane's non-finite
+    number, a value outside the ranges of ``_RULES``, or a repeated frame id.
     """
-    numbers = []  # (pointer, array) of every number array and float, in document order
+    numbers = []  # (pointer, array) of every lane's number fields, in document order
     lanes = []  # (pointer, category, number fields) of every lane
     for i, f in enumerate(frames):
-        if f.camera is not None:
-            numbers += [(f"/frames/{i}/camera/{name}", getattr(f.camera, name))
-                        for name in ("K", "T_gc", "T_gl") if getattr(f.camera, name) is not None]
         for j, lane in enumerate(f.lanes):
             fields = {"points": lane.points, "visibility": lane.visibility,
                       "score": lane.score, "class_probs": lane.class_probs}
@@ -119,12 +120,12 @@ def write_lane_file(path, frames: list[Frame]) -> None:
             where = f"/frames/{i}/lanes/{j}"
             numbers += [(f"{where}/{key}", value) for key, value in fields.items()]
             lanes.append((where, lane.category, fields))
-    _check_range([a for _, a in numbers], lambda v: ~np.isfinite(v), path,
-                 lambda k: numbers[k][0], "non-finite value")
-    for key, bad, message in (("points", _too_large, _TOO_LARGE),
-                              ("visibility", _outside_unit, _OUTSIDE_UNIT)):
-        _check_range([fields[key] for _, _, fields in lanes], bad, path,
-                     lambda k: f"{lanes[k][0]}/{key}", message)
+    check_range([a for _, a in numbers], lambda v: ~np.isfinite(v), path,
+                lambda k: numbers[k][0], "non-finite value")
+    for key, bad, message in _RULES:
+        check_range([fields[key] for _, _, fields in lanes], bad, path,
+                    lambda k: f"{lanes[k][0]}/{key}", message)
+    _check_unique_ids([f.id for f in frames], path)
     docs = iter([{"category": int(category), **{key: a.tolist() for key, a in fields.items()}}
                  for _, category, fields in lanes])
     doc = {
@@ -185,7 +186,7 @@ def _lane(ld: _LaneDoc, points, vis, probs, path, ptr: str) -> Lane3D:
         raise FileFormatError(path, f"{ptr}/points", str(e)) from e
 
 
-def _check_range(arrays: list[np.ndarray], bad, path, where, message: str) -> None:
+def check_range(arrays: list[np.ndarray], bad, path, where, message: str) -> None:
     """Reject, at its pointer below ``where(k)``, the first element of ``arrays``
     for which ``bad`` holds; one test covers the whole file, and the element is
     only looked for once that test fails."""
@@ -195,6 +196,15 @@ def _check_range(arrays: list[np.ndarray], bad, path, where, message: str) -> No
     first = tuple(np.argwhere(bad(arrays[k]))[0])
     raise FileFormatError(path, "/".join([where(k), *map(str, first)]),
                           message.format(float(arrays[k][first])))
+
+
+def _check_unique_ids(ids: list[str], path) -> None:
+    """Reject a frame id that repeats, at the later frame's ``/frames/<i>/id``."""
+    first = {}
+    for i, frame_id in enumerate(ids):
+        if first.setdefault(frame_id, i) != i:
+            raise FileFormatError(path, f"/frames/{i}/id",
+                                  f"frame id {frame_id!r} repeats /frames/{first[frame_id]}/id")
 
 
 def read_lane_file(path) -> list[Frame]:
@@ -228,17 +238,14 @@ def _decode(doc, path) -> list[Frame]:
                              lambda n: f"{ptrs[ks[n]]}/{name}")
 
     every = range(len(lanes))
-    points = column("points", every)
-    _check_range(points, _too_large, path, lambda k: f"{ptrs[k]}/points", _TOO_LARGE)
-    vis = column("visibility", every)
-    _check_range(vis, _outside_unit, path, lambda k: f"{ptrs[k]}/visibility", _OUTSIDE_UNIT)
+    ranged = {}
+    for name, bad, message in _RULES:
+        ranged[name] = column(name, every)
+        check_range(ranged[name], bad, path, lambda k: f"{ptrs[k]}/{name}", message)
+    points, vis = ranged["points"], ranged["visibility"]
     with_probs = [k for k in every if lanes[k].class_probs is not None]
     probs = dict(zip(with_probs, column("class_probs", with_probs)))
-    first = {}
-    for i, fd in enumerate(docs):
-        if first.setdefault(fd.id, i) != i:
-            raise FileFormatError(path, f"/frames/{i}/id",
-                                  f"frame id {fd.id!r} repeats /frames/{first[fd.id]}/id")
+    _check_unique_ids([fd.id for fd in docs], path)
     built = (_lane(ld, points[k], vis[k], probs.get(k), path, ptrs[k])
              for k, ld in enumerate(lanes))
     return [Frame(id=fd.id, camera=fd.camera, tags=fd.tags,

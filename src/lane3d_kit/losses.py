@@ -224,7 +224,10 @@ def ew_pair_loss(
     g_ref, g_other = 0.0 - d_gap, 0.0 + d_gap  # new arrays, +0.0 where d_gap is ±0
     # Through the cosine, which depends on the other lane's segment slope;
     # segment k joins points k and k + 1 and also serves the last point.
-    d_dxo = d_w * np.abs(gap) * (-dy * dxo / hyp2 ** 1.5)
+    # hyp2 ** 1.5, a distance cubed, overflows for coordinates far inside
+    # laneio's bound; the factor is then 0, its limit, and no warning shows.
+    with np.errstate(over="ignore"):
+        d_dxo = d_w * np.abs(gap) * (-dy * dxo / hyp2 ** 1.5)
     g_other[..., 1:] += d_dxo[..., :-1]
     g_other[..., -1] += d_dxo[..., -1]
     g_other[..., :-1] -= d_dxo[..., :-1]

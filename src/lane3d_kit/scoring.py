@@ -11,9 +11,10 @@ Both functions take the file paths, so every input error is a
 - The losses need every lane of both files on the profile's y-grid with a
   ``category`` in 0..S-1, ``class_probs`` of S+1 values in [0, 1] summing
   to 1 on every predicted lane, and at least one lane in every prediction
-  frame.  These rules are checked here; what every reader needs (finite
-  coordinates below :data:`~lane3d_kit.laneio.COORD_LIMIT` in magnitude, a
-  ``visibility`` in [0, 1]) is checked by :mod:`lane3d_kit.laneio`.
+  frame.  These rules are checked here, the probabilities' range with
+  laneio's :func:`~lane3d_kit.laneio.check_range`; what every reader needs
+  (finite coordinates below ``COORD_LIMIT`` in magnitude, a ``visibility``
+  in [0, 1]) is checked by :mod:`lane3d_kit.laneio`.
 - OpenLane needs a ``score`` on every predicted lane of a kept frame; ONCE
   reads no scores.
 
@@ -34,7 +35,7 @@ from .errors import FileFormatError
 from .evaluation import EvalReport, OnceReport, evaluate_once, evaluate_openlane
 from .head import Proposal
 from .lanes import Lane3D
-from .laneio import read_lane_file
+from .laneio import OUTSIDE_UNIT, check_range, outside_unit, read_lane_file
 from .losses import Assignment, LossBreakdown, assign, total_loss
 
 
@@ -46,14 +47,6 @@ def _read_paired(gt_path, pred_path):
         if pf.id not in gt_index:
             raise FileFormatError(pred_path, f"/frames/{k}/id", "no matching ground-truth frame")
     return gt_frames, [(k, pf, gt_index[pf.id]) for k, pf in enumerate(pred_frames)]
-
-
-def _check_unit_interval(values: np.ndarray, path, where: str) -> None:
-    """Reject, at its element's pointer, the first of ``values`` outside [0, 1]."""
-    bad = np.flatnonzero((values < 0.0) | (values > 1.0))
-    if bad.size:
-        raise FileFormatError(path, f"{where}/{bad[0]}",
-                              f"expected a value in [0, 1], got {float(values[bad[0]])}")
 
 
 def _check_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> None:
@@ -71,7 +64,8 @@ def _check_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> None
     if lane.class_probs.shape != (s + 1,):
         raise FileFormatError(path, f"{where}/class_probs",
                               f"expected S+1 = {s + 1} values, got shape {lane.class_probs.shape}")
-    _check_unit_interval(lane.class_probs, path, f"{where}/class_probs")
+    check_range([lane.class_probs], outside_unit, path, lambda _: f"{where}/class_probs",
+                OUTSIDE_UNIT)
     total = float(lane.class_probs.sum())
     if abs(total - 1.0) > ROW_SUM_TOL:
         raise FileFormatError(path, f"{where}/class_probs",

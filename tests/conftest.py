@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lane3d_kit.geometry import CameraRig
+
+# Every run draws the same examples (a test's own @seed still picks its
+# draws), and no example found by an earlier run is stored or replayed.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def unit_rig(ratio: int = 1) -> CameraRig:

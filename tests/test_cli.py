@@ -330,6 +330,40 @@ def test_coordinates_whose_squares_overflow_exit_2_at_their_pointer(tmp_path):
                 "expected a magnitude below 1e150, got 1.7e+308") in err
 
 
+def test_loss_of_a_coordinate_whose_cube_overflows_prints_no_warning(tmp_path):
+    # 1e149 is inside laneio's bound, but the equal-width gradient cubes a distance.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_lanes": 3, "noise": {"lateral_offset": 0.2}}))
+    scene = tmp_path / "scene"
+    assert call("gen-scene", "--spec", spec, "--out", scene)[0] == EXIT_OK
+    pred = _edited(scene / "preds.json", scene / "preds.json",
+                   lambda d: d["frames"][0]["lanes"][1]["points"][5].__setitem__(0, 1e149))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = call("loss", "--gt", scene / "gt.json", "--pred", pred)
+    assert (code, err, caught) == (EXIT_OK, "", [])
+    losses = json.loads(out)
+    values = [v for row in (*losses["frames"], losses["sum"]) for k, v in row.items() if k != "id"]
+    assert values and np.isfinite(values).all()
+
+
+def _stretch_lane(doc):
+    """Lane 0 of frame "2" with x_k = 1e12 k: 2.5e13 m long, with every
+    coordinate far below laneio's bound."""
+    frame = next(f for f in doc["frames"] if f["id"] == "2")
+    for k, point in enumerate(frame["lanes"][0]["points"]):
+        point[0] = 1e12 * k
+
+
+def test_once_rejects_a_lane_too_long_to_rasterize(tmp_path):
+    pred = _edited(GOLDEN / "once_pred.json", tmp_path / "pred.json", _stretch_lane)
+    code, out, err = call("evaluate", "--protocol", "once",
+                          "--gt", GOLDEN / "once_gt.json", "--pred", pred)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("error: frame 2: predicted lane 0: top-view stroke needs "
+                   "500000000000001 samples, more than 1048576\n")
+
+
 @pytest.mark.parametrize("offset", [1.7e308, 1e200])
 def test_gen_scene_writes_no_lane_file_that_readers_reject(tmp_path, offset):
     spec = tmp_path / "spec.json"

@@ -299,3 +299,22 @@ def test_non_finite_lane_values_are_located(evaluate, cfg, where, field, message
     frames = [([lane(0.0)], [lane(0.0, score=1.0)]), (gts, preds)]
     with pytest.raises(ValueError, match=message):
         evaluate(frames, cfg)
+
+
+@pytest.mark.parametrize("where, x, message", [
+    ("gt", np.full(20, 1e100),
+     "frame 1: ground-truth lane 2: top-view polyline has non-finite or out-of-range coordinates"),
+    ("pred", 1e12 * np.arange(20),
+     "frame 1: predicted lane 2: top-view stroke needs 380000000000001 samples, "
+     "more than 1048576"),
+], ids=["gt-out-of-range", "pred-too-long"])
+def test_once_names_a_lane_it_cannot_rasterize(where, x, message):
+    # Lane 0 has no visible point, so the bad lane is the second one rasterized;
+    # the error names its index in the frame.
+    gts = [lane(0.0, vis=0.0), lane(0.0), lane(1.0)]
+    preds = [lane(0.0, vis=0.0, score=0.5), lane(0.0, score=0.5), lane(1.0, score=0.5)]
+    (gts if where == "gt" else preds)[2] = lane(0.0, x=x, score=0.5)
+    frames = [([lane(0.0)], [lane(0.0, score=1.0)]), (gts, preds)]
+    with pytest.raises(ValueError) as exc:
+        evaluate_once(frames, EvalConfigONCE())
+    assert str(exc.value) == message

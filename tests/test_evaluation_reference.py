@@ -237,6 +237,15 @@ def test_rasterize_rejects_unrepresentable_coordinates(bad):
         rasterize_top_view(np.array([[0.0, 0.0], [bad, 1.0]]), EvalConfigONCE())
 
 
+def test_a_stroke_takes_at_most_2_to_the_20_samples():
+    spacing = 1024.0  # a power of two, so every step count below is exact
+    longest = np.array([[0.0, 0.0], [0.0, 3.0 * spacing], [0.0, (2.0 ** 20 - 1) * spacing]])
+    assert evaluation._stroke_samples(longest, spacing).shape == (2 ** 20, 2)
+    longest[2, 1] += spacing
+    with pytest.raises(ValueError, match="^top-view stroke needs 1048577 samples, more than 1048576$"):
+        evaluation._stroke_samples(longest, spacing)
+
+
 def test_chamfer_only_for_pairs_past_the_iou_gate(monkeypatch):
     calls = []
     chamfer = evaluation.unilateral_chamfer

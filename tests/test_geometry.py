@@ -164,6 +164,22 @@ def test_rig_invariants():
         CameraRig(K=k, T_gc=t, image_size=(360, 480), feature_size=(45, 61))
 
 
+@pytest.mark.parametrize("name, index, bad", [
+    ("K", (0, 0), np.inf),
+    ("T_gc", (2, 3), np.nan),
+    ("K", (1, 2), -np.inf),
+    ("T_gl", (0, 3), np.nan),
+], ids=["K/0/0-inf", "T_gc/2/3-nan", "K/1/2--inf", "T_gl/0/3-nan"])
+def test_rig_refuses_a_non_finite_value(name, index, bad):
+    fields = {"K": unit_rig().K, "T_gc": unit_rig().T_gc, "T_gl": unit_rig().T_gc,
+              "image_size": (360, 480), "feature_size": (45, 60)}
+    fields[name] = fields[name].copy()
+    fields[name][index] = bad
+    with np.errstate(all="raise"):  # refused before it reaches any arithmetic
+        with pytest.raises(InvalidRig, match=f"^{name} holds a non-finite value$"):
+            CameraRig(**fields)
+
+
 @seed(1689)
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-8.0, -4.0),

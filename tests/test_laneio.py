@@ -1,12 +1,15 @@
 import functools
 import gc
 import json
+import math
 import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from lane3d_kit.errors import FileFormatError
+from lane3d_kit.errors import FileFormatError, InvalidRig
 from lane3d_kit.geometry import CameraRig
 from lane3d_kit import jsonable, laneio
 from lane3d_kit.jsonable import to_json
@@ -179,10 +182,9 @@ def frames_of(doc) -> list[Frame]:
         return Lane3D(x=x, y=y, z=z, visibility=ld["visibility"], category=ld["category"],
                       score=ld.get("score"), class_probs=ld.get("class_probs"))
 
-    with np.errstate(invalid="ignore"):  # a non-finite rig makes its K @ T_gc warn
-        return [Frame(id=fd["id"], camera=fd["camera"] and CameraRig(**fd["camera"]),
-                      lanes=[lane(ld) for ld in fd["lanes"]])
-                for fd in doc["frames"]]
+    return [Frame(id=fd["id"], camera=fd["camera"] and CameraRig(**fd["camera"]),
+                  lanes=[lane(ld) for ld in fd["lanes"]])
+            for fd in doc["frames"]]
 
 
 def rig_table_doc_with(pointer, bad) -> dict:
@@ -201,12 +203,11 @@ def rig_table_doc_with(pointer, bad) -> dict:
     ("/frames/1/lanes/1/visibility/3", float("inf")),
     ("/frames/0/lanes/1/score", float("nan")),
     ("/frames/0/lanes/1/class_probs/1", float("inf")),
-    ("/frames/1/camera/K/0/0", float("inf")),
-    ("/frames/1/camera/T_gc/2/3", float("nan")),
     ("/frames/0/lanes/1/points/1/0", 1e150),
     ("/frames/1/lanes/2/points/2/2", -1.7e308),
     ("/frames/0/lanes/1/visibility/0", 7.0),
     ("/frames/1/lanes/0/visibility/1", -0.5),
+    ("/frames/1/id", "0"),
 ])
 def test_writer_refuses_what_the_reader_rejects(tmp_path, pointer, bad):
     doc = rig_table_doc_with(pointer, bad)
@@ -220,6 +221,112 @@ def test_writer_refuses_what_the_reader_rejects(tmp_path, pointer, bad):
     assert (refused.value.path, refused.value.location, refused.value.message) == (
         str(written), pointer, rejected.value.message)
     assert rejected.value.location == pointer
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("pointer, bad", [
+    ("/frames/1/camera/K/0/0", float("inf")),
+    ("/frames/1/camera/T_gc/2/3", float("nan")),
+])
+def test_non_finite_rig_value_is_read_at_its_element(tmp_path, pointer, bad):
+    # A rig in memory cannot hold one (test_rig_refuses_a_non_finite_value).
+    path = tmp_path / "lanes.json"
+    path.write_text(json.dumps(rig_table_doc_with(pointer, bad)))
+    with pytest.raises(FileFormatError) as rejected:
+        read_lane_file(path)
+    assert (rejected.value.location, rejected.value.message) == (pointer, "non-finite value")
+
+
+RIGS = [None, to_json(unit_rig()), {**to_json(unit_rig()), "T_gl": unit_rig().T_gc.tolist()}]
+
+
+@st.composite
+def lane_file_docs(draw) -> dict:
+    """A lane file document that reads, of at most 3 frames x 3 lanes x 6
+    points; a frame's rig is none, a camera, or a camera with a LiDAR."""
+    coord, unit = st.floats(-100.0, 100.0), st.floats(0.0, 1.0)
+    frames = []
+    for i in range(draw(st.integers(1, 3))):
+        lanes = []
+        for _ in range(draw(st.integers(0, 3))):
+            n, y0 = draw(st.integers(1, 6)), draw(st.integers(-10, 10))
+            lane = {"category": draw(st.integers(0, 5)),
+                    "points": [[draw(coord), y0 + k, draw(coord)] for k in range(n)],
+                    "visibility": draw(st.lists(unit, min_size=n, max_size=n))}
+            if draw(st.booleans()):
+                lane["score"] = draw(unit)
+            if draw(st.booleans()):
+                lane["class_probs"] = draw(st.lists(unit, min_size=1, max_size=4))
+            lanes.append(lane)
+        camera = draw(st.sampled_from(RIGS))
+        frames.append({"id": str(i), "camera": camera, "lanes": lanes})
+    return {"frames": frames}
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def rejected_values(doc) -> dict[str, list[tuple[str, st.SearchStrategy]]]:
+    """By field, (JSON pointer, values the reader rejects there) of every value
+    in ``doc`` that can be set to one alone.  A ``y`` is left out: a bad one
+    breaks the order that ``Lane3D`` checks before any writer runs."""
+    too_large = st.floats(1e150, 1.7e308) | st.floats(-1.7e308, -1e150)
+    outside_unit = st.floats(1.0, 1e300, exclude_min=True) | st.floats(-1e300, -5e-324)
+    targets = {}
+    for i, fd in enumerate(doc["frames"]):
+        if i:
+            targets.setdefault("id", []).append(
+                (f"/frames/{i}/id", st.sampled_from([str(p) for p in range(i)])))
+        for j, ld in enumerate(fd["lanes"]):
+            where = f"/frames/{i}/lanes/{j}"
+            for k in range(len(ld["points"])):
+                targets.setdefault("points", []).extend(
+                    (f"{where}/points/{k}/{c}", NON_FINITE | too_large) for c in (0, 2))
+                targets.setdefault("visibility", []).append(
+                    (f"{where}/visibility/{k}", NON_FINITE | outside_unit))
+            if "score" in ld:
+                targets.setdefault("score", []).append((f"{where}/score", NON_FINITE))
+            for k in range(len(ld.get("class_probs", []))):
+                targets.setdefault("class_probs", []).append(
+                    (f"{where}/class_probs/{k}", NON_FINITE))
+        for name in ("K", "T_gc", "T_gl"):
+            if fd["camera"] and fd["camera"][name]:
+                rows = fd["camera"][name]
+                targets.setdefault("rig", []).extend(
+                    (f"/frames/{i}/camera/{name}/{r}/{c}", NON_FINITE)
+                    for r in range(len(rows)) for c in range(len(rows[0])))
+    return targets
+
+
+@seed(1717)
+@settings(max_examples=100, deadline=None)
+@given(lane_file_docs(), st.data())
+def test_writer_refuses_each_value_the_reader_rejects(tmp_path_factory, doc, data):
+    work = tmp_path_factory.mktemp("parity")
+    write_lane_file(work / "valid.json", frames_of(doc))
+    assert json.loads((work / "valid.json").read_text()) == doc
+    targets = rejected_values(doc)
+    assume(targets)
+    kind = data.draw(st.sampled_from(sorted(targets)))
+    pointer, strategy = data.draw(st.sampled_from(targets[kind]))
+    bad = data.draw(strategy)
+    doc = json.loads(json.dumps(doc))
+    *path, last = (int(key) if key.isdigit() else key for key in pointer.split("/")[1:])
+    functools.reduce(operator.getitem, path, doc)[last] = bad
+    (work / "read.json").write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError) as rejected:
+        read_lane_file(work / "read.json")
+    assert rejected.value.location == pointer
+    if kind == "rig":
+        # An inf in the rotation block makes the rotation check's R @ R.T warn.
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidRig):
+            frames_of(doc)
+        return
+    written = work / "written.json"
+    with pytest.raises(FileFormatError) as refused:
+        write_lane_file(written, frames_of(doc))
+    assert (refused.value.path, refused.value.location, refused.value.message) == (
+        str(written), pointer, rejected.value.message)
     assert not written.exists()
 
 
