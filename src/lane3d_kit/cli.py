@@ -242,9 +242,7 @@ def cmd_forward(args) -> int:
         lanes = [p.to_lane(cfg.profile.y_samples) for p in result.proposals]
         out_frames.append(Frame(id=frame.id, camera=frame.camera, lanes=lanes, tags=frame.tags))
         if args.trace:
-            traces.append(
-                {"frame": frame.id, "stages": [st.to_json_dict() for st in result.trace]}
-            )
+            traces.append({"frame": frame.id, "stages": to_json(result.trace)})
     write_lane_file(args.out, out_frames)
     if args.trace:
         Path(args.trace).write_text(dumps(traces) + "\n")

@@ -49,6 +49,20 @@ class FileFormatError(Lane3DKitError):
         self.message = message
 
 
+class FrameLaneError(ValueError):
+    """A metric cannot score one lane of a frame.
+
+    ``frame`` is the frame's position in the sequence the metric was given,
+    ``kind`` "ground-truth" or "predicted" and ``lane`` the lane's index in
+    the frame; a caller that passed some of a file's frames raises it again
+    with the file's frame index.
+    """
+
+    def __init__(self, frame, kind, lane, detail):
+        super().__init__(f"frame {frame}: {kind} lane {lane}: {detail}")
+        self.frame, self.kind, self.lane, self.detail = frame, kind, lane, detail
+
+
 class PipelineStageError(Lane3DKitError):
     """Wraps an error raised inside one refinement stage with its index."""
 

@@ -18,7 +18,9 @@ Only :func:`evaluate_openlane` and :func:`evaluate_once` read lane objects,
 each frame's lanes once.  OpenLane works below them on each frame side's
 lanes with a visible eval sample, resampled and stacked as (L, N) rows in
 one :class:`ResampledLane`; ONCE works on each lane's (K, 2) top-view
-polyline of visible points.
+polyline of visible points.  A lane either metric cannot score raises
+:class:`~lane3d_kit.errors.FrameLaneError` with the frame's position in
+``frames`` and the lane's index in the frame.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FrameLaneError
 from .lanes import Lane3D
 from .losses import solve_assignment
 
@@ -169,7 +172,7 @@ def _match_resampled(cost: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _check_finite(frame: int, gts: list[Lane3D], preds: list[Lane3D]) -> None:
-    """Raise ValueError naming the first lane of the frame with a NaN or inf."""
+    """Raise FrameLaneError naming the first lane of the frame with a NaN or inf."""
     lanes = [*gts, *preds]
     values = [a for ln in lanes for a in (ln.x, ln.y, ln.z, ln.visibility)]
     values.append(np.array([ln.score for ln in lanes if ln.score is not None], dtype=np.float64))
@@ -179,9 +182,9 @@ def _check_finite(frame: int, gts: list[Lane3D], preds: list[Lane3D]) -> None:
         for j, lane in enumerate(lanes):
             for name in ("x", "y", "z", "visibility"):
                 if not np.isfinite(getattr(lane, name)).all():
-                    raise ValueError(f"frame {frame}: {kind} lane {j}: non-finite {name}")
+                    raise FrameLaneError(frame, kind, j, f"non-finite {name}")
             if lane.score is not None and not math.isfinite(lane.score):
-                raise ValueError(f"frame {frame}: {kind} lane {j}: non-finite score")
+                raise FrameLaneError(frame, kind, j, "non-finite score")
 
 
 def _stack(rs: list[ResampledLane], n: int) -> ResampledLane:
@@ -449,13 +452,13 @@ _NON_CANDIDATE = 1e9
 
 def _lane_cells(frame: int, kind: str, polys: dict, cfg: EvalConfigONCE) -> list[set]:
     """The top-view cells of each of the frame's lane ``polys`` (by index in
-    the frame); a lane that cannot be rasterized is a ValueError naming it."""
+    the frame); a lane that cannot be rasterized is a FrameLaneError naming it."""
     cells = []
     for j, poly in polys.items():
         try:
             cells.append(rasterize_top_view(poly, cfg))
         except ValueError as e:
-            raise ValueError(f"frame {frame}: {kind} lane {j}: {e}") from e
+            raise FrameLaneError(frame, kind, j, e) from e
     return cells
 
 

@@ -27,7 +27,9 @@ _ORTHO_TOL = 1e-6
 _EYE = np.eye(3)
 # np.allclose(R @ R.T, _EYE, atol=_ORTHO_TOL) with its default rtol of 1e-5,
 # spelled out because allclose costs most of a rig's construction.  Any NaN
-# or infinity in R fails the comparison, as it fails allclose.
+# or infinity in R fails the comparison, as it fails allclose.  An infinity
+# makes R @ R.T form 0 * inf, so the check runs with numpy's invalid-value
+# warning off.
 _ORTHO_BOUND = _ORTHO_TOL + 1e-5 * _EYE
 
 
@@ -63,7 +65,9 @@ class CameraRig:
         if self.K[2, 2] != 1.0 or any(self.K[i, j] != 0.0 for i, j in ((1, 0), (2, 0), (2, 1))):
             raise InvalidRig("K is not in upper-triangular pinhole form")
         R = self.T_gc[:, :3]
-        if not (np.abs(R @ R.T - _EYE) <= _ORTHO_BOUND).all():
+        with np.errstate(invalid="ignore"):
+            orthonormal = (np.abs(R @ R.T - _EYE) <= _ORTHO_BOUND).all()
+        if not orthonormal:
             raise InvalidRig("rotation block of T_gc is not orthonormal")
         for name, value in (("K", self.K), ("T_gc", self.T_gc), ("T_gl", self.T_gl)):
             if value is not None and not np.isfinite(value).all():

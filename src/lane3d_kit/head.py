@@ -24,9 +24,8 @@ from .anchors import (
 )
 from .errors import PipelineStageError, ShapeMismatch
 from .geometry import CameraRig
-from .jsonable import to_json
 from .lanes import Lane3D
-from .sampling import FeatureMap, FeatureVolume, sample_anchors, sample_anchors_lidar
+from .sampling import FeatureMap, FeatureVolume, fuse, sample_camera, sample_lidar
 
 
 @dataclass
@@ -174,7 +173,8 @@ def predict(features: np.ndarray, anchors: list[Anchor3D], w: HeadWeights) -> li
     """Run the head on per-anchor features and build proposals.
 
     ``features`` is the (M, C) matrix whose rows are the anchors' flattened
-    :class:`~lane3d_kit.sampling.AnchorFeature` values, aligned with ``anchors``.
+    :class:`~lane3d_kit.sampling.AnchorFeature` values (a batch's ``flat``),
+    aligned with ``anchors``.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.shape[0] != len(anchors):
@@ -203,20 +203,16 @@ def predict(features: np.ndarray, anchors: list[Anchor3D], w: HeadWeights) -> li
 
 @dataclass
 class StageTrace:
-    """Everything one refinement stage consumed and produced."""
+    """Everything one refinement stage consumed and produced.
+
+    ``anchors`` is the stage's (M, N, 3) batch of anchor points, the array it
+    sampled; ``proposals`` is the list form kept for per-lane callers.
+    """
 
     stage: int
     level: int
-    anchors: list[Anchor3D]
+    anchors: np.ndarray
     proposals: list[Proposal]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "level": self.level,
-            "anchors": [a.points.tolist() for a in self.anchors],
-            "proposals": to_json(self.proposals),
-        }
 
 
 @dataclass
@@ -240,11 +236,12 @@ def run_pipeline(
 
     Initial anchors come from adaptive generation on the level-5 feature;
     afterwards each stage samples features for its anchors, predicts, and
-    hands its proposals to the next stage as anchors.  Each stage makes one
-    sampling pass per modality (camera, and LiDAR when volumes are
-    supplied) over all anchors, and builds the (M, N*C) head input with the
-    camera channels first at every point, the layout of
-    :func:`~lane3d_kit.sampling.fuse`'s ``flat``.
+    hands its proposals to the next stage as anchors.  Each stage stacks its
+    anchors' points once as an (M, N, 3) batch, samples it with
+    ``sample_camera`` (and ``sample_lidar`` when volumes are supplied), joins
+    the two with ``fuse`` and hands the batch's (M, N*C) ``flat`` to
+    ``predict``; all four are looked up as module globals at each stage.
+    The anchor and proposal lists are kept for ``predict`` and the re-seeding.
     """
     y_samples = np.asarray(y_samples, dtype=np.float64)
     for level, wid in plan.stages:
@@ -259,17 +256,14 @@ def run_pipeline(
     trace: list[StageTrace] = []
     proposals: list[Proposal] = []
     for idx, (level, wid) in enumerate(plan.stages):
+        points = np.stack([a.points for a in anchors])
         try:
-            values = np.stack([f.values for f in sample_anchors(anchors, features[level], rig)])
+            feats = sample_camera(points, features[level], rig)
             if lidar is not None:
-                lidar_values = np.stack(
-                    [f.values for f in sample_anchors_lidar(anchors, lidar[level], rig)]
-                )
-                values = np.concatenate([values, lidar_values], axis=2)
-            matrix = values.reshape(len(anchors), -1)
-            proposals = predict(matrix, anchors, head_weights[wid])
+                feats = fuse(feats, sample_lidar(points, lidar[level], rig))
+            proposals = predict(feats.flat, anchors, head_weights[wid])
         except Exception as e:
             raise PipelineStageError(idx, e) from e
-        trace.append(StageTrace(stage=idx, level=level, anchors=anchors, proposals=proposals))
+        trace.append(StageTrace(stage=idx, level=level, anchors=points, proposals=proposals))
         anchors = [p.to_anchor(y_samples) for p in proposals]
     return PipelineResult(proposals=proposals, trace=trace)

@@ -7,10 +7,12 @@ One multilinear interpolation, :func:`_interpolate`, reads both kinds of
 grid; :func:`bilinear_sample` and :func:`trilinear_sample` only map their
 points to fractional cell coordinates.
 
-Each refinement stage makes one sampling pass per modality:
-:func:`sample_anchors` projects and bilinearly samples every anchor's
-points in one call, and :func:`sample_anchors_lidar` transforms and
-trilinearly samples them in one call; both then slice the result per anchor.
+Each refinement stage samples its anchors as one (M, N, 3) batch of
+points, one pass per modality: :func:`sample_camera` projects and bilinearly
+samples them, :func:`sample_lidar` transforms and trilinearly samples them,
+and :func:`fuse` joins the two batches into the head input.  The list form
+:func:`sample_anchors` and the one-anchor :func:`sample_anchor_lidar` are
+views of these batches kept for per-anchor callers.
 """
 
 from __future__ import annotations
@@ -67,11 +69,12 @@ class FeatureVolume:
 
 @dataclass
 class AnchorFeature:
-    """Per-point feature vectors for one anchor plus a validity mask.
+    """Per-point feature vectors plus a validity mask, for one anchor or a
+    batch of anchors.
 
-    ``values`` is (N, C); invalid points hold exact zeros.  ``flat`` gives
-    the channel-concatenated layout in point order, which is the per-anchor
-    feature the prediction head consumes.
+    ``values`` is (..., N, C) and ``valid`` (..., N); invalid points hold
+    exact zeros.  ``flat`` is (..., N*C): each anchor's channels concatenated
+    in point order, the per-anchor row the prediction head consumes.
     """
 
     values: np.ndarray
@@ -80,14 +83,14 @@ class AnchorFeature:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.valid = np.asarray(self.valid, dtype=bool)
-        if self.values.ndim != 2 or self.valid.shape != (self.values.shape[0],):
-            raise ShapeMismatch(
-                "anchor feature", f"(N, C) with (N,) mask", (self.values.shape, self.valid.shape)
-            )
+        if self.values.ndim < 2 or self.valid.shape != self.values.shape[:-1]:
+            raise ShapeMismatch("anchor feature", "(..., N, C) with (..., N) mask",
+                                (self.values.shape, self.valid.shape))
 
     @property
     def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
+        *lead, n, c = self.values.shape
+        return self.values.reshape(*lead, n * c)
 
 
 def _interpolate(grid: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,65 +140,60 @@ def trilinear_sample(fv: FeatureVolume, xyz: np.ndarray) -> tuple[np.ndarray, np
     return _interpolate(fv.data, rel[:, ::-1])  # -> (iz, iy, ix)
 
 
-def _per_anchor(values: np.ndarray, valid: np.ndarray, n: int) -> list[AnchorFeature]:
-    """Slice the samples of consecutive n-point anchors into one feature each."""
-    return [
-        AnchorFeature(values=values[i:i + n], valid=valid[i:i + n])
-        for i in range(0, valid.shape[0], n)
-    ]
+def sample_camera(points: np.ndarray, fm: FeatureMap, rig: CameraRig) -> AnchorFeature:
+    """Project (..., N, 3) ground-frame anchor points into the feature grid
+    and sample it bilinearly.
 
-
-def sample_anchors(anchors: list[Anchor3D], fm: FeatureMap, rig: CameraRig) -> list[AnchorFeature]:
-    """Project every anchor's points into the feature grid and sample them.
-
-    One projection pass covers all anchors.  Behind-camera and out-of-grid
-    points contribute zeros with a False mask.
+    One projection and one interpolation pass cover the batch.
+    Behind-camera and out-of-grid points contribute zeros with a False mask.
     """
     if rig.feature_size != fm.data.shape[:2]:
         raise ShapeMismatch("feature grid", rig.feature_size, fm.data.shape[:2])
-    if not anchors:
-        return []
-    n = len(anchors[0])
-    pts = np.concatenate([a.points for a in anchors], axis=0)
-    uv, _, in_front = project_points_to_feature(pts, rig)
+    points = np.asarray(points, dtype=np.float64)
+    uv, _, in_front = project_points_to_feature(points.reshape(-1, 3), rig)
     values, in_grid = bilinear_sample(fm, uv[:, 0], uv[:, 1])
     valid = in_front & in_grid
     values[~valid] = 0.0
-    return _per_anchor(values, valid, n)
+    lead = points.shape[:-1]
+    return AnchorFeature(values=values.reshape(*lead, values.shape[-1]), valid=valid.reshape(lead))
 
 
-def sample_anchors_lidar(
-    anchors: list[Anchor3D], fv: FeatureVolume, rig: CameraRig
-) -> list[AnchorFeature]:
-    """Transform every anchor's points into the LiDAR frame and sample the voxel grid.
+def sample_lidar(points: np.ndarray, fv: FeatureVolume, rig: CameraRig) -> AnchorFeature:
+    """Transform (..., N, 3) ground-frame anchor points into the LiDAR frame
+    and sample the voxel grid trilinearly.
 
-    One transform and one trilinear pass cover all anchors.  Points outside
-    the volume's extent contribute zeros with a False mask.
+    One transform and one interpolation pass cover the batch.  Points
+    outside the volume's extent contribute zeros with a False mask.
     """
-    if not anchors:
-        return []
-    n = len(anchors[0])
-    pts = project_points_to_lidar(np.concatenate([a.points for a in anchors], axis=0), rig)
-    values, valid = trilinear_sample(fv, pts)
-    return _per_anchor(values, valid, n)
+    points = np.asarray(points, dtype=np.float64)
+    values, valid = trilinear_sample(fv, project_points_to_lidar(points.reshape(-1, 3), rig))
+    lead = points.shape[:-1]
+    return AnchorFeature(values=values.reshape(*lead, values.shape[-1]), valid=valid.reshape(lead))
+
+
+def sample_anchors(anchors: list[Anchor3D], fm: FeatureMap, rig: CameraRig) -> list[AnchorFeature]:
+    """:func:`sample_camera` of every anchor's points, as one (N, C) feature
+    per anchor: views of the batch's rows, kept for per-anchor callers."""
+    points = np.stack([a.points for a in anchors]) if anchors else np.empty((0, 0, 3))
+    batch = sample_camera(points, fm, rig)
+    return [AnchorFeature(values=v, valid=m) for v, m in zip(batch.values, batch.valid)]
 
 
 def sample_anchor_lidar(anchor: Anchor3D, fv: FeatureVolume, rig: CameraRig) -> AnchorFeature:
-    """:func:`sample_anchors_lidar` of one anchor."""
-    return sample_anchors_lidar([anchor], fv, rig)[0]
+    """:func:`sample_lidar` of one anchor's points."""
+    return sample_lidar(anchor.points, fv, rig)
 
 
 def fuse(camera_feat: AnchorFeature, lidar_feat: AnchorFeature) -> AnchorFeature:
-    """Concatenate camera and LiDAR channels per point (camera first).
+    """Concatenate camera and LiDAR channels per point (camera first), for
+    one anchor or a batch; this is the fused layout the head reads.
 
     A point is valid if either modality saw it.
     """
-    if camera_feat.values.shape[0] != lidar_feat.values.shape[0]:
-        raise LengthMismatch(
-            f"camera has {camera_feat.values.shape[0]} points, "
-            f"lidar has {lidar_feat.values.shape[0]}"
-        )
+    if camera_feat.valid.shape != lidar_feat.valid.shape:
+        cam, lid = ("x".join(map(str, f.valid.shape)) for f in (camera_feat, lidar_feat))
+        raise LengthMismatch(f"camera has {cam} points, lidar has {lid}")
     return AnchorFeature(
-        values=np.concatenate([camera_feat.values, lidar_feat.values], axis=1),
+        values=np.concatenate([camera_feat.values, lidar_feat.values], axis=-1),
         valid=camera_feat.valid | lidar_feat.valid,
     )

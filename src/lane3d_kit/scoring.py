@@ -16,7 +16,9 @@ Both functions take the file paths, so every input error is a
   (finite coordinates below ``COORD_LIMIT`` in magnitude, a ``visibility``
   in [0, 1]) is checked by :mod:`lane3d_kit.laneio`.
 - OpenLane needs a ``score`` on every predicted lane of a kept frame; ONCE
-  reads no scores.
+  reads no scores.  A lane a protocol cannot score is a
+  :class:`~lane3d_kit.errors.FrameLaneError` naming the frame by its index
+  in the ground-truth file.
 
 ``read_lane_file``, ``assign``, ``total_loss`` and the two ``evaluate_*``
 functions are looked up as module globals at each call, so a tracer can
@@ -31,7 +33,7 @@ import numpy as np
 
 from .anchors import ROW_SUM_TOL
 from .config import DatasetProfile, RunConfig
-from .errors import FileFormatError
+from .errors import FileFormatError, FrameLaneError
 from .evaluation import EvalReport, OnceReport, evaluate_once, evaluate_openlane
 from .head import Proposal
 from .lanes import Lane3D
@@ -121,8 +123,11 @@ def score_protocol(cfg: RunConfig, protocol: str, gt_path, pred_path,
                 raise FileFormatError(pred_path, f"/frames/{k}/lanes/{j}/score",
                                       "openlane needs a score on every predicted lane")
     pairs = [(gt_frames[g].lanes, preds[g]) for g in frames]
-    if protocol == "openlane":
-        report = evaluate_openlane(pairs, cfg.eval_openlane)
-    else:
-        report = evaluate_once(pairs, cfg.eval_once)
+    try:
+        if protocol == "openlane":
+            report = evaluate_openlane(pairs, cfg.eval_openlane)
+        else:
+            report = evaluate_once(pairs, cfg.eval_once)
+    except FrameLaneError as e:
+        raise FrameLaneError(frames[e.frame], e.kind, e.lane, e.detail) from e
     return ProtocolScore(frames, [gt_frames[g].id for g in frames], pairs, report)

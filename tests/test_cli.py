@@ -347,10 +347,10 @@ def test_loss_of_a_coordinate_whose_cube_overflows_prints_no_warning(tmp_path):
     assert values and np.isfinite(values).all()
 
 
-def _stretch_lane(doc):
-    """Lane 0 of frame "2" with x_k = 1e12 k: 2.5e13 m long, with every
-    coordinate far below laneio's bound."""
-    frame = next(f for f in doc["frames"] if f["id"] == "2")
+def _stretch_lane(doc, frame_id="2"):
+    """Lane 0 of frame ``frame_id`` with x_k = 1e12 k: 2.5e13 m long, with
+    every coordinate far below laneio's bound."""
+    frame = next(f for f in doc["frames"] if f["id"] == frame_id)
     for k, point in enumerate(frame["lanes"][0]["points"]):
         point[0] = 1e12 * k
 
@@ -361,6 +361,21 @@ def test_once_rejects_a_lane_too_long_to_rasterize(tmp_path):
                           "--gt", GOLDEN / "once_gt.json", "--pred", pred)
     assert (code, out) == (EXIT_INPUT, "")
     assert err == ("error: frame 2: predicted lane 0: top-view stroke needs "
+                   "500000000000001 samples, more than 1048576\n")
+
+
+def test_once_names_the_gt_file_frame_under_a_tag_filter(tmp_path):
+    def tag_frames_2_and_3(doc):
+        for frame in doc["frames"][2:4]:
+            frame["tags"] = ["x"]
+
+    gt = _edited(GOLDEN / "once_gt.json", tmp_path / "gt.json", tag_frames_2_and_3)
+    pred = _edited(GOLDEN / "once_pred.json", tmp_path / "pred.json",
+                   lambda d: _stretch_lane(d, "3"))
+    code, out, err = call("evaluate", "--protocol", "once", "--gt", gt, "--pred", pred,
+                          "--tag-filter", "x")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("error: frame 3: predicted lane 0: top-view stroke needs "
                    "500000000000001 samples, more than 1048576\n")
 
 

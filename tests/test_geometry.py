@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -178,6 +180,17 @@ def test_rig_refuses_a_non_finite_value(name, index, bad):
     with np.errstate(all="raise"):  # refused before it reaches any arithmetic
         with pytest.raises(InvalidRig, match=f"^{name} holds a non-finite value$"):
             CameraRig(**fields)
+
+
+@pytest.mark.parametrize("index, bad", [((0, 0), np.inf), ((1, 2), -np.inf), ((2, 1), np.nan)],
+                         ids=["0/0-inf", "1/2--inf", "2/1-nan"])
+def test_rig_refuses_a_non_finite_rotation_without_a_warning(index, bad):
+    t = unit_rig().T_gc.copy()
+    t[index] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidRig, match="^rotation block of T_gc is not orthonormal$"):
+            CameraRig(K=unit_rig().K, T_gc=t, image_size=(360, 480), feature_size=(45, 60))
 
 
 @seed(1689)

@@ -168,8 +168,8 @@ def test_oracle_head_reaches_fixed_point(rng, monkeypatch):
     for stage in result.trace[1:]:
         for j, a in enumerate(stage.anchors):
             gt = gts[j % len(gts)]
-            np.testing.assert_allclose(a.x, gt.x, atol=1e-9)
-            np.testing.assert_allclose(a.z, gt.z, atol=1e-9)
+            np.testing.assert_allclose(a[:, 0], gt.x, atol=1e-9)
+            np.testing.assert_allclose(a[:, 2], gt.z, atol=1e-9)
 
 
 def test_zero_regression_weights_pass_anchors_through(rng):
@@ -184,8 +184,8 @@ def test_zero_regression_weights_pass_anchors_through(rng):
     first = result.trace[0].anchors
     for stage in result.trace:
         for a, p in zip(first, stage.proposals):
-            np.testing.assert_array_equal(p.x, a.x)
-            np.testing.assert_array_equal(p.z, a.z)
+            np.testing.assert_array_equal(p.x, a[:, 0])
+            np.testing.assert_array_equal(p.z, a[:, 2])
 
 
 def test_pipeline_deterministic(rng):

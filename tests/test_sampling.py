@@ -15,7 +15,8 @@ from lane3d_kit.sampling import (
     fuse,
     sample_anchor_lidar,
     sample_anchors,
-    sample_anchors_lidar,
+    sample_camera,
+    sample_lidar,
     trilinear_sample,
 )
 from lane3d_kit.synth import SceneSpec, generate_scene, rasterize_features
@@ -417,22 +418,49 @@ def lidar_cases(draw):
 @given(lidar_cases())
 def test_batched_lidar_sampling_equals_each_anchor_alone(case):
     anchors, fv, rig = case
-    feats = sample_anchors_lidar(anchors, fv, rig)
-    assert len(feats) == len(anchors)
-    for a, f in zip(anchors, feats):
+    feats = sample_lidar(np.stack([a.points for a in anchors]), fv, rig)
+    assert feats.valid.shape == (len(anchors), len(anchors[0].x))
+    for a, f_values, f_valid in zip(anchors, feats.values, feats.valid):
         values, valid = trilinear_sample(fv, project_points_to_lidar(a.points, rig))
-        assert np.array_equal(f.values, values) and np.array_equal(f.valid, valid)
+        assert np.array_equal(f_values, values) and np.array_equal(f_valid, valid)
         one = sample_anchor_lidar(a, fv, rig)
         assert np.array_equal(one.values, values) and np.array_equal(one.valid, valid)
 
 
 def test_batched_lidar_sampling_of_no_anchors_is_empty():
-    assert sample_anchors_lidar([], volume_2x2x2(), lidar_rig()) == []
+    feats = sample_lidar(np.empty((0, 5, 3)), volume_2x2x2(), lidar_rig())
+    assert feats.values.shape == (0, 5, 1) and feats.valid.shape == (0, 5)
+    assert feats.flat.shape == (0, 5)
 
 
 def test_batched_lidar_sampling_requires_extrinsics():
+    points = np.stack([anchor_at(0.0).points, anchor_at(1.0).points])
     with pytest.raises(MissingLidarExtrinsics):
-        sample_anchors_lidar([anchor_at(0.0), anchor_at(1.0)], volume_2x2x2(), unit_rig(ratio=8))
+        sample_lidar(points, volume_2x2x2(), unit_rig(ratio=8))
+
+
+def test_batched_camera_sampling_equals_each_anchor_alone(rng):
+    rig = unit_rig(ratio=8)
+    fm = FeatureMap(data=rng.normal(size=(45, 60, 3)))
+    anchors = [anchor_at(x, z=z) for x, z in ((-3.0, 0.0), (0.5, 40.0), (60.0, -1.0))]
+    feats = sample_camera(np.stack([a.points for a in anchors]), fm, rig)
+    assert feats.values.shape == (3, 5, 3) and feats.flat.shape == (3, 15)
+    assert feats.valid.any() and not feats.valid.all()
+    for a, f_values, f_valid, listed in zip(anchors, feats.values, feats.valid,
+                                            sample_anchors(anchors, fm, rig)):
+        one = sample_camera(a.points, fm, rig)
+        assert np.array_equal(one.values, f_values) and np.array_equal(one.valid, f_valid)
+        assert np.array_equal(listed.values, f_values) and np.array_equal(listed.valid, f_valid)
+
+
+def test_batched_camera_sampling_of_no_anchors_is_empty():
+    feats = sample_camera(np.empty((0, 5, 3)), FeatureMap(data=np.ones((45, 60, 2))),
+                          unit_rig(ratio=8))
+    assert feats.values.shape == (0, 5, 2) and feats.valid.shape == (0, 5)
+    assert feats.flat.shape == (0, 10)
+    assert sample_anchors([], FeatureMap(data=np.ones((45, 60, 2))), unit_rig(ratio=8)) == []
+    with pytest.raises(ShapeMismatch):  # a wrong grid is refused also for no anchors
+        sample_anchors([], FeatureMap(data=np.ones((44, 60, 2))), unit_rig(ratio=8))
 
 
 def test_fuse_layout():
@@ -466,5 +494,28 @@ def test_fuse_index_arithmetic_oracle(rng):
 def test_fuse_length_mismatch():
     cam = AnchorFeature(values=np.zeros((2, 1)), valid=np.ones(2, bool))
     lid = AnchorFeature(values=np.zeros((3, 1)), valid=np.ones(3, bool))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="^camera has 2 points, lidar has 3$"):
         fuse(cam, lid)
+    batch = AnchorFeature(values=np.zeros((4, 2, 1)), valid=np.ones((4, 2), bool))
+    with pytest.raises(LengthMismatch, match="^camera has 4x2 points, lidar has 2$"):
+        fuse(batch, AnchorFeature(values=np.zeros((2, 1)), valid=np.ones(2, bool)))
+
+
+def test_fuse_of_a_batch_is_the_fuse_of_each_anchor(rng):
+    m, n, c1, c2 = 3, 4, 2, 5
+    cam = AnchorFeature(values=rng.normal(size=(m, n, c1)), valid=rng.random((m, n)) < 0.5)
+    lid = AnchorFeature(values=rng.normal(size=(m, n, c2)), valid=rng.random((m, n)) < 0.5)
+    fused = fuse(cam, lid)
+    assert fused.values.shape == (m, n, c1 + c2) and fused.flat.shape == (m, n * (c1 + c2))
+    for i in range(m):
+        one = fuse(AnchorFeature(cam.values[i], cam.valid[i]),
+                   AnchorFeature(lid.values[i], lid.valid[i]))
+        assert np.array_equal(fused.flat[i], one.flat)
+        assert np.array_equal(fused.valid[i], one.valid)
+
+
+def test_anchor_feature_mask_must_match_the_leading_axes():
+    with pytest.raises(ShapeMismatch):
+        AnchorFeature(values=np.zeros((3, 4, 2)), valid=np.ones((3, 2), bool))
+    with pytest.raises(ShapeMismatch):
+        AnchorFeature(values=np.zeros(4), valid=np.ones(4, bool))

@@ -3,6 +3,7 @@ import pytest
 
 from lane3d_kit.config import DatasetProfile, make_profile
 from lane3d_kit.evaluation import EvalConfigOL, evaluate_openlane
+from lane3d_kit.lanes import Lane3D
 from lane3d_kit.losses import LossConfig, ew_loss
 from lane3d_kit.synth import (
     NoiseSpec,
@@ -11,6 +12,7 @@ from lane3d_kit.synth import (
     generate_scene,
     perturb_predictions,
     rasterize_features,
+    rasterize_volume,
 )
 
 
@@ -65,6 +67,40 @@ def test_rasterize_empty_scene_is_zero():
     rig = build_rig(SceneSpec())
     fm = rasterize_features([], rig, (*rig.feature_size, 2), sigma=4.0)
     np.testing.assert_array_equal(fm.data, 0.0)
+
+
+# Cell centres at x = -2..2, y = 0..3 and z = -1..1, one metre apart.
+VOLUME_DIMS = (3, 4, 5, 2)
+VOLUME_EXTENT = np.array([[-2.0, 2.0], [0.0, 3.0], [-1.0, 1.0]])
+
+
+def point_lane(xyz, visibility=1.0):
+    x, y, z = xyz
+    return Lane3D(x=[x], y=[y], z=[z], visibility=[visibility])
+
+
+def test_volume_splat_peaks_at_its_cell_centre_in_channel_0():
+    fv = rasterize_volume([point_lane((0.0, 1.0, 0.0))], VOLUME_DIMS, VOLUME_EXTENT)
+    assert fv.data.shape == VOLUME_DIMS
+    assert fv.data[1, 1, 2, 0] == 1.0 and fv.data[..., 0].max() == 1.0
+    np.testing.assert_array_equal(fv.data[..., 1], 0.0)
+    # One cell away along z, y and x, on either side.
+    for index in ((0, 1, 2), (2, 1, 2), (1, 0, 2), (1, 2, 2), (1, 1, 1), (1, 1, 3)):
+        assert fv.data[(*index, 0)] == np.exp(-0.5), index
+
+
+def test_volume_ignores_invisible_points():
+    fv = rasterize_volume([point_lane((0.0, 1.0, 0.0), visibility=0.0)], VOLUME_DIMS,
+                          VOLUME_EXTENT)
+    np.testing.assert_array_equal(fv.data, 0.0)
+
+
+def test_volume_single_cell_axis_centre_is_mid_extent():
+    extent = np.array([[-1.0, 3.0], [0.0, 10.0], [-2.0, 0.0]])
+    fv = rasterize_volume([point_lane((1.0, 5.0, -1.0))], (1, 1, 1, 1), extent)
+    assert fv.data[0, 0, 0, 0] == 1.0
+    off = rasterize_volume([point_lane((1.5, 5.0, -1.0))], (1, 1, 1, 1), extent)
+    assert off.data[0, 0, 0, 0] < 1.0
 
 
 def test_perturb_zero_noise_is_oracle():
