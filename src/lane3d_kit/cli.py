@@ -10,6 +10,7 @@ checked.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -126,7 +127,11 @@ def _frame_tensors(tensors: dict, path, frame_id: str, *names: str) -> list[np.n
 
 @dataclass
 class _GenSceneSpec(SceneSpec):
-    """A gen-scene spec: the scene plus how to render it; every key may be omitted."""
+    """A gen-scene spec: the scene plus how to render it; every key may be omitted.
+
+    ``sigma`` is the feature bumps' width in cells: positive, with
+    ``2 * sigma**2`` a finite positive float.
+    """
 
     profile: str = "openlane"
     sigma: float = _DEFAULT_SIGMA
@@ -138,6 +143,13 @@ class _GenSceneSpec(SceneSpec):
     def __post_init__(self):
         super().__post_init__()
         check_positive(feature_channels=self.feature_channels)
+        try:
+            width = 2.0 * self.sigma ** 2
+        except OverflowError:
+            width = math.inf
+        if not (self.sigma > 0 and 0.0 < width < math.inf):
+            raise ValueError("sigma must be positive with 2 * sigma**2 finite and above 0, "
+                             f"got {self.sigma!r}")
         if self.lidar:
             check_positive(lidar_channels=self.lidar_channels)
 

@@ -41,7 +41,8 @@ class CameraRig:
     ground-to-camera transform (rotation | translation), ``T_gl`` the
     optional 3x4 ground-to-LiDAR transform.  ``image_size`` and
     ``feature_size`` are (height, width) pairs; the feature grid must tile
-    the image exactly (the usual ratio is 1/8).  Every value is finite.
+    the image exactly (the usual ratio is 1/8).  Every value is finite, and
+    so is every entry of the projection ``K @ T_gc``.
     """
 
     K: np.ndarray
@@ -65,11 +66,13 @@ class CameraRig:
         if self.K[2, 2] != 1.0 or any(self.K[i, j] != 0.0 for i, j in ((1, 0), (2, 0), (2, 1))):
             raise InvalidRig("K is not in upper-triangular pinhole form")
         R = self.T_gc[:, :3]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             orthonormal = (np.abs(R @ R.T - _EYE) <= _ORTHO_BOUND).all()
+            self._P = self.K @ self.T_gc  # an overflow is refused below, by name
         if not orthonormal:
             raise InvalidRig("rotation block of T_gc is not orthonormal")
-        for name, value in (("K", self.K), ("T_gc", self.T_gc), ("T_gl", self.T_gl)):
+        for name, value in (("K", self.K), ("T_gc", self.T_gc), ("T_gl", self.T_gl),
+                            ("K @ T_gc", self._P)):
             if value is not None and not np.isfinite(value).all():
                 raise InvalidRig(f"{name} holds a non-finite value")
         hi, wi = self.image_size
@@ -83,7 +86,6 @@ class CameraRig:
             raise InvalidRig(
                 f"feature size {self.feature_size} does not divide image size {self.image_size}"
             )
-        self._P = self.K @ self.T_gc
 
     @property
     def scale_u(self) -> float:

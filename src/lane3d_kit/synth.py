@@ -7,6 +7,11 @@ laterally offset copies of each other: with constant or linear curvature
 their pairwise widths are exactly constant, which pins the equal-width
 loss ground truth at zero.  A fork can be injected to exercise the
 threshold-exemption path.  Everything is a pure function of (spec, seed).
+
+A scene is built as (L, N) lane rows with one projection for all its
+points; the rasterizers splat all visible points of a lane in one
+broadcast and fold the bumps in by maximum, which is exact and does not
+depend on the order of points.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ class SceneSpec:
 
     ``curvature`` and ``slope`` are polynomial coefficients in ascending
     order for x(y) and z(y).  ``fork_lane``/``fork_coefficient`` bend one
-    lane's curvature to create a non-parallel pair.
+    lane's curvature to create a non-parallel pair; ``fork_lane`` is None or
+    a lane index in 0..n_lanes-1.  ``spacing`` and ``focal`` are positive,
+    and the scene's rig must be valid, its projection ``K @ T_gc`` finite.
     """
 
     n_lanes: int = 2
@@ -53,6 +60,11 @@ class SceneSpec:
                           for i, s in enumerate(self.image_size)})
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
+        if self.focal <= 0:
+            raise ValueError(f"focal must be positive, got {self.focal}")
+        if self.fork_lane is not None and not 0 <= self.fork_lane < self.n_lanes:
+            raise ValueError(f"fork_lane must be in 0..{self.n_lanes - 1}, got {self.fork_lane}")
+        build_rig(self)
 
 
 @dataclass
@@ -112,41 +124,33 @@ def generate_scene(
     """Build ground-truth lanes and the rig for a scene.
 
     Lanes share the curvature and slope polynomials and sit ``spacing``
-    apart, centered on the ego axis.  Point visibility is the frustum test
-    against the rig's feature grid.
+    apart, centered on the ego axis.  The (L, N) x rows are the centre
+    polynomial plus a column of offsets, the fork bends its one row, and all
+    L·N points are projected at once.  Point visibility is the frustum test
+    against the rig's image; whether a projected point is also bilinearly
+    samplable is the feature grid's concern.
     """
     rig = build_rig(spec, with_lidar=with_lidar)
     y = profile.y_samples
-    z = _polyval(spec.slope, y)
-    center = _polyval(spec.curvature, y)
+    n = spec.n_lanes
     h_i, w_i = rig.image_size
-    lanes = []
-    for i in range(spec.n_lanes):
-        offset = (i - (spec.n_lanes - 1) / 2.0) * spec.spacing
-        x = center + offset
-        if spec.fork_lane is not None and i == spec.fork_lane:
-            x = x + spec.fork_coefficient * (y - y[0]) ** 2
-        pts = np.stack([x, y, z], axis=1)
+    # A spec may overflow a coordinate or the projection (inf, or NaN from
+    # 0 * inf); the lane-file writer refuses such a lane at its pointer.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _polyval(spec.slope, y)
+        x = _polyval(spec.curvature, y) + (np.arange(n)[:, None] - (n - 1) / 2.0) * spec.spacing
+        if spec.fork_lane is not None:
+            x[spec.fork_lane] += spec.fork_coefficient * (y - y[0]) ** 2
+        pts = np.stack(np.broadcast_arrays(x, y, z), axis=-1).reshape(-1, 3)
         uv, _, in_front = project_points_to_feature(pts, rig)
-        # Visibility is the image-frustum test; whether a projected point is
-        # also bilinearly samplable is the feature grid's concern.
-        u_pix = uv[:, 0] / rig.scale_u
-        v_pix = uv[:, 1] / rig.scale_v
-        vis = (
-            in_front
-            & (u_pix >= 0.0) & (u_pix <= w_i - 1.0)
-            & (v_pix >= 0.0) & (v_pix <= h_i - 1.0)
-        )
-        lanes.append(
-            Lane3D(
-                x=x,
-                y=y.copy(),
-                z=z.copy(),
-                visibility=vis.astype(np.float64),
-                category=i % profile.num_categories,
-            )
-        )
-    return lanes, rig
+        u_pix, v_pix = uv[:, 0] / rig.scale_u, uv[:, 1] / rig.scale_v
+    vis = (
+        in_front
+        & (u_pix >= 0.0) & (u_pix <= w_i - 1.0)
+        & (v_pix >= 0.0) & (v_pix <= h_i - 1.0)
+    ).reshape(n, -1).astype(np.float64)
+    return [Lane3D(x=x[i], y=y.copy(), z=z.copy(), visibility=vis[i],
+                   category=i % profile.num_categories) for i in range(n)], rig
 
 
 def rasterize_features(
@@ -155,25 +159,22 @@ def rasterize_features(
     """Splat Gaussian bumps (peak 1.0, width sigma in cells) at the
     projected visible lane points into channel 0 of a feature map.
 
-    Bumps combine by maximum so the peak stays exactly 1 where lanes
-    overlap; remaining channels are zero.
+    Bumps combine by maximum, so the peak stays exactly 1 where lanes
+    overlap and the order of points does not matter; remaining channels are
+    zero.  Each lane is one projection and one broadcast, so a temporary
+    holds K (H, W) grids for the lane's K visible points.
     """
     h, w, c = dims
     data = np.zeros((h, w, c), dtype=np.float64)
     cols = np.arange(w, dtype=np.float64)
     rows = np.arange(h, dtype=np.float64)
     for lane in gts:
-        mask = lane.visible_mask
-        if not np.any(mask):
-            continue
-        uv, _, in_front = project_points_to_feature(lane.points[mask], rig)
-        for (u, v), ok in zip(uv, in_front):
-            if not ok:
-                continue
-            bump = np.exp(
-                -((cols[None, :] - u) ** 2 + (rows[:, None] - v) ** 2) / (2.0 * sigma ** 2)
-            )
-            np.maximum(data[:, :, 0], bump, out=data[:, :, 0])
+        uv, _, in_front = project_points_to_feature(lane.points[lane.visible_mask], rig)
+        u, v = uv[in_front].T[:, :, None, None]  # (K, 1, 1) columns
+        # A quotient that overflows gives exp(-inf) = 0, its limit.
+        with np.errstate(over="ignore"):
+            bumps = np.exp(-((cols - u) ** 2 + (rows[:, None] - v) ** 2) / (2.0 * sigma ** 2))
+        np.maximum(data[:, :, 0], bumps.max(axis=0, initial=0.0), out=data[:, :, 0])
     return FeatureMap(data=data, level=level)
 
 
@@ -186,7 +187,8 @@ def rasterize_volume(
 
     Visible lane points splat Gaussian bumps, of one cell's standard
     deviation, into channel 0 of the volume; the extent gives first/last
-    cell-center positions per axis (x, y, z).
+    cell-center positions per axis (x, y, z).  Each lane is one broadcast,
+    so a temporary holds K (D, H, W) grids for the lane's K visible points.
     """
     d, h, w, c = dims
     extent = np.asarray(extent, dtype=np.float64)
@@ -200,16 +202,12 @@ def rasterize_volume(
         for count, (lo, hi) in zip((w, h, d), extent)
     ]
     for lane in gts:
-        mask = lane.visible_mask
-        for px, py, pz in lane.points[mask]:
-            fx = (xs - px) / steps[0]
-            fy = (ys - py) / steps[1]
-            fz = (zs - pz) / steps[2]
-            bump = np.exp(
-                -(fz[:, None, None] ** 2 + fy[None, :, None] ** 2 + fx[None, None, :] ** 2)
-                / 2.0
-            )
-            np.maximum(data[:, :, :, 0], bump, out=data[:, :, :, 0])
+        px, py, pz = lane.points[lane.visible_mask].T[:, :, None]  # (K, 1) columns
+        fx = (xs - px) / steps[0]
+        fy = (ys - py) / steps[1]
+        fz = (zs - pz) / steps[2]
+        sq = fz[:, :, None, None] ** 2 + fy[:, None, :, None] ** 2 + fx[:, None, None, :] ** 2
+        np.maximum(data[..., 0], np.exp(-sq / 2.0).max(axis=0, initial=0.0), out=data[..., 0])
     return FeatureVolume(data=data, extent=extent)
 
 
@@ -222,11 +220,10 @@ def perturb_predictions(
     remainder on the non-lane slot, so the proposal's score equals the
     requested value; lanes are dropped independently at ``drop_rate``.
     """
-    rng = np.random.default_rng(seed)
+    dropped = np.random.default_rng(seed).random(len(gts)) < noise.drop_rate
     out = []
-    for lane in gts:
-        dropped = rng.random() < noise.drop_rate
-        if dropped:
+    for lane, drop in zip(gts, dropped):
+        if drop:
             continue
         probs = np.zeros(num_categories + 1)
         probs[lane.category] = noise.score

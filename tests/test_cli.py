@@ -5,11 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from lane3d_kit import cli
 from lane3d_kit.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
@@ -17,6 +20,7 @@ from lane3d_kit.config import RunConfig, make_profile
 from lane3d_kit.gradcheck import GradCheckResult
 from lane3d_kit.head import StagePlan
 from lane3d_kit.jsonable import to_json
+from lane3d_kit.laneio import read_lane_file
 from lane3d_kit.tensorio import read_tensors, write_tensors
 
 from conftest import unit_rig
@@ -74,7 +78,8 @@ def test_evaluate_rejects_a_nan_lane_with_its_location(capsys, tmp_path, protoco
 # --- the whole chain on a tiny scene ---------------------------------------------
 
 CHAIN = GOLDEN / "chain"
-CHAIN_FILES = ("anchors.json", "preds.json", "trace.json", "loss.json", "grad_check.json")
+CHAIN_FILES = ("scene/gt.json", "scene/features.a3t", "anchors.json", "preds.json", "trace.json",
+               "loss.json", "grad_check.json")
 
 # Three lanes on the ONCE profile (10 points) in a 96x128 image with LiDAR
 # volumes, so one forward pass runs bilinear and trilinear sampling and fuse.
@@ -810,6 +815,17 @@ def test_gen_scene_fills_omitted_keys_with_defaults(tmp_path):
     ({"noise": {"score": -0.2}}, "/noise", "score must be in [0, 1], got -0.2"),
     ({"noise": {"drop_rate": 1.01}}, "/noise", "drop_rate must be in [0, 1], got 1.01"),
     ({"noise": {"drop_rate": -0.5}}, "/noise", "drop_rate must be in [0, 1], got -0.5"),
+    ({"n_lanes": 2, "fork_lane": 7}, "/", "fork_lane must be in 0..1, got 7"),
+    ({"fork_lane": -1}, "/", "fork_lane must be in 0..1, got -1"),
+    ({"focal": 0}, "/", "focal must be positive, got 0.0"),
+    ({"focal": -330}, "/", "focal must be positive, got -330.0"),
+    ({"sigma": 1e200}, "/", "sigma must be positive with 2 * sigma**2 finite and above 0, "
+                            "got 1e+200"),
+    ({"sigma": 0}, "/", "sigma must be positive with 2 * sigma**2 finite and above 0, got 0.0"),
+    ({"sigma": 1e-200}, "/", "sigma must be positive with 2 * sigma**2 finite and above 0, "
+                             "got 1e-200"),
+    ({"sigma": -1}, "/", "sigma must be positive with 2 * sigma**2 finite and above 0, got -1.0"),
+    ({"camera_height": 1e308}, "/", "K @ T_gc holds a non-finite value"),
 ])
 def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, message):
     path = tmp_path / "spec.json"
@@ -819,6 +835,109 @@ def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, messag
     assert f"{path}: at {pointer}: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"spacing": 1e308, "n_lanes": 3},
+    {"fork_lane": 0, "fork_coefficient": 1e308},
+    {"curvature": [0.0] * 200},
+], ids=["spacing", "fork_coefficient", "200-term-polynomial"])
+def test_gen_scene_refuses_an_overflowing_lane_without_a_warning(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    scene = tmp_path / "scene"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = call("gen-scene", "--spec", path, "--out", scene)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: {scene / 'gt.json'}: at /frames/0/lanes/0/points/"), err
+    assert not (scene / "gt.json").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"sigma": 1e-160, "feature_channels": 2},
+    {"focal": 1e308, "n_lanes": 3},
+], ids=["sigma", "focal"])
+def test_gen_scene_at_an_extreme_value_writes_finite_maps_without_a_warning(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = call("gen-scene", "--spec", path, "--out", tmp_path / "scene")
+    assert (code, err) == (EXIT_OK, "")
+    for name, data in read_tensors(tmp_path / "scene" / "features.a3t").items():
+        assert np.isfinite(data).all(), name
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--protocol", "once"],
+    ["loss"],
+])
+def test_a_rig_whose_projection_overflows_exits_2_at_its_camera(tmp_path, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")
+    assert call("gen-scene", "--spec", spec, "--out", tmp_path / "scene")[0] == EXIT_OK
+    gt = _edited(tmp_path / "scene" / "gt.json", tmp_path / "gt.json",
+                 lambda d: d["frames"][0]["camera"]["T_gc"][1].__setitem__(3, 1e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = call(*command, "--gt", gt, "--pred", gt)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {gt}: at /frames/0/camera: K @ T_gc holds a non-finite value\n"
+
+
+# --- the gen-scene input boundary ---------------------------------------------------
+
+BOUNDARY_VALUES = (0, -1, 1e-320, 1e-160, 1e200, 1e307, 1e308, -1e308)
+BOUNDARY_KEYS = ("spacing", "camera_height", "camera_pitch", "focal", "fork_lane",
+                 "fork_coefficient", "sigma", "curvature", "slope", "noise.lateral_offset",
+                 "noise.z_offset")
+
+
+@st.composite
+def boundary_specs(draw):
+    """A small valid gen-scene spec with one key set to a boundary value."""
+    n_lanes = draw(st.integers(1, 6))
+    spec = {"profile": draw(st.sampled_from(["openlane", "once"])), "n_lanes": n_lanes,
+            "curvature": [0.0, draw(st.floats(-0.02, 0.02))],
+            "slope": [0.0, draw(st.floats(-0.01, 0.01))],
+            "feature_channels": draw(st.integers(1, 4)), "lidar": draw(st.booleans()),
+            "lidar_channels": draw(st.integers(1, 4))}
+    if draw(st.booleans()):
+        spec.update(fork_lane=draw(st.integers(0, n_lanes - 1)), fork_coefficient=0.002)
+    if draw(st.booleans()):
+        spec["noise"] = {"lateral_offset": 0.1, "z_offset": -0.05}
+    key, value = draw(st.sampled_from(BOUNDARY_KEYS)), draw(st.sampled_from(BOUNDARY_VALUES))
+    if key in ("curvature", "slope"):
+        spec[key] = spec[key] + [0.0]
+        spec[key][draw(st.integers(0, 2))] = value
+    elif key.startswith("noise."):
+        spec.setdefault("noise", {})[key.removeprefix("noise.")] = value
+    else:
+        spec[key] = value
+    return spec
+
+
+@seed(1919)
+@settings(max_examples=100, deadline=None)
+@given(boundary_specs())
+@example({"curvature": [0.0] * 200})
+def test_gen_scene_writes_readable_files_or_exits_2_at_a_pointer(spec):
+    with tempfile.TemporaryDirectory() as work:
+        path, scene = Path(work) / "spec.json", Path(work) / "scene"
+        path.write_text(json.dumps(spec))
+        code, out, err = call("gen-scene", "--spec", path, "--out", scene)
+        assert code in (EXIT_OK, EXIT_INPUT), err
+        if code == EXIT_INPUT:
+            named = "|".join(re.escape(str(p)) for p in (path, scene / "gt.json",
+                                                         scene / "preds.json"))
+            assert re.fullmatch(rf"error: ({named}): at /\S*: .+\n", err), err
+        else:
+            assert err == ""
+            read_lane_file(scene / "gt.json")
+            read_tensors(scene / "features.a3t")
+            if "noise" in spec:
+                read_lane_file(scene / "preds.json")
 
 
 # --- integer literals too long to convert -----------------------------------------

@@ -193,6 +193,21 @@ def test_rig_refuses_a_non_finite_rotation_without_a_warning(index, bad):
             CameraRig(K=unit_rig().K, T_gc=t, image_size=(360, 480), feature_size=(45, 60))
 
 
+@pytest.mark.parametrize("name, index, big", [
+    ("T_gc", (1, 3), 1e307),
+    ("T_gc", (0, 3), -1e307),
+    ("K", (1, 1), 1.5e308),
+], ids=["T_gc/1/3", "T_gc/0/3", "K/1/1"])
+def test_rig_refuses_a_projection_that_overflows_without_a_warning(name, index, big):
+    fields = {"K": unit_rig().K, "T_gc": unit_rig().T_gc}
+    fields[name] = fields[name].copy()
+    fields[name][index] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidRig, match=r"^K @ T_gc holds a non-finite value$"):
+            CameraRig(**fields, image_size=(360, 480), feature_size=(45, 60))
+
+
 @seed(1689)
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-8.0, -4.0),

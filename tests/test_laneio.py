@@ -403,6 +403,8 @@ def test_camera_without_t_gl_has_no_lidar(tmp_path):
     (lambda c: c.update(image_size=[360]), "/frames/0/camera/image_size", "not enough values"),
     (lambda c: c["T_gc"][1].__setitem__(3, None), "/frames/0/camera/T_gc/1/3", "non-finite"),
     (lambda c: c["K"][2].__setitem__(2, 2.0), "/frames/0/camera", "pinhole"),
+    (lambda c: c["T_gc"][1].__setitem__(3, 1e307), "/frames/0/camera",
+     "K @ T_gc holds a non-finite value"),
     (lambda c: c.update(T_gl=[[1.0]]), "/frames/0/camera", "T_gl must be 3x4"),
     (lambda c: c["K"][0].__setitem__(2, "240.0"), "/frames/0/camera/K/0/2",
      "expected a number, got a string"),
