@@ -9,9 +9,10 @@ lists.
 same way, ``X | None`` accepts ``null``, tuples and lists decode each item
 (a fixed-length tuple also checks its length), ``np.ndarray`` becomes a
 float64 array, ``bool`` accepts only ``true``/``false``, ``str`` only
-strings, ``int`` rejects strings, booleans and non-integral numbers,
-``float`` rejects strings and booleans, and ``int`` and ``float`` then go
-through their constructors.  ``typing.Any`` keeps the parsed value for the
+strings, ``int`` rejects strings, booleans, non-integral numbers and
+float literals of magnitude 2**53 or more (``1e200``), ``float`` rejects
+strings and booleans, and ``int`` and ``float`` then go through their
+constructors.  ``typing.Any`` keeps the parsed value for the
 caller to decode (``decode_arrays`` decodes many arrays in one pass).
 Floats and arrays must be finite, and an array element must be a number,
 not a string.  Every field that ``__init__`` takes must be present and
@@ -297,7 +298,9 @@ def _str(doc) -> str:
 
 
 def _int(doc) -> int:
-    if isinstance(doc, (bool, str)) or isinstance(doc, float) and not doc.is_integer():
+    # Floats from 2**53 up no longer tell neighbouring integers apart.
+    if isinstance(doc, (bool, str)) or isinstance(doc, float) and not (
+            doc.is_integer() and abs(doc) < 2.0 ** 53):
         raise ValueError(f"expected an integer, got {json.dumps(doc)}")
     return int(doc)
 

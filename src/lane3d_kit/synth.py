@@ -114,7 +114,8 @@ def build_rig(spec: SceneSpec, with_lidar: bool = False) -> CameraRig:
 def _polyval(coeffs: tuple, y: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
     for power, c in enumerate(coeffs):
-        out += c * y ** power
+        if c:  # a zero term adds nothing, and 0 * y**power is NaN once y**power overflows
+            out += c * y ** power
     return out
 
 

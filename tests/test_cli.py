@@ -144,29 +144,54 @@ def test_chain_outputs_match_golden(tmp_path):
         assert (tmp_path / name).read_bytes() == (CHAIN / name).read_bytes(), name
 
 
-# Runs CLI commands in order and prints, per command, its exit code and whether
-# scipy.optimize was loaded once it returned.
-_IMPORT_PROBE = """
+# Runs CLI commands in order in a fresh interpreter in which importing scipy
+# fails, and prints per command one JSON line [exit code, stdout, stderr], then
+# the scipy modules loaded by the end (none, unless something got around the block).
+_NO_SCIPY_PROBE = """
 import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
 from lane3d_kit.cli import main
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    print(json.dumps([argv[0], code, "scipy.optimize" in sys.modules]))
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
 """
 
 
-def test_only_matching_loads_the_assignment_solver(tmp_path):
+def test_every_command_runs_without_scipy(tmp_path):
     steps = chain_steps(tmp_path)
-    order = ["gen-scene", "gen-weights", "anchors", "forward", "grad-check", "loss"]
-    argvs = [[str(a) for a in steps[name]] for name in order]
+    for protocol in ("openlane", "once"):
+        steps[f"evaluate-{protocol}"] = (
+            "evaluate", "--protocol", protocol, "--gt", GOLDEN / f"{protocol}_gt.json",
+            "--pred", GOLDEN / f"{protocol}_pred.json", "--out", tmp_path / f"{protocol}.json")
+    argvs = [[str(a) for a in argv] for argv in steps.values()]
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    loaded = [json.loads(line) for line in done.stdout.splitlines()]
-    assert loaded == [[name, EXIT_OK, name == "loss"] for name in order]
+    *lines, loaded = [json.loads(line) for line in done.stdout.splitlines()]
+    results = dict(zip(steps, lines, strict=True))
+    for name, (code, _, err) in results.items():
+        assert (code, err) == (EXIT_OK, ""), name
+    assert loaded == []
+    (tmp_path / "loss.json").write_text(results["loss"][1])
+    (tmp_path / "grad_check.json").write_text(results["grad-check"][1])
+    for name in CHAIN_FILES:
+        assert (tmp_path / name).read_bytes() == (CHAIN / name).read_bytes(), name
+    openlane = (GOLDEN / "openlane_cli_report.json").read_text()
+    assert (tmp_path / "openlane.json").read_text() == openlane
+    assert results["evaluate-openlane"][1] == openlane + OPENLANE_TABLE
+    once = (GOLDEN / "once_report.json").read_text()
+    assert (tmp_path / "once.json").read_text() == results["evaluate-once"][1] == once
 
 
 def _bad_config(tmp_path, edit) -> Path:
@@ -826,6 +851,7 @@ def test_gen_scene_fills_omitted_keys_with_defaults(tmp_path):
                              "got 1e-200"),
     ({"sigma": -1}, "/", "sigma must be positive with 2 * sigma**2 finite and above 0, got -1.0"),
     ({"camera_height": 1e308}, "/", "K @ T_gc holds a non-finite value"),
+    ({"fork_lane": 1e200}, "/fork_lane", "expected an integer, got 1e+200"),
 ])
 def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, message):
     path = tmp_path / "spec.json"
@@ -840,8 +866,8 @@ def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, messag
 @pytest.mark.parametrize("spec", [
     {"spacing": 1e308, "n_lanes": 3},
     {"fork_lane": 0, "fork_coefficient": 1e308},
-    {"curvature": [0.0] * 200},
-], ids=["spacing", "fork_coefficient", "200-term-polynomial"])
+    {"curvature": [0.0] * 199 + [1e-320]},
+], ids=["spacing", "fork_coefficient", "tiny-200th-term"])
 def test_gen_scene_refuses_an_overflowing_lane_without_a_warning(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -857,7 +883,8 @@ def test_gen_scene_refuses_an_overflowing_lane_without_a_warning(tmp_path, spec)
 @pytest.mark.parametrize("spec", [
     {"sigma": 1e-160, "feature_channels": 2},
     {"focal": 1e308, "n_lanes": 3},
-], ids=["sigma", "focal"])
+    {"curvature": [0.0] * 200},
+], ids=["sigma", "focal", "200-term-polynomial"])
 def test_gen_scene_at_an_extreme_value_writes_finite_maps_without_a_warning(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -130,9 +130,19 @@ def test_items_are_decoded_and_located():
 
 
 def test_integral_numbers_are_ints_and_every_number_is_a_float():
-    for cls, doc, want in ((int, 2.0, 2), (int, -3, -3), (float, 1, 1.0), (float, 2**70, 2.0**70)):
+    for cls, doc, want in ((int, 2.0, 2), (int, -3, -3), (int, 3.0, 3), (int, 1e1, 10),
+                           (int, 2.0**53 - 1, 2**53 - 1), (int, 2**70, 2**70),
+                           (float, 1, 1.0), (float, 2**70, 2.0**70)):
         value = from_json(cls, doc, "<doc>")
         assert (value, type(value)) == (want, cls)
+
+
+@pytest.mark.parametrize("doc, text", [
+    (1e200, "1e+200"), (-1e200, "-1e+200"), (2.0**53, "9007199254740992.0"),
+])
+def test_int_rejects_a_float_too_large_to_tell_integers_apart(doc, text):
+    err = decode_error(tuple[int, ...], [1, doc])
+    assert (err.location, err.message) == ("/1", f"expected an integer, got {text}")
 
 
 def test_array_is_float64_and_finite():

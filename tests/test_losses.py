@@ -4,8 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from lane3d_kit import losses
 from lane3d_kit.errors import AllInvisible, DegenerateSegment, ProbabilityUnderflow
@@ -169,6 +170,66 @@ def test_solve_assignment_matches_brute_force(rng):
         pairs = solve_assignment(cost)
         total = sum(cost[i, j] for i, j in pairs)
         assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
+
+
+@st.composite
+def lsap_costs(draw) -> np.ndarray:
+    """A 0-7 x 0-34 cost matrix, wide or tall, of one of the kinds that the
+    matchers meet or that SciPy's solver treats specially."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(0, 34))
+    if draw(st.booleans()):
+        n, m = m, n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "once", "inf", "invalid"]))
+    if kind == "normal":
+        return rng.normal(size=(n, m))
+    if kind == "once":  # the ONCE metric's non-candidate fill, with a few candidates
+        cost = np.full((n, m), 1e9)
+        pick = rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+        cost[pick] = rng.uniform(0.0, 2.0, int(pick.sum()))
+        return cost
+    cost = rng.integers(0, 3, size=(n, m)).astype(np.float64)  # many equal costs
+    if kind == "inf":  # forbidden pairs, sometimes too many to match every row
+        cost[rng.random((n, m)) < draw(st.sampled_from([0.2, 0.6]))] = np.inf
+    elif kind == "invalid" and cost.size:
+        cost.flat[rng.integers(cost.size, size=draw(st.integers(1, 3)))] = draw(
+            st.sampled_from([np.nan, -np.inf]))
+    return cost
+
+
+def scipy_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
+    rows, cols = linear_sum_assignment(cost)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def pairs_or_error(solve, cost: np.ndarray) -> list[tuple[int, int]] | str:
+    try:
+        return solve(cost)
+    except ValueError as e:
+        return str(e)
+
+
+@seed(2016)
+@settings(max_examples=400, deadline=None)
+@given(cost=lsap_costs())
+@example(cost=np.array([[1.0, np.nan], [0.0, 2.0]]))
+@example(cost=np.array([[0.0], [-np.inf]]))
+@example(cost=np.array([[np.inf, np.inf, np.inf], [0.0, 1.0, 2.0]]))
+@example(cost=np.zeros((3, 0)))
+# Summing in another order than minval + cost - u - v picks other pairs here.
+@example(cost=np.array([[0.4, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]))
+# Removing a scanned column by shifting the rest, not swap-remove, picks (1, 0).
+@example(cost=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+def test_solve_assignment_returns_scipys_pairs(cost):
+    """The pure-Python solver picks SciPy's pairs, ties included, and
+    raises SciPy's errors with SciPy's messages."""
+    want = pairs_or_error(scipy_pairs, cost)
+    got = pairs_or_error(solve_assignment, cost)
+    assert got == want
+    if isinstance(want, str):
+        assert want in ("matrix contains invalid numeric entries", "cost matrix is infeasible")
+        bad = np.isnan(cost) | (cost == -np.inf)
+        assert (want == "matrix contains invalid numeric entries") == bool(bad.any())
 
 
 def test_assign_total_matches_brute_force_on_lanes(rng):
