@@ -65,10 +65,19 @@ def save_weights_file(
     coeff: CoefficientHeadWeights,
     heads: dict[str, HeadWeights],
 ) -> None:
-    """Store each weights field as the tensor ``<prefix>.<field>``."""
+    """Store each weights field as the tensor ``<prefix>.<field>``.
+
+    Only constructor fields are stored; derived ones, such as a head's
+    ``fold``, are rebuilt when the file is loaded.
+    """
     parts = {"proto": bank, "coeff": coeff, **{f"head.{wid}": w for wid, w in heads.items()}}
-    write_tensors(path, {f"{prefix}.{f.name}": getattr(obj, f.name)
-                         for prefix, obj in parts.items() for f in fields(obj)})
+    write_tensors(path, {f"{prefix}.{name}": getattr(obj, name)
+                         for prefix, obj in parts.items() for name in _init_fields(obj)})
+
+
+def _init_fields(cls) -> list[str]:
+    """Names of the constructor fields of dataclass ``cls`` (or of an instance)."""
+    return [f.name for f in fields(cls) if f.init]
 
 
 def load_weights_file(path):
@@ -76,17 +85,30 @@ def load_weights_file(path):
 
     def take(prefix, cls):
         kwargs = {}
-        for f in fields(cls):
-            name = f"{prefix}.{f.name}"
+        for field_name in _init_fields(cls):
+            name = f"{prefix}.{field_name}"
             if name not in raw:
                 raise FileFormatError(path, name, "missing tensor")
-            kwargs[f.name] = raw[name]
+            kwargs[field_name] = raw[name]
         return cls(**kwargs)
 
     bank = take("proto", PrototypeBank)
     coeff = take("coeff", CoefficientHeadWeights)
     head_ids = sorted({name.split(".")[1] for name in raw if name.startswith("head.")})
     return bank, coeff, {wid: take(f"head.{wid}", HeadWeights) for wid in head_ids}
+
+
+def _need_axis(path, tensor: str, label: str, want: int, got: int, unit: str) -> None:
+    """Refuse, at ``tensor`` of weights file ``path``, an axis of ``got`` ``unit``
+    where ``label = want`` fits."""
+    if got != want:
+        raise FileFormatError(path, tensor, f"expected {label} = {want} {unit}, got {got}")
+
+
+def _check_coefficient_head(path, coeff: CoefficientHeadWeights, f5: FeatureMap) -> None:
+    """The coefficient head reads the F5 map pooled over its height: W_F·C values."""
+    _, w_f, c = f5.data.shape
+    _need_axis(path, "coeff.a_xs", "W_F·C", w_f * c, coeff.a_xs.shape[0], "rows")
 
 
 def make_random_weights(cfg: RunConfig, seed: int, scale: float):
@@ -199,8 +221,9 @@ def cmd_anchors(args) -> int:
     cfg = _load_config(args.config)
     bank, coeff_w, _ = load_weights_file(args.weights)
     (f5,) = _frame_tensors(read_tensors(args.features), args.features, "0", "F5")
-    anchors = generate_anchors(FeatureMap(f5, level=5), bank, coeff_w, cfg.meta_ranges,
-                               cfg.profile.y_samples)
+    f5 = FeatureMap(f5, level=5)
+    _check_coefficient_head(args.weights, coeff_w, f5)
+    anchors = generate_anchors(f5, bank, coeff_w, cfg.meta_ranges, cfg.profile.y_samples)
     doc = {"metas": to_json([a.metas for a in anchors]),
            "anchors": [a.points.tolist() for a in anchors]}
     Path(args.out).write_text(dumps(doc) + "\n")
@@ -208,8 +231,14 @@ def cmd_anchors(args) -> int:
     return EXIT_OK
 
 
-def _forward_frame(cfg: RunConfig, scene: Path, i: int, frame: Frame, tensors: dict, weights):
-    """Run the pipeline on frame ``i`` of ``scene``'s ``gt.json``."""
+def _forward_frame(cfg: RunConfig, scene: Path, i: int, frame: Frame, tensors: dict,
+                   weights_path, weights):
+    """Run the pipeline on frame ``i`` of ``scene``'s ``gt.json``.
+
+    Before it runs, the coefficient head must fit the frame's F5 map and each
+    planned head's ``w_q`` the N·C values a stage samples (C counts the
+    LiDAR channels when fusion is on); a misfit is refused at its tensor.
+    """
     rig = frame.camera
     if rig is None:
         raise FileFormatError(scene / "gt.json", f"/frames/{i}/camera", "frame has no rig")
@@ -223,6 +252,11 @@ def _forward_frame(cfg: RunConfig, scene: Path, i: int, frame: Frame, tensors: d
     vols = ({level: FeatureVolume(*lookup(f"L{level}", f"L{level}.extent")) for level in levels}
             if cfg.fusion else None)
     bank, coeff_w, heads = weights
+    _check_coefficient_head(weights_path, coeff_w, maps[5])
+    n = cfg.profile.num_points
+    for level, wid in cfg.plan.stages:
+        c = maps[level].data.shape[-1] + (vols[level].data.shape[-1] if vols else 0)
+        _need_axis(weights_path, f"head.{wid}.w_q", "N·C", n * c, heads[wid].w_q.shape[0], "rows")
     return run_pipeline(
         maps, vols, rig, bank, coeff_w, heads, cfg.plan,
         cfg.profile.y_samples, cfg.meta_ranges,
@@ -242,15 +276,13 @@ def cmd_forward(args) -> int:
             raise FileFormatError(args.config or "default config", f"/plan/{i}",
                                   f"head weights id {wid!r} is not in {args.weights}")
         for name, (label, want) in columns.items():
-            got = getattr(weights[2][wid], name).shape[1]
-            if got != want:
-                raise FileFormatError(args.weights, f"head.{wid}.{name}",
-                                      f"expected {label} = {want} columns, got {got}")
+            _need_axis(args.weights, f"head.{wid}.{name}", label, want,
+                       getattr(weights[2][wid], name).shape[1], "columns")
 
     out_frames = []
     traces = []
     for i, frame in enumerate(frames):
-        result = _forward_frame(cfg, scene, i, frame, tensors, weights)
+        result = _forward_frame(cfg, scene, i, frame, tensors, args.weights, weights)
         lanes = [p.to_lane(cfg.profile.y_samples) for p in result.proposals]
         out_frames.append(Frame(id=frame.id, camera=frame.camera, lanes=lanes, tags=frame.tags))
         if args.trace:

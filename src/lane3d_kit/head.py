@@ -5,12 +5,22 @@ residual connection, no normalization layers) over the per-anchor feature
 matrix, then applies a softmax classification head and a linear regression
 head producing x/z offsets and visibility logits.  Each refinement stage
 re-seeds its anchors from the previous stage's proposals.
+
+The attended features feed nothing but the two linear heads, so the value
+and output projections are folded into them: with ``A`` the attention map
+and ``H = [cls_w | reg_w]``,
+
+    (x + A x W_v W_o) H = x H + A (x G),    G = W_v W_o H,
+
+and ``G`` is (C, S+1+3N), built once per :class:`HeadWeights`.  A stage then
+runs two (M, C)·(C, C) products (the queries and keys) instead of four.
+``W_q W_kᵀ`` is not folded: that fold is (C, C), as large as the weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,13 +83,35 @@ class Proposal:
                         z=self.z.copy(), metas=None)
 
 
-@dataclass
+def _frozen(value) -> np.ndarray:
+    """``value`` as a read-only float64 array that no caller can write through.
+
+    A view of other memory, or the caller's own writable array, is copied; a
+    fresh conversion or an owned read-only float64 array is taken as it is.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.base is not None or (arr is value and arr.flags.writeable):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class HeadWeights:
     """Attention, classification, and regression parameters for one stage.
 
     ``w_q/w_k/w_v/w_o`` are (C, C); ``cls_w`` is (C, S+1) with bias (S+1,);
     ``reg_w`` is (C, 3N) with bias (3N,), laid out as x offsets, z offsets,
     then visibility logits.
+
+    ``fold`` is derived, not a parameter: the folded value head
+    ``G = W_v W_o [cls_w | reg_w]``, (C, S+1+3N), computed once at
+    construction (see the module docstring).  It is never stored in a
+    weights file.  Weights whose fold overflows float64 can be built (the
+    file writer reports such weights) but ``fold_finite`` is then false and
+    :func:`predict` refuses them.  The weights are immutable: rebinding a
+    field or writing into any of the arrays raises, so the fold cannot go
+    stale.
     """
 
     w_q: np.ndarray
@@ -90,13 +122,15 @@ class HeadWeights:
     cls_b: np.ndarray
     reg_w: np.ndarray
     reg_b: np.ndarray
+    fold: np.ndarray = field(init=False, repr=False)
+    fold_finite: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("w_q", "w_k", "w_v", "w_o", "cls_w", "cls_b", "reg_w", "reg_b"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = _frozen(getattr(self, name))
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-            setattr(self, name, arr)
+            object.__setattr__(self, name, arr)
         c = self.w_q.shape[0]
         for name in ("w_q", "w_k", "w_v", "w_o"):
             if getattr(self, name).shape != (c, c):
@@ -108,6 +142,13 @@ class HeadWeights:
             raise ShapeMismatch("reg head", f"({c}, 3N)", self.reg_w.shape)
         if self.reg_b.shape != (self.reg_w.shape[1],):
             raise ShapeMismatch("reg bias", (self.reg_w.shape[1],), self.reg_b.shape)
+        # Gᵀ = (Hᵀ W_oᵀ) W_vᵀ is the cheapest order of the three products.
+        heads_t = np.concatenate([self.cls_w.T, self.reg_w.T])
+        with np.errstate(over="ignore", invalid="ignore"):
+            fold = ((heads_t @ self.w_o.T) @ self.w_v.T).T
+        fold.flags.writeable = False
+        object.__setattr__(self, "fold", fold)
+        object.__setattr__(self, "fold_finite", bool(np.isfinite(fold).all()))
 
     @property
     def feature_len(self) -> int:
@@ -123,7 +164,9 @@ class HeadWeights:
         c = feature_len
 
         def mat(*shape):
-            return rng.normal(0.0, scale, size=shape)
+            m = rng.normal(0.0, scale, size=shape)
+            m.flags.writeable = False  # no other reference: taken without a copy
+            return m
 
         return cls(
             w_q=mat(c, c), w_k=mat(c, c), w_v=mat(c, c), w_o=mat(c, c),
@@ -149,15 +192,17 @@ class StagePlan:
 
 
 def self_attention(x: np.ndarray, w: HeadWeights) -> np.ndarray:
-    """Single-head scaled dot-product attention with a residual connection."""
+    """The (M, M) single-head attention map ``softmax((x W_q)(x W_k)ᵀ / √C)``.
+
+    Its rows sum to 1.  The values and the residual are applied by
+    :func:`predict` through the folded value head ``w.fold``.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.feature_len:
         raise ShapeMismatch("attention input", ("M", w.feature_len), x.shape)
     q = x @ w.w_q
     k = x @ w.w_k
-    v = x @ w.w_v
-    attn = softmax_rows(q @ k.T / math.sqrt(x.shape[1]))
-    return x + attn @ v @ w.w_o
+    return softmax_rows(q @ k.T / math.sqrt(x.shape[1]))
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -174,7 +219,12 @@ def predict(features: np.ndarray, anchors: list[Anchor3D], w: HeadWeights) -> li
 
     ``features`` is the (M, C) matrix whose rows are the anchors' flattened
     :class:`~lane3d_kit.sampling.AnchorFeature` values (a batch's ``flat``),
-    aligned with ``anchors``.
+    aligned with ``anchors``.  With ``A = self_attention(x, w)`` the heads are
+
+        logits = x cls_w + A (x G_cls) + cls_b,   reg = x reg_w + A (x G_reg) + reg_b,
+
+    where ``G = [G_cls | G_reg]`` is ``w.fold``: the same numbers as the
+    linear heads applied to ``x + A x W_v W_o``, summed in another order.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.shape[0] != len(anchors):
@@ -184,10 +234,13 @@ def predict(features: np.ndarray, anchors: list[Anchor3D], w: HeadWeights) -> li
     n = w.num_points
     if n != len(anchors[0]):
         raise ShapeMismatch("regression points", len(anchors[0]), n)
+    if not w.fold_finite:
+        raise ValueError("the folded value head W_v W_o [cls_w | reg_w] overflows float64")
 
-    attended = self_attention(x, w)
-    probs = softmax_rows(attended @ w.cls_w + w.cls_b)
-    reg = attended @ w.reg_w + w.reg_b
+    attended = self_attention(x, w) @ (x @ w.fold)
+    s1 = w.cls_b.shape[0]
+    probs = softmax_rows(x @ w.cls_w + attended[:, :s1] + w.cls_b)
+    reg = x @ w.reg_w + attended[:, s1:] + w.reg_b
     dx, dz, vis_logits = reg[:, :n], reg[:, n:2 * n], reg[:, 2 * n:]
     vis = _sigmoid(vis_logits)
     return [

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -15,10 +16,11 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lane3d_kit import cli
+from lane3d_kit.anchors import CoefficientHeadWeights, PrototypeBank
 from lane3d_kit.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from lane3d_kit.config import RunConfig, make_profile
 from lane3d_kit.gradcheck import GradCheckResult
-from lane3d_kit.head import StagePlan
+from lane3d_kit.head import HeadWeights, StagePlan
 from lane3d_kit.jsonable import to_json
 from lane3d_kit.laneio import read_lane_file
 from lane3d_kit.tensorio import read_tensors, write_tensors
@@ -639,10 +641,21 @@ def test_forward_names_a_plan_head_id_missing_from_the_weights(tmp_path, plan, p
     assert f"{config}: at {pointer}: head weights id 's9' is not in {weights}" in err
 
 
+def _chain_config_for(variant: str) -> dict:
+    """The chain config on another profile, or with its LiDAR channels off."""
+    if variant == "camera-only":
+        return {**chain_config(), "fusion": False}
+    return {**chain_config(), "profile": to_json(make_profile(variant))}
+
+
+# Each row: the config the weights are built for, the config forward runs with
+# on the chain scene, the head tensor that does not fit, and why.
 @pytest.mark.parametrize("weights_profile, profile, name, message", [
     ("openlane", "apollosim", "cls_w", "expected S+1 = 2 columns, got 15"),
     ("openlane", "once", "cls_w", "expected S+1 = 2 columns, got 15"),
     ("once", "apollosim", "reg_w", "expected 3N = 60 columns, got 30"),
+    ("once", "camera-only", "w_q", "expected N·C = 20 rows, got 40"),
+    ("camera-only", "once", "w_q", "expected N·C = 40 rows, got 20"),
 ])
 def test_forward_names_a_head_built_for_another_profile(tmp_path, weights_profile, profile,
                                                         name, message):
@@ -650,7 +663,7 @@ def test_forward_names_a_head_built_for_another_profile(tmp_path, weights_profil
     configs = {}
     for p in {weights_profile, profile}:
         configs[p] = tmp_path / f"config_{p}.json"
-        configs[p].write_text(json.dumps({**chain_config(), "profile": to_json(make_profile(p))}))
+        configs[p].write_text(json.dumps(_chain_config_for(p)))
     weights = tmp_path / "other.a3t"
     assert call("gen-weights", "--config", configs[weights_profile],
                 "--out", weights)[0] == EXIT_OK
@@ -659,6 +672,28 @@ def test_forward_names_a_head_built_for_another_profile(tmp_path, weights_profil
                              "--weights", weights, "--out", out)
     assert code == EXIT_INPUT and stdout == "" and not out.exists()
     assert f"{weights}: at head.s1.{name}: {message}" in err
+
+
+def test_anchors_and_forward_name_a_coefficient_head_built_for_other_features(tmp_path):
+    # The chain scene has 2 camera channels on a 16-cell-wide F5 map.
+    config, scene, _ = _chain_scene(tmp_path)
+    weights = tmp_path / "wide.a3t"
+    wide = _bad_config(tmp_path, lambda d: d.update(feature_channels=4))
+    assert call("gen-weights", "--config", wide, "--out", weights)[0] == EXIT_OK
+    results = _anchors_and_forward(config, scene, weights, tmp_path)
+    for command, (code, stdout, err) in results.items():
+        assert (code, stdout) == (EXIT_INPUT, ""), command
+        assert f"{weights}: at coeff.a_xs: expected W_F·C = 32 rows, got 64" in err, command
+    assert not (tmp_path / "anchors.json").exists() and not (tmp_path / "preds.json").exists()
+
+
+def test_weights_file_holds_exactly_the_constructor_fields(tmp_path):
+    _, _, weights = _chain_scene(tmp_path)
+    parts = {"proto": PrototypeBank, "coeff": CoefficientHeadWeights,
+             **{f"head.{wid}": HeadWeights for wid in ("s1", "s2")}}
+    want = {f"{prefix}.{name}" for prefix, cls in parts.items()
+            for name in inspect.signature(cls).parameters}
+    assert set(read_tensors(weights)) == want
 
 
 # --- which tensors a frame reads -----------------------------------------------------

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from lane3d_kit import head
 from lane3d_kit.anchors import (
@@ -21,6 +25,7 @@ from lane3d_kit.head import (
     self_attention,
 )
 from lane3d_kit.sampling import (
+    AnchorFeature,
     FeatureMap,
     FeatureVolume,
     fuse,
@@ -35,27 +40,71 @@ def anchors_at(xs, n=4):
     return [Anchor3D(x=np.full(n, float(x)), y=y, z=np.zeros(n)) for x in xs]
 
 
+def reference_predict(features, anchors, w: HeadWeights) -> list[Proposal]:
+    """The head without the fold: the linear heads applied to x + A x W_v W_o."""
+    x = np.asarray(features, dtype=np.float64)
+    q, k, v = x @ w.w_q, x @ w.w_k, x @ w.w_v
+    attended = x + softmax_rows(q @ k.T / np.sqrt(x.shape[1])) @ v @ w.w_o
+    probs = softmax_rows(attended @ w.cls_w + w.cls_b)
+    reg = attended @ w.reg_w + w.reg_b
+    n = w.num_points
+    vis = head._sigmoid(reg[:, 2 * n:])
+    return [Proposal(class_probs=probs[j], x=a.x + reg[j, :n], z=a.z + reg[j, n:2 * n], vis=vis[j])
+            for j, a in enumerate(anchors)]
+
+
+def linear_predict(x, anchors, w: HeadWeights) -> list[Proposal]:
+    """The cls/reg heads applied to ``x`` itself, with no attention."""
+    return reference_predict(x, anchors, dataclasses.replace(w, w_v=np.zeros_like(w.w_v)))
+
+
+def assert_proposals_close(got, want, rel=1e-12):
+    """Every field of every proposal within ``rel``·max(1, |v|) of ``want``'s."""
+    for j, (g, r) in enumerate(zip(got, want, strict=True)):
+        for name in ("class_probs", "x", "z", "vis", "score"):
+            v = np.asarray(getattr(r, name))
+            err = np.abs(np.asarray(getattr(g, name)) - v)
+            assert np.all(err <= rel * np.maximum(1.0, np.abs(v))), (j, name, err.max())
+
+
 def test_attention_zero_output_matrix_is_identity(rng):
+    # With W_o = 0 attention adds nothing: predict is the linear heads on x.
     w = HeadWeights.random(rng, 6, 2, 2)
-    w.w_o = np.zeros((6, 6))
+    w = dataclasses.replace(w, w_o=np.zeros((6, 6)))
     x = rng.normal(size=(4, 6))
-    np.testing.assert_array_equal(self_attention(x, w), x)
+    anchors = anchors_at([-1.0, 0.0, 1.0, 2.0], n=2)
+    np.testing.assert_allclose(self_attention(x, w).sum(axis=1), 1.0, atol=1e-12)
+    for got, want in zip(predict(x, anchors, w), linear_predict(x, anchors, w), strict=True):
+        for name in ("class_probs", "x", "z", "vis"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_attention_single_row(rng):
     w = HeadWeights.random(rng, 5, 2, 1)
     x = rng.normal(size=(1, 5))
+    np.testing.assert_array_equal(self_attention(x, w), [[1.0]])
+    # One row attends only to itself: the heads read x + x W_v W_o.
     expected = x + x @ w.w_v @ w.w_o
-    np.testing.assert_allclose(self_attention(x, w), expected, atol=1e-12)
+    anchors = anchors_at([0.5], n=1)
+    got = predict(x, anchors, w)
+    want = linear_predict(expected, anchors, w)
+    for name in ("class_probs", "x", "z", "vis"):
+        np.testing.assert_allclose(getattr(got[0], name), getattr(want[0], name), atol=1e-12)
 
 
 def test_attention_permutation_equivariance(rng):
     w = HeadWeights.random(rng, 8, 3, 2)
     x = rng.normal(size=(6, 8))
-    y = self_attention(x, w)
+    anchors = anchors_at(range(6), n=2)
+    a = self_attention(x, w)
+    np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
+    props = predict(x, anchors, w)
     for _ in range(20):
         perm = rng.permutation(6)
-        np.testing.assert_allclose(self_attention(x[perm], w), y[perm], atol=1e-12)
+        # Permuting the rows maps A to P A Pᵀ, and the proposals with them.
+        np.testing.assert_allclose(self_attention(x[perm], w), a[np.ix_(perm, perm)], atol=1e-12)
+        permuted = predict(x[perm], [anchors[j] for j in perm], w)
+        assert_proposals_close(permuted, [props[j] for j in perm])
 
 
 def test_attention_shape_mismatch(rng):
@@ -64,11 +113,76 @@ def test_attention_shape_mismatch(rng):
         self_attention(rng.normal(size=(4, 7)), w)
 
 
-def zero_weights(c: int, s: int, n: int) -> HeadWeights:
-    """All-zero head weights for C features, S categories and N points."""
+def _head_input(rng, m, n, c_cam, c_lid):
+    """(M, N·C) head input in the layout a stage builds: per point, the camera
+    channels then (when ``c_lid``) the LiDAR ones; unseen points are zeros."""
+    def feature(c):
+        valid = rng.random((m, n)) < 0.8
+        return AnchorFeature(values=rng.normal(size=(m, n, c)) * valid[..., None], valid=valid)
+
+    cam = feature(c_cam)
+    return (fuse(cam, feature(c_lid)) if c_lid else cam).flat
+
+
+@seed(21)
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 30), s=st.sampled_from([1, 3, 14]), n=st.sampled_from([1, 2, 5, 10, 20]),
+       c_cam=st.integers(1, 4), c_lid=st.sampled_from([0, 2]), scale=st.sampled_from([0.02, 0.2]),
+       draw=st.integers(0, 2**32 - 1))
+@example(m=30, s=14, n=20, c_cam=64, c_lid=0, scale=0.02, draw=0)  # infer: C = 1280
+@example(m=30, s=14, n=20, c_cam=64, c_lid=8, scale=0.02, draw=1)  # train_fusion: C = 1440
+def test_folded_head_matches_the_unfolded_reference(m, s, n, c_cam, c_lid, scale, draw):
+    rng = np.random.default_rng(draw)
+    x = _head_input(rng, m, n, c_cam, c_lid)
+    w = HeadWeights.random(rng, n * (c_cam + c_lid), s, n, scale=scale)
+    y = np.linspace(5.0, 35.0, n)
+    anchors = [Anchor3D(x=rng.normal(0.0, 3.0, n), y=y, z=rng.normal(0.0, 0.5, n))
+               for _ in range(m)]
+    assert_proposals_close(predict(x, anchors, w), reference_predict(x, anchors, w))
+
+
+def zero_weights(c: int, s: int, n: int, **given) -> HeadWeights:
+    """Head weights for C features, S categories and N points: ``given``
+    arrays by name, zeros for the rest."""
     shapes = {"w_q": (c, c), "w_k": (c, c), "w_v": (c, c), "w_o": (c, c),
               "cls_w": (c, s + 1), "cls_b": (s + 1,), "reg_w": (c, 3 * n), "reg_b": (3 * n,)}
-    return HeadWeights(**{name: np.zeros(shape) for name, shape in shapes.items()})
+    return HeadWeights(**{name: given.get(name, np.zeros(shape)) for name, shape in shapes.items()})
+
+
+WEIGHT_ARRAYS = ("w_q", "w_k", "w_v", "w_o", "cls_w", "cls_b", "reg_w", "reg_b")
+
+
+def test_head_weights_are_immutable(rng):
+    w = HeadWeights.random(rng, 6, 2, 2)
+    for name in (*WEIGHT_ARRAYS, "fold"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(w, name, np.zeros_like(getattr(w, name)))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(w, name)[0] = 1.0
+    # Arrays the caller keeps are copied, so writing into them leaves w as it was.
+    given = {name: np.ones_like(getattr(w, name)) for name in WEIGHT_ARRAYS}
+    built = HeadWeights(**given)
+    fold = built.fold.copy()
+    for array in given.values():
+        array[...] = 7.0
+    assert all(np.all(getattr(built, name) == 1.0) for name in WEIGHT_ARRAYS)
+    np.testing.assert_array_equal(built.fold, fold)
+
+
+def test_fold_is_the_value_head_folded_through_both_heads(rng):
+    w = HeadWeights.random(rng, 7, 3, 2, scale=0.5)
+    assert w.fold.shape == (7, 4 + 6) and w.fold_finite
+    np.testing.assert_allclose(w.fold, w.w_v @ w.w_o @ np.hstack([w.cls_w, w.reg_w]),
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_a_fold_that_overflows_is_refused_by_predict(rng):
+    # Each weight is finite, but W_v W_o H overflows float64: building warns
+    # nothing, and predict raises instead of emitting non-finite proposals.
+    w = HeadWeights.random(rng, 4, 1, 1, scale=1e200)
+    assert not w.fold_finite
+    with pytest.raises(ValueError, match="overflows float64"):
+        predict(rng.normal(size=(2, 4)), anchors_at([0.0, 1.0], n=1), w)
 
 
 def test_predict_zero_network():
@@ -86,8 +200,9 @@ def test_predict_zero_network():
 
 def test_predict_bias_only_offset():
     n, s, c = 3, 1, 4
-    w = zero_weights(c, s, n)
-    w.reg_b[:n] = 1.0  # x offsets
+    reg_b = np.zeros(3 * n)
+    reg_b[:n] = 1.0  # x offsets
+    w = zero_weights(c, s, n, reg_b=reg_b)
     anchors = anchors_at([0.5], n=n)
     props = predict(np.zeros((1, c)), anchors, w)
     np.testing.assert_allclose(props[0].x, anchors[0].x + 1.0, atol=1e-15)
