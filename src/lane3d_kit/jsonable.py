@@ -13,7 +13,7 @@ strings, ``int`` rejects strings, booleans, non-integral numbers and
 float literals of magnitude 2**53 or more (``1e200``), ``float`` rejects
 strings and booleans, and ``int`` and ``float`` then go through their
 constructors.  ``typing.Any`` keeps the parsed value for the
-caller to decode (``decode_arrays`` decodes many arrays in one pass).
+caller to decode (``decode_arrays`` checks many arrays in one pass).
 Floats and arrays must be finite, and an array element must be a number,
 not a string.  Every field that ``__init__`` takes must be present and
 no other key may be; derived fields (``init=False``) are written but
@@ -23,7 +23,9 @@ dataclass (``ValueError``, ``TypeError`` or a lane3d-kit error such as
 ``InvalidRig``) is located at that dataclass's object.  The decoder of
 each annotation is built once and reused.  ``read_json`` parses a JSON
 file and locates a syntax error at its character offset, and an integer
-literal too long for ``int`` at its JSON pointer.
+literal too long for ``int`` at its JSON pointer.  ``try_array`` builds a
+float64 array from a parsed list while the file parses, so that a reader
+need not hold one Python float and one list per number.
 
 ``dumps`` is the one text encoder: every JSON file and every JSON print of
 the package goes through it, and its text is ``json.dumps(obj, indent=1)``'s.
@@ -47,12 +49,16 @@ import numpy as np
 from .errors import FileFormatError, Lane3DKitError
 
 
-def read_json(path):
+def read_json(path, object_hook=None):
     """Parse a JSON file; invalid JSON raises FileFormatError at its offset,
-    and an integer literal too long for ``int`` at its pointer."""
+    and an integer literal too long for ``int`` at its pointer.
+
+    ``object_hook`` is ``json.loads``'s.  It must not raise: any ``ValueError``
+    other than a syntax error is taken for the integer limit.
+    """
     text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as e:
         raise FileFormatError(path, f"offset {e.pos}", f"invalid JSON: {e.msg}") from e
     except ValueError as e:
@@ -212,23 +218,36 @@ def _sequence_decoder(origin, args):
     return decode
 
 
+def try_array(doc):
+    """``doc`` as a float64 array when it is a list of numbers (or of equal
+    rows of them) that converts as ``from_json(np.ndarray, doc, …)`` converts
+    it; else ``doc`` itself.  Finiteness is left to that decoder's check.
+
+    A list holding a string, a ``null`` or an object, a ragged row, or an
+    integer beyond 64 bits stays as parsed, for the decoder to convert or to
+    report at its pointer.  It never raises, so it can run inside a
+    ``json.loads`` object hook.
+    """
+    if type(doc) is not list:
+        return doc
+    try:
+        value = np.asarray(doc)
+    except (ValueError, TypeError, OverflowError):
+        return doc
+    return value.astype(np.float64, copy=False) if value.dtype.kind in "biuf" else doc
+
+
 def decode_arrays(docs: list, source, where) -> list[np.ndarray]:
     """``[from_json(np.ndarray, doc, source, where(i)) for i, doc in enumerate(docs)]``
-    with one conversion and one finiteness check for all of ``docs``.
+    with one finiteness check for all of ``docs`` when each is a float64 array
+    already, as :func:`try_array` builds them while a file parses.
 
-    When every doc is a non-empty array, the docs are chained along their
-    first axis, checked as one array and split again.  If that fails, each
-    doc is decoded alone, which reports the first error at its pointer (docs
-    whose items differ in shape from doc to doc are decoded alone too).
+    Otherwise, or when that check fails, each doc is decoded alone, which
+    reports the first error at its pointer.
     """
-    if all(type(doc) is list and doc for doc in docs):
-        ends = list(itertools.accumulate(map(len, docs)))
-        try:
-            value = _decode_array(list(itertools.chain.from_iterable(docs)), source, "")
-        except FileFormatError:
-            pass
-        else:
-            return [value[start:end] for start, end in zip([0, *ends], ends)]
+    if all(type(doc) is np.ndarray and doc.dtype == np.float64 for doc in docs) and (
+            not docs or np.isfinite(np.concatenate([doc.ravel() for doc in docs])).all()):
+        return docs
     return [_decode_array(doc, source, where(i)) for i, doc in enumerate(docs)]
 
 

@@ -49,17 +49,26 @@ losses need (the profile's y-grid, a ``category`` in 0..S-1 and
 ``class_probs`` of S+1 probabilities) is checked by
 :mod:`lane3d_kit.scoring`, with :func:`check_range` for the probabilities.
 
+Memory grows with a file's numbers, not with one Python object per number.
+``write_lane_file`` makes every check first, then encodes and writes one
+frame at a time, so it holds one frame's lists and text; its bytes are
+``dumps`` of the whole document plus a newline.  ``read_lane_file`` parses
+with an object hook that turns a lane's ``points``, ``visibility`` and
+``class_probs`` into float64 arrays as soon as that lane is parsed
+(:func:`lane3d_kit.jsonable.try_array`), so each point's list lives no
+longer than its lane.  A list that does not convert cleanly (a string, a
+``null``, a ragged row) stays as parsed and is decoded, and its error
+located, as any other array is.  Each array field's finiteness
+(:func:`lane3d_kit.jsonable.decode_arrays`) and range are then checked once
+for the whole file.
+
 Reading is dominated by parsing.  ``read_lane_file`` pauses Python's cyclic
 garbage collector from the parse until the parsed document is dropped:
 ``json.loads`` builds one short-lived list per point, and the collector
 would scan them again and again.  This is safe because neither the document
 nor the decoded frames hold reference cycles, so reference counting frees
 all of it and no collection is put off.  The collector's prior state is
-restored on return and on error; one that was off stays off.  Each array
-field (``points``, ``visibility``, ``class_probs``) is then converted once
-for the whole file (:func:`lane3d_kit.jsonable.decode_arrays`) and sliced
-per lane; the coordinate and visibility ranges are checked once per file the
-same way.
+restored on return and on error; one that was off stays off.
 """
 
 from __future__ import annotations
@@ -67,14 +76,14 @@ from __future__ import annotations
 import gc
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from . import jsonable
 from .errors import FileFormatError
 from .geometry import CameraRig
-from .jsonable import decode_arrays, dumps, from_json, read_json, to_json
+from .jsonable import _dumps, decode_arrays, from_json, to_json, try_array
 from .lanes import Lane3D
 
 COORD_LIMIT = 1e150
@@ -103,11 +112,12 @@ _RULES = (("points", lambda v: np.abs(v) >= COORD_LIMIT,
 
 
 def write_lane_file(path, frames: list[Frame]) -> None:
-    """Write ``frames`` to the lane file ``path``.
+    """Write ``frames`` to the lane file ``path``, one frame at a time.
 
     A value that :func:`read_lane_file` rejects is refused first, at its
-    pointer in ``path``, and then nothing is written: a lane's non-finite
+    pointer in ``path``, and then ``path`` is not opened: a lane's non-finite
     number, a value outside the ranges of ``_RULES``, or a repeated frame id.
+    The bytes written are ``dumps`` of the whole document plus a newline.
     """
     numbers = []  # (pointer, array) of every lane's number fields, in document order
     lanes = []  # (pointer, category, number fields) of every lane
@@ -126,26 +136,27 @@ def write_lane_file(path, frames: list[Frame]) -> None:
         check_range([fields[key] for _, _, fields in lanes], bad, path,
                     lambda k: f"{lanes[k][0]}/{key}", message)
     _check_unique_ids([f.id for f in frames], path)
-    docs = iter([{"category": int(category), **{key: a.tolist() for key, a in fields.items()}}
-                 for _, category, fields in lanes])
-    doc = {
-        "frames": [
-            {
+    rows = iter(lanes)
+    with open(path, "w") as out:
+        # The text of {"frames": [...]} as dumps indents it, each frame at its depth.
+        out.write('{\n "frames": [')
+        for i, f in enumerate(frames):
+            doc = {
                 "id": f.id,
                 "camera": to_json(f.camera),
-                "lanes": list(itertools.islice(docs, len(f.lanes))),
+                "lanes": [{"category": int(category),
+                           **{key: a.tolist() for key, a in fields.items()}}
+                          for _, category, fields in itertools.islice(rows, len(f.lanes))],
                 **({"tags": list(f.tags)} if f.tags else {}),
             }
-            for f in frames
-        ]
-    }
-    Path(path).write_text(dumps(doc) + "\n")
+            out.write(("," if i else "") + "\n  " + _dumps(doc, "\n  "))
+        out.write("\n ]\n}\n" if frames else "]\n}\n")
 
 
 @dataclass
 class _LaneDoc:
     category: int
-    points: Any  # the array fields are decoded for the whole file at once
+    points: Any  # the array fields are built while parsing, checked for the whole file at once
     visibility: Any
     score: float | None
     class_probs: Any
@@ -205,6 +216,20 @@ def _check_unique_ids(ids: list[str], path) -> None:
         if first.setdefault(frame_id, i) != i:
             raise FileFormatError(path, f"/frames/{i}/id",
                                   f"frame id {frame_id!r} repeats /frames/{first[frame_id]}/id")
+
+
+def _lane_arrays(obj: dict) -> dict:
+    """``json.loads`` object hook: a lane's array fields as float64 arrays,
+    built by :func:`lane3d_kit.jsonable.try_array` as soon as the lane is parsed."""
+    for key in ("points", "visibility", "class_probs"):
+        if key in obj:
+            obj[key] = try_array(obj[key])
+    return obj
+
+
+def read_json(path):
+    """Parse the lane file ``path``, building its lanes' arrays as it goes."""
+    return jsonable.read_json(path, object_hook=_lane_arrays)
 
 
 def read_lane_file(path) -> list[Frame]:

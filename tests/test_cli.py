@@ -572,6 +572,16 @@ def test_evaluate_out_to_a_directory_exits_2(tmp_path):
     assert "Is a directory" in err and str(tmp_path) in err
 
 
+def test_forward_out_to_a_directory_exits_2(tmp_path):
+    config, scene, weights = _chain_scene(tmp_path)
+    out = tmp_path / "preds"
+    out.mkdir()
+    code, stdout, err = call("forward", "--config", config, "--scene", scene,
+                             "--weights", weights, "--out", out)
+    assert code == EXIT_INPUT and stdout == "" and "Traceback" not in err
+    assert "Is a directory" in err and str(out) in err
+
+
 @pytest.mark.parametrize("which, edit, pointer, message", [
     ("gt", lambda d: _repeat_frame(d, 0), "/frames/1/id", "frame id 'north' repeats /frames/0/id"),
     ("pred", lambda d: _repeat_frame(d, 0), "/frames/1/id",

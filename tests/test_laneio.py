@@ -1,22 +1,25 @@
 import functools
 import gc
+import itertools
 import json
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from lane3d_kit.errors import FileFormatError, InvalidRig
 from lane3d_kit.geometry import CameraRig
 from lane3d_kit import jsonable, laneio
-from lane3d_kit.jsonable import to_json
+from lane3d_kit.jsonable import decode_arrays, dumps, from_json, to_json
 from lane3d_kit.lanes import Lane3D
 from lane3d_kit.laneio import Frame, read_lane_file, write_lane_file
 
 from conftest import unit_rig
+from test_jsonable import _outcome, array_items
 
 
 def sample_lane(score=None, probs=None):
@@ -488,6 +491,10 @@ def one_lane_doc(**lane_edits) -> dict:
     ({"frames": [{"id": "0", "camera": {**to_json(unit_rig()), "image_size": ["360", 480]},
                   "lanes": []}]},
      "/frames/0/camera/image_size/0", 'expected an integer, got "360"'),
+    (one_lane_doc(points=[[0, 5, 0], [0, 6]]), "/frames/0/lanes/0/points", "inhomogeneous shape"),
+    (one_lane_doc(points=[[0, 5, 0], 6]), "/frames/0/lanes/0/points", "inhomogeneous shape"),
+    (one_lane_doc(visibility=[[1], [1, 1]]), "/frames/0/lanes/0/visibility",
+     "inhomogeneous shape"),
 ])
 def test_malformed_document_reports_its_pointer(tmp_path, doc, pointer, message):
     path = tmp_path / "lanes.json"
@@ -533,3 +540,187 @@ def test_read_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled
         assert (parsed_with, gc.isenabled()) == ([False], enabled)
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# --- streaming and memory -------------------------------------------------------
+
+
+def whole_document_text(frames: list[Frame]) -> str:
+    """The lane file text as the writer built it before it streamed frames:
+    the whole document in memory, then one ``dumps``."""
+    def lane_doc(lane):
+        fields = {"points": lane.points, "visibility": lane.visibility,
+                  "score": lane.score, "class_probs": lane.class_probs}
+        return {"category": int(lane.category),
+                **{key: np.asarray(value, dtype=np.float64).tolist()
+                   for key, value in fields.items() if value is not None}}
+
+    return dumps({"frames": [{"id": f.id, "camera": to_json(f.camera),
+                              "lanes": [lane_doc(lane) for lane in f.lanes],
+                              **({"tags": list(f.tags)} if f.tags else {})}
+                             for f in frames]}) + "\n"
+
+
+# Text the encoder must escape: non-ASCII, a line separator, a quote, a backslash, a newline.
+ESCAPED = ["\u00e9", "\u2028", "\U0001f600", '"\\\n']
+LIDAR_RIG = CameraRig(**{**to_json(unit_rig()), "T_gl": unit_rig().T_gc})
+
+
+@st.composite
+def writable_frames(draw) -> list[Frame]:
+    """Up to 3 frames of up to 3 lanes: ids and tags with non-ASCII text, no
+    rig or a camera with or without a LiDAR, and lanes with and without
+    ``score`` and ``class_probs``."""
+    text = st.text(max_size=4) | st.sampled_from(ESCAPED)
+    coord, unit = st.floats(-1e149, 1e149), st.floats(0.0, 1.0)
+    frames = []
+    for frame_id in draw(st.lists(text, max_size=3, unique=True)):
+        lanes = []
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(1, 5))
+            lanes.append(Lane3D(
+                x=draw(st.lists(coord, min_size=n, max_size=n)),
+                y=draw(st.floats(-1e3, 1e3)) + np.arange(n),
+                z=draw(st.lists(coord, min_size=n, max_size=n)),
+                visibility=draw(st.lists(unit, min_size=n, max_size=n)),
+                category=draw(st.integers(0, 20)), score=draw(st.none() | unit),
+                class_probs=draw(st.none() | st.lists(unit, min_size=1, max_size=4))))
+        camera = draw(st.sampled_from([None, unit_rig(), LIDAR_RIG]))
+        frames.append(Frame(id=frame_id, camera=camera, lanes=lanes,
+                            tags=tuple(draw(st.lists(text, max_size=2)))))
+    return frames
+
+
+@seed(22)
+@settings(max_examples=150, deadline=None)
+@given(writable_frames())
+@example([])
+@example([Frame(id="\u00e9\U0001f600", camera=None, lanes=[], tags=("\u2028",))])
+def test_streamed_file_is_the_whole_document_encoding(tmp_path_factory, frames):
+    path = tmp_path_factory.mktemp("stream") / "lanes.json"
+    write_lane_file(path, frames)
+    assert path.read_bytes() == whole_document_text(frames).encode("ascii")
+
+
+def reference_decode_arrays(docs: list, source, where) -> list[np.ndarray]:
+    """The column decode as it was before lane arrays were built while parsing:
+    every doc chained along its first axis and converted at once, or, when
+    that fails, each doc decoded alone."""
+    if all(type(doc) is list and doc for doc in docs):
+        ends = list(itertools.accumulate(map(len, docs)))
+        try:
+            value = from_json(np.ndarray, list(itertools.chain.from_iterable(docs)), source, "")
+        except FileFormatError:
+            pass
+        else:
+            return [value[start:end] for start, end in zip([0, *ends], ends)]
+    return [from_json(np.ndarray, doc, source, where(i)) for i, doc in enumerate(docs)]
+
+
+ARRAY_FIELDS = {"points": 3, "visibility": None, "class_probs": None}
+
+
+@st.composite
+def lane_array_documents(draw) -> dict:
+    """A lane file whose lanes' array fields are built from ``array_items``:
+    mostly clean, now and then holding a string, a ``null``, an object, a
+    non-finite or a large number, a ragged row or a scalar."""
+    def field(width):
+        clean = draw(st.booleans())
+        item = st.floats(-1e3, 1e3) if clean else array_items
+        row = item if width is None else st.lists(item, min_size=width, max_size=width)
+        if not clean:
+            row = row | st.lists(item, max_size=4)
+        doc = draw(st.lists(row, max_size=4))
+        return doc if clean or draw(st.booleans()) else draw(st.sampled_from([5, None, [[]]]))
+
+    return {"frames": [{"id": str(i), "camera": None,
+                        "lanes": [{"category": 0, **{name: field(width)
+                                                     for name, width in ARRAY_FIELDS.items()}}
+                                  for _ in range(n)]}
+                       for i, n in enumerate(draw(st.lists(st.integers(0, 3), min_size=1,
+                                                           max_size=3)))]}
+
+
+def _one_lane(**fields) -> dict:
+    return {"frames": [{"id": "0", "camera": None,
+                        "lanes": [{"category": 0, "points": [[0, 5, 0]], "visibility": [1],
+                                   "class_probs": [1], **fields}]}]}
+
+
+@seed(2222)
+@settings(max_examples=300, deadline=None)
+@given(lane_array_documents())
+@example(_one_lane(points=[[0, 5, 0], [0, 6]]))
+@example(_one_lane(points=[[0, 5, 0], 6]))
+@example(_one_lane(visibility=[[1], [1, 1]]))
+@example(_one_lane(points=[[2**63, 5, -1]], visibility=[2**64], class_probs=[-2**63 - 1]))
+@example(_one_lane(points=[[0, 5, int("1" + "0" * 400)]]))
+@example(_one_lane(visibility=[True, 0], class_probs=[[["1.0"]]]))
+def test_arrays_built_while_parsing_decode_as_the_column_decode_did(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("arrays") / "lanes.json"
+    path.write_text(json.dumps(doc))
+    parsed, plain = laneio.read_json(path), json.loads(path.read_text())
+    for name in ARRAY_FIELDS:
+        def where(k):
+            return f"/lanes/{k}/{name}"
+
+        def column(doc):
+            return [lane[name] for frame in doc["frames"] for lane in frame["lanes"]]
+
+        assert _outcome(lambda: decode_arrays(column(parsed), path, where)) == _outcome(
+            lambda: reference_decode_arrays(column(plain), path, where))
+
+
+def corpus_frames() -> list[Frame]:
+    """20 frames of 30 proposals with 20 points and 15 class probabilities
+    each: 600 lanes, as a stored prediction corpus holds them."""
+    rng = np.random.default_rng(22)
+    y = np.linspace(3.0, 103.0, 20)
+    return [Frame(id=str(i), camera=unit_rig(), lanes=[
+        Lane3D(x=rng.normal(scale=5.0, size=20), y=y, z=rng.normal(scale=0.5, size=20),
+               visibility=(rng.random(20) < 0.8).astype(float), category=int(rng.integers(14)),
+               score=float(rng.random()), class_probs=rng.dirichlet(np.ones(15)))
+        for _ in range(30)]) for i in range(20)]
+
+
+def traced_peak(run) -> int:
+    """The peak of Python allocations made while ``run()`` runs, its result held."""
+    tracemalloc.start()
+    try:
+        result = run()  # noqa: F841 - held so that the peak counts what it returns
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_holds_one_frame_not_the_file(tmp_path):
+    frames = corpus_frames()
+    path = tmp_path / "lanes.json"
+    write_lane_file(path, frames)
+    peak = traced_peak(lambda: write_lane_file(path, frames))
+    assert peak <= 1.5 * path.stat().st_size
+
+
+def test_reader_holds_arrays_not_one_list_per_point(tmp_path):
+    path = tmp_path / "lanes.json"
+    write_lane_file(path, corpus_frames())
+    read_lane_file(path)
+    peak = traced_peak(lambda: read_lane_file(path))
+    assert peak <= 2.3 * path.stat().st_size
+
+
+@pytest.mark.parametrize("pointer, bad", [
+    ("/frames/0/lanes/1/points/1/0", float("nan")),
+    ("/frames/1/lanes/1/visibility/3", 7.0),
+    ("/frames/0/lanes/1/class_probs/1", float("inf")),
+    ("/frames/1/id", "0"),
+])
+def test_a_refused_write_leaves_the_file_there_as_it_was(tmp_path, pointer, bad):
+    path = tmp_path / "lanes.json"
+    write_lane_file(path, frames_of(pointer_table_doc()))
+    before = path.read_bytes()
+    with pytest.raises(FileFormatError) as refused:
+        write_lane_file(path, frames_of(rig_table_doc_with(pointer, bad)))
+    assert refused.value.location == pointer
+    assert path.read_bytes() == before
