@@ -112,6 +112,8 @@ def _check_coefficient_head(path, coeff: CoefficientHeadWeights, f5: FeatureMap)
 
 
 def make_random_weights(cfg: RunConfig, seed: int, scale: float):
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     rng = np.random.default_rng(seed)
     m_xs, m_phi, m_theta = cfg.num_prototypes
     bank = PrototypeBank.uniform(m_xs, m_phi, m_theta)
@@ -149,12 +151,14 @@ def _frame_tensors(tensors: dict, path, frame_id: str, *names: str) -> list[np.n
 
 @dataclass
 class _GenSceneSpec(SceneSpec):
-    """A gen-scene spec: the scene plus how to render it; every key may be omitted.
+    """A gen-scene spec: the scene plus how to render it.  Every key may be
+    omitted, here and in ``noise``, and then takes its default.
 
     ``sigma`` is the feature bumps' width in cells: positive, with
     ``2 * sigma**2`` a finite positive float.
     """
 
+    optional_keys = True
     profile: str = "openlane"
     sigma: float = _DEFAULT_SIGMA
     feature_channels: int = 64
@@ -177,13 +181,14 @@ class _GenSceneSpec(SceneSpec):
 
 
 def cmd_gen_scene(args) -> int:
-    doc = read_json(args.spec)
-    if not isinstance(doc, dict):
-        raise FileFormatError(args.spec, "/", "expected an object")
-    doc = {**to_json(_GenSceneSpec()), **doc}
-    if isinstance(doc["noise"], dict):
-        doc["noise"] = {**to_json(NoiseSpec()), **doc["noise"]}
-    spec = from_json(_GenSceneSpec, doc, args.spec)
+    """Write the scene of the spec file ``args.spec`` to the directory ``args.out``.
+
+    The spec is decoded as a :class:`_GenSceneSpec`, whose keys are all
+    optional.  ``gt.json`` and, when the spec has ``noise``, ``preds.json``
+    go through the lane-file writer's checks, so a lane the spec makes
+    unreadable (an overflowing coordinate) exits 2 at its pointer there.
+    """
+    spec = from_json(_GenSceneSpec, read_json(args.spec), args.spec)
     profile = make_profile(spec.profile)
 
     gts, rig = generate_scene(spec, profile, with_lidar=spec.lidar)

@@ -42,9 +42,11 @@ class CameraRig:
     optional 3x4 ground-to-LiDAR transform.  ``image_size`` and
     ``feature_size`` are (height, width) pairs; the feature grid must tile
     the image exactly (the usual ratio is 1/8).  Every value is finite, and
-    so is every entry of the projection ``K @ T_gc``.
+    so is every entry of the projection ``K @ T_gc``.  A JSON object may omit
+    ``T_gl``, for no LiDAR.
     """
 
+    optional_keys = ("T_gl",)
     K: np.ndarray
     T_gc: np.ndarray
     T_gl: np.ndarray | None = None

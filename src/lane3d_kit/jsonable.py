@@ -14,18 +14,29 @@ float literals of magnitude 2**53 or more (``1e200``), ``float`` rejects
 strings and booleans, and ``int`` and ``float`` then go through their
 constructors.  ``typing.Any`` keeps the parsed value for the
 caller to decode (``decode_arrays`` checks many arrays in one pass).
-Floats and arrays must be finite, and an array element must be a number,
-not a string.  Every field that ``__init__`` takes must be present and
-no other key may be; derived fields (``init=False``) are written but
-never read.  Every failure becomes a :class:`FileFormatError` at the JSON
-pointer of the value that caused it; an error raised while constructing a
-dataclass (``ValueError``, ``TypeError`` or a lane3d-kit error such as
+Floats and arrays must be finite.  One rule converts an array, while a
+file parses (``try_array``) and when it is decoded: a list converts when
+numpy reads it as booleans or numbers, and a list that does not is only
+looked at again to report where and why (a string element at its pointer,
+a ``null`` as a non-finite value, a ragged row at the array).
+
+Every field that ``__init__`` takes must be present and no other key may
+be, except that a dataclass may declare keys a document may omit in a
+class variable ``optional_keys``: a tuple of field names, or ``True`` for
+every key.  An omitted key takes the field's default from the dataclass
+itself.  The declaration is the record's alone: a record that declares
+none (a :class:`~lane3d_kit.config.RunConfig` and its sections) needs
+every key.  Derived fields (``init=False``) are written but never read.
+Every failure becomes a :class:`FileFormatError` at the JSON pointer of
+the value that caused it; an error raised while constructing a dataclass
+(``ValueError``, ``TypeError`` or a lane3d-kit error such as
 ``InvalidRig``) is located at that dataclass's object.  The decoder of
-each annotation is built once and reused.  ``read_json`` parses a JSON
-file and locates a syntax error at its character offset, and an integer
-literal too long for ``int`` at its JSON pointer.  ``try_array`` builds a
-float64 array from a parsed list while the file parses, so that a reader
-need not hold one Python float and one list per number.
+each annotation is built once and reused.
+
+``read_json`` reads a file as UTF-8 (RFC 8259), whatever the locale, and
+parses it: a byte that is not UTF-8 is reported at its byte offset, a
+syntax error at its character offset, and an integer literal too long for
+``int`` at its JSON pointer.
 
 ``dumps`` is the one text encoder: every JSON file and every JSON print of
 the package goes through it, and its text is ``json.dumps(obj, indent=1)``'s.
@@ -50,13 +61,18 @@ from .errors import FileFormatError, Lane3DKitError
 
 
 def read_json(path, object_hook=None):
-    """Parse a JSON file; invalid JSON raises FileFormatError at its offset,
+    """Parse the UTF-8 JSON file ``path``; a byte that is not UTF-8 raises
+    FileFormatError at its byte offset, invalid JSON at its character offset,
     and an integer literal too long for ``int`` at its pointer.
 
     ``object_hook`` is ``json.loads``'s.  It must not raise: any ``ValueError``
     other than a syntax error is taken for the integer limit.
     """
-    text = Path(path).read_text()
+    try:
+        # read_text decodes all the file's bytes in one call, so e.start is a file offset.
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FileFormatError(path, f"byte {e.start}", f"invalid UTF-8: {e.reason}") from e
     try:
         return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as e:
@@ -171,13 +187,15 @@ def _decoder(cls):
 def _object_decoder(cls):
     hints = typing.get_type_hints(cls)
     fields = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(cls) if f.init}
+    optional = getattr(cls, "optional_keys", ())
+    optional = fields if optional is True else optional
 
     def decode(doc, source, where):
         if len(fields) == 1:
             ((name, field),) = fields.items()
             kwargs = {name: field(doc, source, where)}
         else:
-            kwargs = _decode_fields(fields, doc, source, where)
+            kwargs = _decode_fields(fields, optional, doc, source, where)
         try:
             return cls(**kwargs)
         except (ValueError, TypeError, Lane3DKitError) as e:
@@ -186,7 +204,7 @@ def _object_decoder(cls):
     return decode
 
 
-def _decode_fields(fields: dict, doc, source, where: str) -> dict:
+def _decode_fields(fields: dict, optional, doc, source, where: str) -> dict:
     if not isinstance(doc, dict):
         raise FileFormatError(source, where or "/", "expected an object")
     if doc.keys() != fields.keys():
@@ -194,8 +212,9 @@ def _decode_fields(fields: dict, doc, source, where: str) -> dict:
             if key not in fields:
                 raise FileFormatError(source, f"{where}/{key}", "unknown field")
         for name in fields:
-            if name not in doc:
+            if name not in doc and name not in optional:
                 raise FileFormatError(source, f"{where}/{name}", "missing field")
+        fields = {name: field for name, field in fields.items() if name in doc}
     return {name: field(doc[name], source, f"{where}/{name}") for name, field in fields.items()}
 
 
@@ -219,17 +238,15 @@ def _sequence_decoder(origin, args):
 
 
 def try_array(doc):
-    """``doc`` as a float64 array when it is a list of numbers (or of equal
-    rows of them) that converts as ``from_json(np.ndarray, doc, …)`` converts
-    it; else ``doc`` itself.  Finiteness is left to that decoder's check.
+    """``doc`` as a float64 array when numpy reads it as booleans or numbers
+    (a list of them, or of equal rows of them); else ``doc`` itself.  This is
+    the one conversion of an array; finiteness is left to the decoder.
 
     A list holding a string, a ``null`` or an object, a ragged row, or an
     integer beyond 64 bits stays as parsed, for the decoder to convert or to
     report at its pointer.  It never raises, so it can run inside a
     ``json.loads`` object hook.
     """
-    if type(doc) is not list:
-        return doc
     try:
         value = np.asarray(doc)
     except (ValueError, TypeError, OverflowError):
@@ -252,22 +269,25 @@ def decode_arrays(docs: list, source, where) -> list[np.ndarray]:
 
 
 def _decode_array(doc, source, where: str) -> np.ndarray:
-    """The one array check: ``doc`` as a finite float64 array.
+    """The one array check: ``doc`` as a finite float64 array, converted by
+    :func:`try_array`.
 
-    The first conversion is untyped, so that a string element shows in the
-    dtype instead of being parsed as a number; ``null`` becomes NaN.
+    A doc that does not convert is looked at again only to tell where and
+    why: a ragged row fails its untyped conversion again, a string element is
+    reported at its pointer, and anything else (a ``null``, an integer beyond
+    64 bits) is converted as float64, ``null`` becoming NaN.
     """
-    try:
-        value = np.asarray(doc)
-        if value.dtype.kind in "OU":
+    value = try_array(doc)
+    if type(value) is not np.ndarray:
+        try:
+            np.asarray(doc)
             string = _first(doc, lambda v: isinstance(v, str))
             if string is not None:
                 raise FileFormatError(source, _pointer(where, string),
                                       "expected a number, got a string")
             value = np.asarray(doc, dtype=np.float64)
-        value = value.astype(np.float64, copy=False)
-    except (ValueError, TypeError, OverflowError) as e:
-        raise FileFormatError(source, where or "/", str(e)) from e
+        except (ValueError, TypeError, OverflowError) as e:
+            raise FileFormatError(source, where or "/", str(e)) from e
     finite = np.isfinite(value)
     if not finite.all():
         first = np.argwhere(~finite)[0]

@@ -18,9 +18,10 @@ declaration, so one policy holds at every level:
 - Required keys: ``frames``; in a frame ``id``, ``camera`` (``null`` for
   no rig) and ``lanes``; in a lane ``category``, ``points`` and
   ``visibility``; in a camera every :class:`CameraRig` field but ``T_gl``.
-- Four keys are optional: a frame's ``tags`` (default none), a lane's
-  ``score`` and ``class_probs`` (default absent), and a camera's ``T_gl``
-  (absent means no LiDAR).
+- Four keys are optional, each declared so on its record
+  (``optional_keys``) and given its default by the codec: a frame's
+  ``tags`` (default none), a lane's ``score`` and ``class_probs`` (default
+  absent), and a camera's ``T_gl`` (absent means no LiDAR).
 - Unknown keys are rejected, in the document, a frame, a lane and a camera.
 - Frame ids are strings, unique within a file: a repeated id is reported
   at the later frame's ``/frames/<i>/id``.
@@ -39,10 +40,13 @@ stroke and the equal-width gradient's cubed distance have limits of their
 own), and every visibility is in [0, 1].  An invalid rig is reported at
 ``.../camera``; :class:`CameraRig` itself refuses non-finite values.  Every
 error is a :class:`FileFormatError` at the JSON pointer of the value that
-caused it.  ``write_lane_file`` refuses a lane's non-finite number, a value
-outside the table and a repeated frame id the same way, in the file it
-would write, before it writes any byte, so no command writes a lane file
-that no command reads.
+caused it.  The values are checked by one function for the reader and the
+writer, in one order: the scores, then for each field of the table its
+finiteness and then its range, then the class probabilities' finiteness,
+then the frame ids.  ``write_lane_file`` runs it on the frames it is given
+before it writes any byte, so it refuses, at the same pointer and with the
+same message, the value that the reader rejects first, and no command
+writes a lane file that no command reads.
 
 This module checks what every reader of a lane file needs.  What only the
 losses need (the profile's y-grid, a ``category`` in 0..S-1 and
@@ -51,9 +55,10 @@ losses need (the profile's y-grid, a ``category`` in 0..S-1 and
 
 Memory grows with a file's numbers, not with one Python object per number.
 ``write_lane_file`` makes every check first, then encodes and writes one
-frame at a time, so it holds one frame's lists and text; its bytes are
-``dumps`` of the whole document plus a newline.  ``read_lane_file`` parses
-with an object hook that turns a lane's ``points``, ``visibility`` and
+frame at a time, so it holds each lane's arrays (the frames' own, but for
+the stacked points) and one frame's lists and text; its bytes are ``dumps``
+of the whole document plus a newline.  ``read_lane_file`` parses with an
+object hook that turns a lane's ``points``, ``visibility`` and
 ``class_probs`` into float64 arrays as soon as that lane is parsed
 (:func:`lane3d_kit.jsonable.try_array`), so each point's list lives no
 longer than its lane.  A list that does not convert cleanly (a string, a
@@ -74,7 +79,6 @@ restored on return and on error; one that was off stays off.
 from __future__ import annotations
 
 import gc
-import itertools
 from dataclasses import dataclass
 from typing import Any
 
@@ -114,29 +118,13 @@ _RULES = (("points", lambda v: np.abs(v) >= COORD_LIMIT,
 def write_lane_file(path, frames: list[Frame]) -> None:
     """Write ``frames`` to the lane file ``path``, one frame at a time.
 
-    A value that :func:`read_lane_file` rejects is refused first, at its
-    pointer in ``path``, and then ``path`` is not opened: a lane's non-finite
-    number, a value outside the ranges of ``_RULES``, or a repeated frame id.
-    The bytes written are ``dumps`` of the whole document plus a newline.
+    The values are checked first by the reader's own check, so a file that
+    :func:`read_lane_file` would reject is refused at the pointer the reader
+    would name, and then ``path`` is not opened: a lane's non-finite number,
+    a value outside the ranges of ``_RULES``, or a repeated frame id.  The
+    bytes written are ``dumps`` of the whole document plus a newline.
     """
-    numbers = []  # (pointer, array) of every lane's number fields, in document order
-    lanes = []  # (pointer, category, number fields) of every lane
-    for i, f in enumerate(frames):
-        for j, lane in enumerate(f.lanes):
-            fields = {"points": lane.points, "visibility": lane.visibility,
-                      "score": lane.score, "class_probs": lane.class_probs}
-            fields = {key: np.asarray(value, dtype=np.float64)
-                      for key, value in fields.items() if value is not None}
-            where = f"/frames/{i}/lanes/{j}"
-            numbers += [(f"{where}/{key}", value) for key, value in fields.items()]
-            lanes.append((where, lane.category, fields))
-    check_range([a for _, a in numbers], lambda v: ~np.isfinite(v), path,
-                lambda k: numbers[k][0], "non-finite value")
-    for key, bad, message in _RULES:
-        check_range([fields[key] for _, _, fields in lanes], bad, path,
-                    lambda k: f"{lanes[k][0]}/{key}", message)
-    _check_unique_ids([f.id for f in frames], path)
-    rows = iter(lanes)
+    columns = zip(*_check_values(frames, path))
     with open(path, "w") as out:
         # The text of {"frames": [...]} as dumps indents it, each frame at its depth.
         out.write('{\n "frames": [')
@@ -144,57 +132,89 @@ def write_lane_file(path, frames: list[Frame]) -> None:
             doc = {
                 "id": f.id,
                 "camera": to_json(f.camera),
-                "lanes": [{"category": int(category),
-                           **{key: a.tolist() for key, a in fields.items()}}
-                          for _, category, fields in itertools.islice(rows, len(f.lanes))],
+                "lanes": [_lane_doc(lane, *next(columns)) for lane in f.lanes],
                 **({"tags": list(f.tags)} if f.tags else {}),
             }
             out.write(("," if i else "") + "\n  " + _dumps(doc, "\n  "))
         out.write("\n ]\n}\n" if frames else "]\n}\n")
 
 
+def _lane_doc(lane: Lane3D, points, vis, probs) -> dict:
+    """The object of ``lane`` in a lane file, its arrays as checked."""
+    return {"category": int(lane.category), "points": points.tolist(), "visibility": vis.tolist(),
+            **({} if lane.score is None else {"score": float(lane.score)}),
+            **({} if probs is None else {"class_probs": probs.tolist()})}
+
+
 @dataclass
 class _LaneDoc:
+    optional_keys = ("score", "class_probs")
     category: int
     points: Any  # the array fields are built while parsing, checked for the whole file at once
     visibility: Any
-    score: float | None
-    class_probs: Any
+    score: float | None = None
+    class_probs: Any = None
 
 
 @dataclass
 class _FrameDoc:
+    optional_keys = ("tags",)
     id: str
     camera: CameraRig | None
     lanes: list[_LaneDoc]
-    tags: tuple[str, ...]
+    tags: tuple[str, ...] = ()
 
 
-def _with_optional_keys(fd):
-    """Frame object ``fd`` with its absent optional keys set to their defaults."""
-    if not isinstance(fd, dict):
-        return fd
-    fd = {"tags": [], **fd}
-    if isinstance(fd.get("camera"), dict):
-        fd["camera"] = {"T_gl": None, **fd["camera"]}
-    if isinstance(fd.get("lanes"), list):
-        fd["lanes"] = [{"score": None, "class_probs": None, **ld} if isinstance(ld, dict) else ld
-                       for ld in fd["lanes"]]
-    return fd
-
-
-def _lane(ld: _LaneDoc, points, vis, probs, path, ptr: str) -> Lane3D:
+def _lane(ld: _LaneDoc, points, vis, probs, path, i: int, j: int) -> Lane3D:
     if points.ndim != 2 or points.shape[1] != 3:
-        raise FileFormatError(path, f"{ptr}/points", "expected an array of [x, y, z] triples")
+        raise FileFormatError(path, f"/frames/{i}/lanes/{j}/points",
+                              "expected an array of [x, y, z] triples")
     if vis.shape != points.shape[:1]:
-        raise FileFormatError(
-            path, f"{ptr}/visibility", f"shape {vis.shape} does not match {points.shape[0]} points"
-        )
+        raise FileFormatError(path, f"/frames/{i}/lanes/{j}/visibility",
+                              f"shape {vis.shape} does not match {points.shape[0]} points")
     try:
         return Lane3D(x=points[:, 0], y=points[:, 1], z=points[:, 2], visibility=vis,
                       category=ld.category, score=ld.score, class_probs=probs)
     except ValueError as e:  # y not strictly increasing
-        raise FileFormatError(path, f"{ptr}/points", str(e)) from e
+        raise FileFormatError(path, f"/frames/{i}/lanes/{j}/points", str(e)) from e
+
+
+def _check_values(frames, path) -> tuple[list, list, list]:
+    """Check every lane value of ``frames`` (:class:`Frame` objects or the
+    reader's documents) and return each lane's points, visibility and class
+    probabilities (None where it has none) as float64 arrays.
+
+    The value refused is the first in this order, each step testing the whole
+    file at once and then looking in document order: a non-finite score; per
+    field of ``_RULES`` a non-finite number, then a value out of its range; a
+    non-finite class probability; a repeated frame id.  Only its pointer is built.
+    """
+    lanes = [lane for f in frames for lane in f.lanes]
+
+    def at(k: int, name: str) -> str:  # lane k counts lanes across frames
+        for i, f in enumerate(frames):
+            if k < len(f.lanes):
+                return f"/frames/{i}/lanes/{k}/{name}"
+            k -= len(f.lanes)
+
+    def column(name: str, ks) -> list[np.ndarray]:
+        """Field ``name`` of the lanes numbered ``ks``, decoded in one pass."""
+        return decode_arrays([getattr(lanes[k], name) for k in ks], path,
+                             lambda n: at(ks[n], name))
+
+    every = range(len(lanes))
+    scored = [k for k in every if lanes[k].score is not None]
+    finite = np.isfinite(np.array([lanes[k].score for k in scored], dtype=np.float64))
+    if not finite.all():
+        raise FileFormatError(path, at(scored[np.argmin(finite)], "score"), "non-finite value")
+    ranged = {}
+    for name, bad, message in _RULES:
+        ranged[name] = column(name, every)
+        check_range(ranged[name], bad, path, lambda k: at(k, name), message)
+    with_probs = [k for k in every if lanes[k].class_probs is not None]
+    probs = dict(zip(with_probs, column("class_probs", with_probs)))
+    _check_unique_ids([f.id for f in frames], path)
+    return ranged["points"], ranged["visibility"], [probs.get(k) for k in every]
 
 
 def check_range(arrays: list[np.ndarray], bad, path, where, message: str) -> None:
@@ -250,29 +270,8 @@ def _decode(doc, path) -> list[Frame]:
             raise FileFormatError(path, f"/{key}", "unknown field")
     if "frames" not in doc:
         raise FileFormatError(path, "/frames", "missing field")
-    frames = doc["frames"]
-    if isinstance(frames, list):
-        frames = [_with_optional_keys(fd) for fd in frames]
-    docs = from_json(list[_FrameDoc], frames, path, "/frames")
-    lanes = [ld for fd in docs for ld in fd.lanes]
-    ptrs = [f"/frames/{i}/lanes/{j}" for i, fd in enumerate(docs) for j in range(len(fd.lanes))]
-
-    def column(name: str, ks) -> list[np.ndarray]:
-        """Field ``name`` of the lanes numbered ``ks``, decoded in one pass."""
-        return decode_arrays([getattr(lanes[k], name) for k in ks], path,
-                             lambda n: f"{ptrs[ks[n]]}/{name}")
-
-    every = range(len(lanes))
-    ranged = {}
-    for name, bad, message in _RULES:
-        ranged[name] = column(name, every)
-        check_range(ranged[name], bad, path, lambda k: f"{ptrs[k]}/{name}", message)
-    points, vis = ranged["points"], ranged["visibility"]
-    with_probs = [k for k in every if lanes[k].class_probs is not None]
-    probs = dict(zip(with_probs, column("class_probs", with_probs)))
-    _check_unique_ids([fd.id for fd in docs], path)
-    built = (_lane(ld, points[k], vis[k], probs.get(k), path, ptrs[k])
-             for k, ld in enumerate(lanes))
+    docs = from_json(list[_FrameDoc], doc["frames"], path, "/frames")
+    columns = zip(*_check_values(docs, path))
     return [Frame(id=fd.id, camera=fd.camera, tags=fd.tags,
-                  lanes=list(itertools.islice(built, len(fd.lanes))))
-            for fd in docs]
+                  lanes=[_lane(ld, *next(columns), path, i, j) for j, ld in enumerate(fd.lanes)])
+            for i, fd in enumerate(docs)]

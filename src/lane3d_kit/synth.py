@@ -69,8 +69,10 @@ class SceneSpec:
 
 @dataclass
 class NoiseSpec:
-    """Deterministic perturbation applied when faking predictions."""
+    """Deterministic perturbation applied when faking predictions; a JSON
+    object may omit any key."""
 
+    optional_keys = True
     lateral_offset: float = 0.0
     z_offset: float = 0.0
     score: float = 1.0
@@ -112,10 +114,23 @@ def build_rig(spec: SceneSpec, with_lidar: bool = False) -> CameraRig:
 
 
 def _polyval(coeffs: tuple, y: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending ``coeffs`` at ``y``, term by term.
+
+    Where ``y ** power`` overflows, the term is formed from logarithms, so a
+    tiny coefficient gives the finite term it should; every other term is
+    ``c * y ** power``, bit for bit.
+    """
     out = np.zeros_like(y)
     for power, c in enumerate(coeffs):
         if c:  # a zero term adds nothing, and 0 * y**power is NaN once y**power overflows
-            out += c * y ** power
+            y_power = y ** power
+            term = c * y_power
+            over = np.isinf(y_power)
+            if over.any():
+                yo = y[over]
+                term[over] = (math.copysign(1.0, c) * np.sign(yo) ** power
+                              * np.exp(math.log(abs(c)) + power * np.log(np.abs(yo))))
+            out += term
     return out
 
 

@@ -848,6 +848,22 @@ def test_weights_that_overflow_float32_exit_2_and_write_no_file(tmp_path):
     assert not weights.exists()
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "-5e-324"])
+def test_gen_weights_with_a_scale_that_is_not_finite_and_at_least_0_exits_2(tmp_path, scale):
+    weights = tmp_path / "w.a3t"
+    code, out, err = call("gen-weights", f"--scale={scale}", "--out", weights)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: scale must be finite and >= 0, got {float(scale)}\n"
+    assert not weights.exists()
+
+
+def test_gen_weights_with_scale_0_draws_zero_weights(tmp_path):
+    weights = tmp_path / "w.a3t"
+    code, out, err = call("gen-weights", "--scale", 0, "--out", weights)
+    assert (code, err) == (EXIT_OK, "")
+    assert not read_tensors(weights)["coeff.a_xs"].any()
+
+
 # --- gen-scene specs ---------------------------------------------------------------
 
 
@@ -911,8 +927,7 @@ def test_bad_scene_spec_exits_2_with_its_pointer(tmp_path, spec, pointer, messag
 @pytest.mark.parametrize("spec", [
     {"spacing": 1e308, "n_lanes": 3},
     {"fork_lane": 0, "fork_coefficient": 1e308},
-    {"curvature": [0.0] * 199 + [1e-320]},
-], ids=["spacing", "fork_coefficient", "tiny-200th-term"])
+], ids=["spacing", "fork_coefficient"])
 def test_gen_scene_refuses_an_overflowing_lane_without_a_warning(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -929,7 +944,8 @@ def test_gen_scene_refuses_an_overflowing_lane_without_a_warning(tmp_path, spec)
     {"sigma": 1e-160, "feature_channels": 2},
     {"focal": 1e308, "n_lanes": 3},
     {"curvature": [0.0] * 200},
-], ids=["sigma", "focal", "200-term-polynomial"])
+    {"curvature": [0.0] * 199 + [1e-320]},
+], ids=["sigma", "focal", "200-term-polynomial", "tiny-200th-term"])
 def test_gen_scene_at_an_extreme_value_writes_finite_maps_without_a_warning(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -1044,3 +1060,18 @@ def test_an_overlong_integer_exits_2_at_its_pointer(tmp_path, kind, edit, pointe
     code, out, err = call(*argv(path))
     assert code == EXIT_INPUT and out == ""
     assert f"{path}: at {pointer}: integer literal exceeds the limit of 4300 digits" in err
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_INPUTS))
+def test_a_byte_that_is_not_utf8_exits_2_at_its_offset(tmp_path, kind):
+    document, argv = JSON_INPUTS[kind]
+    path = tmp_path / f"{kind}.json"
+    text = json.dumps(document()).encode()
+    path.write_bytes(b'{"caf\xe9": 0, ' + text[1:])
+    code, out, err = call(*argv(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {path}: at byte 5: invalid UTF-8: invalid continuation byte\n"
+    path.write_bytes(b"\xef\xbb\xbf" + text)  # a BOM is valid UTF-8 but not JSON
+    code, out, err = call(*argv(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert f"{path}: at offset 0: invalid JSON: Unexpected UTF-8 BOM" in err

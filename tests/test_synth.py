@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -47,6 +49,14 @@ def test_slope_polynomial_hand_value():
     gts, _ = generate_scene(SceneSpec(n_lanes=1, slope=(0.0, 0.02)), profile)
     k50 = int(np.where(profile.y_samples == 50.0)[0][0])
     assert gts[0].z[k50] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-320, -1e-320, 1e-300])
+def test_a_term_whose_power_overflows_is_finite_where_the_term_is(c):
+    profile = DatasetProfile("custom", np.array([-103.0, -3.0, 3.0, 103.0]), 1)
+    (lane,), _ = generate_scene(SceneSpec(n_lanes=1, curvature=(0.0,) * 199 + (c,)), profile)
+    want = [float(Fraction(c) * Fraction(y) ** 199) for y in profile.y_samples]
+    np.testing.assert_allclose(lane.x, want, rtol=1e-12)
 
 
 def test_fork_mode_bends_one_lane():
