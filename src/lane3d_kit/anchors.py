@@ -5,6 +5,9 @@ the starting x on the lateral axis, the in-plane angle ``phi`` versus the
 forward axis, and the vertical angle ``theta`` versus the forward axis.
 Metas are produced by mixing learned prototype vectors with
 image-conditioned softmax coefficients, then mapped into configured ranges.
+:func:`materialize` turns a meta triple into the anchor itself, the (N, 3)
+array of its (x, y, z) points at the profile's y-samples; a stage's M
+anchors are one (M, N, 3) array.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ class MetaRanges:
     """Inclusive intervals the generated metas are mapped into.
 
     Defaults: xs in [-12, 12] m, phi in [-60, 60] deg, theta in [-5, 5] deg.
+    Each range must be non-empty with a width float64 can hold, and the
+    angle ranges must lie strictly inside (-pi/2, pi/2), where
+    :func:`materialize` can take a tangent.
     """
 
     xs_min: float = -12.0
@@ -50,13 +56,17 @@ class MetaRanges:
     theta_max: float = math.radians(5.0)
 
     def __post_init__(self):
-        for lo, hi, name in (
-            (self.xs_min, self.xs_max, "xs"),
-            (self.phi_min, self.phi_max, "phi"),
-            (self.theta_min, self.theta_max, "theta"),
+        for lo, hi, name, bound in (
+            (self.xs_min, self.xs_max, "xs", math.inf),
+            (self.phi_min, self.phi_max, "phi", math.pi / 2),
+            (self.theta_min, self.theta_max, "theta", math.pi / 2),
         ):
             if not lo < hi:
                 raise ValueError(f"{name} range [{lo}, {hi}] is empty")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"{name} range [{lo}, {hi}] is wider than float64 can hold")
+            if not -bound < lo < hi < bound:
+                raise ValueError(f"{name} range [{lo}, {hi}] is not inside (-pi/2, pi/2)")
 
 
 @dataclass
@@ -153,34 +163,6 @@ class CoefficientHeadWeights:
         return cls(a_xs, b_xs, a_phi, b_phi, a_theta, b_theta)
 
 
-@dataclass
-class Anchor3D:
-    """An anchor ray materialized as N points at the shared y-samples.
-
-    ``metas`` records the generating triple for first-stage anchors and is
-    None for anchors re-seeded from a previous stage's proposals.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    metas: AnchorMetas | None = None
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        self.z = np.asarray(self.z, dtype=np.float64)
-        if not (self.x.shape == self.y.shape == self.z.shape):
-            raise ShapeMismatch("anchor arrays", self.y.shape, (self.x.shape, self.z.shape))
-
-    def __len__(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.stack([self.x, self.y, self.z], axis=1)
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction so large logits cannot overflow."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -210,7 +192,8 @@ def combine_metas(
     def mix(q, w, lo, hi):
         raw = w @ q
         clipped = np.clip(raw, -1.0, 1.0)
-        return (clipped + 1.0) * 0.5 * (hi - lo) + lo
+        # The affine map can round one ulp past an end; the outer clip undoes that.
+        return np.clip((clipped + 1.0) * 0.5 * (hi - lo) + lo, lo, hi)
 
     xs = mix(bank.xs, coeffs.xs, ranges.xs_min, ranges.xs_max)
     phi = mix(bank.phi, coeffs.phi, ranges.phi_min, ranges.phi_max)
@@ -239,21 +222,18 @@ def pool_and_weigh(feature: "FeatureMap", weights: CoefficientHeadWeights) -> Co
     )
 
 
-def materialize(metas: AnchorMetas, y_samples: np.ndarray) -> Anchor3D:
-    """Turn a meta triple into the N-point ray at the given y-samples.
+def materialize(metas: AnchorMetas, y_samples: np.ndarray) -> np.ndarray:
+    """Turn a meta triple into the ray's (N, 3) points (x, y, z) at the
+    given y-samples.
 
     x grows by tan(phi) per meter forward, z by tan(theta); both angles
-    must stay clear of +-90 degrees.
+    must stay clear of +-90 degrees.  :class:`MetaRanges` already keeps
+    generated metas there; this check covers metas built by hand.
     """
     if not (abs(metas.phi) < math.pi / 2 and abs(metas.theta) < math.pi / 2):
         raise ValueError(f"anchor angles out of (-pi/2, pi/2): {metas}")
     y = np.asarray(y_samples, dtype=np.float64)
-    return Anchor3D(
-        x=metas.xs + y * math.tan(metas.phi),
-        y=y.copy(),
-        z=y * math.tan(metas.theta),
-        metas=metas,
-    )
+    return np.stack([metas.xs + y * math.tan(metas.phi), y, y * math.tan(metas.theta)], axis=1)
 
 
 def generate_anchors(
@@ -262,8 +242,14 @@ def generate_anchors(
     weights: CoefficientHeadWeights,
     ranges: MetaRanges,
     y_samples: np.ndarray,
-) -> list[Anchor3D]:
-    """Full adaptive generation: pool, mix, and materialize all anchors."""
+) -> tuple[list[AnchorMetas], np.ndarray]:
+    """Full adaptive generation: pool, mix, and materialize all anchors.
+
+    Returns the M metas and the anchors' (M, N, 3) points, row j
+    materialized from meta j.
+    """
     coeffs = pool_and_weigh(feature, weights)
     metas = combine_metas(bank, coeffs, ranges)
-    return [materialize(m, y_samples) for m in metas]
+    y = np.asarray(y_samples, dtype=np.float64)
+    return metas, (np.stack([materialize(m, y) for m in metas]) if metas
+                   else np.empty((0, y.shape[0], 3)))

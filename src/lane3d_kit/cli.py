@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -228,11 +229,9 @@ def cmd_anchors(args) -> int:
     (f5,) = _frame_tensors(read_tensors(args.features), args.features, "0", "F5")
     f5 = FeatureMap(f5, level=5)
     _check_coefficient_head(args.weights, coeff_w, f5)
-    anchors = generate_anchors(f5, bank, coeff_w, cfg.meta_ranges, cfg.profile.y_samples)
-    doc = {"metas": to_json([a.metas for a in anchors]),
-           "anchors": [a.points.tolist() for a in anchors]}
-    Path(args.out).write_text(dumps(doc) + "\n")
-    print(f"wrote {len(anchors)} anchors to {args.out}")
+    metas, points = generate_anchors(f5, bank, coeff_w, cfg.meta_ranges, cfg.profile.y_samples)
+    Path(args.out).write_text(dumps({"metas": to_json(metas), "anchors": points.tolist()}) + "\n")
+    print(f"wrote {len(metas)} anchors to {args.out}")
     return EXIT_OK
 
 
@@ -338,6 +337,11 @@ def cmd_evaluate(args) -> int:
             if "/" in fid or "\0" in fid:
                 raise FileFormatError(args.gt, f"/frames/{g}/id",
                                       "a frame id with '/' or NUL cannot name a plot file")
+            try:
+                os.fsencode(fid)
+            except UnicodeEncodeError as e:
+                raise FileFormatError(args.gt, f"/frames/{g}/id", "a frame id the file system "
+                                      f"cannot encode cannot name a plot file: {e.reason}") from e
         plot_dir = Path(args.plot)
         plot_dir.mkdir(parents=True, exist_ok=True)
         written = []
@@ -346,7 +350,7 @@ def cmd_evaluate(args) -> int:
                 path = plot_dir / f"frame_{fid}.svg"
                 _write_svg(path, gts, preds)
                 written.append(path)
-        except OSError:
+        except BaseException:
             for path in written:  # leave no partial set of plots behind
                 path.unlink(missing_ok=True)
             raise

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import (
-    Anchor3D,
     CoefficientHeadWeights,
     MetaRanges,
     PrototypeBank,
@@ -78,9 +77,9 @@ class Proposal:
             class_probs=self.class_probs.copy(),
         )
 
-    def to_anchor(self, y_samples: np.ndarray) -> Anchor3D:
-        return Anchor3D(x=self.x.copy(), y=np.asarray(y_samples, dtype=np.float64).copy(),
-                        z=self.z.copy(), metas=None)
+    def to_anchor(self, y_samples: np.ndarray) -> np.ndarray:
+        """The proposal's (N, 3) points at ``y_samples``: a next-stage anchor."""
+        return np.stack([self.x, np.asarray(y_samples, dtype=np.float64), self.z], axis=1)
 
 
 def _frozen(value) -> np.ndarray:
@@ -214,12 +213,15 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(features: np.ndarray, anchors: list[Anchor3D], w: HeadWeights) -> list[Proposal]:
+def predict(features: np.ndarray, anchors: np.ndarray, w: HeadWeights) -> list[Proposal]:
     """Run the head on per-anchor features and build proposals.
 
     ``features`` is the (M, C) matrix whose rows are the anchors' flattened
     :class:`~lane3d_kit.sampling.AnchorFeature` values (a batch's ``flat``),
-    aligned with ``anchors``.  With ``A = self_attention(x, w)`` the heads are
+    aligned with ``anchors``, the (M, N, 3) anchor points (a list of (N, 3)
+    arrays is stacked into the same array).  A proposal's x is its anchor's
+    x plus the regressed dx, and likewise z.  With ``A = self_attention(x, w)``
+    the heads are
 
         logits = x cls_w + A (x G_cls) + cls_b,   reg = x reg_w + A (x G_reg) + reg_b,
 
@@ -227,13 +229,16 @@ def predict(features: np.ndarray, anchors: list[Anchor3D], w: HeadWeights) -> li
     linear heads applied to ``x + A x W_v W_o``, summed in another order.
     """
     x = np.asarray(features, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    if anchors.ndim != 3 or anchors.shape[2] != 3:
+        raise ShapeMismatch("anchor points", "(M, N, 3)", anchors.shape)
     if x.shape[0] != len(anchors):
         raise ShapeMismatch("features vs anchors", len(anchors), x.shape[0])
     if x.shape[1] != w.feature_len:
         raise ShapeMismatch("per-anchor feature length", w.feature_len, x.shape[1])
     n = w.num_points
-    if n != len(anchors[0]):
-        raise ShapeMismatch("regression points", len(anchors[0]), n)
+    if n != anchors.shape[1]:
+        raise ShapeMismatch("regression points", anchors.shape[1], n)
     if not w.fold_finite:
         raise ValueError("the folded value head W_v W_o [cls_w | reg_w] overflows float64")
 
@@ -243,23 +248,18 @@ def predict(features: np.ndarray, anchors: list[Anchor3D], w: HeadWeights) -> li
     reg = x @ w.reg_w + attended[:, s1:] + w.reg_b
     dx, dz, vis_logits = reg[:, :n], reg[:, n:2 * n], reg[:, 2 * n:]
     vis = _sigmoid(vis_logits)
-    return [
-        Proposal(
-            class_probs=probs[j],
-            x=anchors[j].x + dx[j],
-            z=anchors[j].z + dz[j],
-            vis=vis[j],
-        )
-        for j in range(len(anchors))
-    ]
+    xs, zs = anchors[:, :, 0] + dx, anchors[:, :, 2] + dz
+    return [Proposal(class_probs=probs[j], x=xs[j], z=zs[j], vis=vis[j])
+            for j in range(len(anchors))]
 
 
 @dataclass
 class StageTrace:
     """Everything one refinement stage consumed and produced.
 
-    ``anchors`` is the stage's (M, N, 3) batch of anchor points, the array it
-    sampled; ``proposals`` is the list form kept for per-lane callers.
+    ``anchors`` is the stage's (M, N, 3) anchor points, the array it sampled
+    and regressed from; ``proposals`` is the list form kept for per-lane
+    callers.
     """
 
     stage: int
@@ -289,12 +289,12 @@ def run_pipeline(
 
     Initial anchors come from adaptive generation on the level-5 feature;
     afterwards each stage samples features for its anchors, predicts, and
-    hands its proposals to the next stage as anchors.  Each stage stacks its
-    anchors' points once as an (M, N, 3) batch, samples it with
-    ``sample_camera`` (and ``sample_lidar`` when volumes are supplied), joins
-    the two with ``fuse`` and hands the batch's (M, N*C) ``flat`` to
+    hands its proposals to the next stage as anchors.  A stage's anchors are
+    one (M, N, 3) array of points: it samples them with ``sample_camera``
+    (and ``sample_lidar`` when volumes are supplied), joins the two with
+    ``fuse`` and hands the batch's (M, N*C) ``flat`` and the points to
     ``predict``; all four are looked up as module globals at each stage.
-    The anchor and proposal lists are kept for ``predict`` and the re-seeding.
+    The next stage's anchors are the proposals' points, stacked once.
     """
     y_samples = np.asarray(y_samples, dtype=np.float64)
     for level, wid in plan.stages:
@@ -305,18 +305,17 @@ def run_pipeline(
         if wid not in head_weights:
             raise KeyError(f"stage plan references unknown head weights id {wid!r}")
 
-    anchors = generate_anchors(features[5], bank, coeff_weights, ranges, y_samples)
+    _, anchors = generate_anchors(features[5], bank, coeff_weights, ranges, y_samples)
     trace: list[StageTrace] = []
     proposals: list[Proposal] = []
     for idx, (level, wid) in enumerate(plan.stages):
-        points = np.stack([a.points for a in anchors])
         try:
-            feats = sample_camera(points, features[level], rig)
+            feats = sample_camera(anchors, features[level], rig)
             if lidar is not None:
-                feats = fuse(feats, sample_lidar(points, lidar[level], rig))
+                feats = fuse(feats, sample_lidar(anchors, lidar[level], rig))
             proposals = predict(feats.flat, anchors, head_weights[wid])
         except Exception as e:
             raise PipelineStageError(idx, e) from e
-        trace.append(StageTrace(stage=idx, level=level, anchors=points, proposals=proposals))
-        anchors = [p.to_anchor(y_samples) for p in proposals]
+        trace.append(StageTrace(stage=idx, level=level, anchors=anchors, proposals=proposals))
+        anchors = np.stack([p.to_anchor(y_samples) for p in proposals])
     return PipelineResult(proposals=proposals, trace=trace)

@@ -2,17 +2,22 @@
 
 Grids are center-aligned: a sample exactly on an integer cell coordinate
 returns that cell's stored value.  Samples outside the grid (or behind the
-camera) return zeros and are flagged invalid so they stay inert downstream.
-One multilinear interpolation, :func:`_interpolate`, reads both kinds of
-grid; :func:`bilinear_sample` and :func:`trilinear_sample` only map their
-points to fractional cell coordinates.
+camera) return zeros and are flagged invalid so they stay inert downstream;
+so does a point with a non-finite coordinate, or one whose projection
+overflows.  The projections run with numpy's overflow and invalid-value
+warnings off, since every such result is flagged.  One multilinear
+interpolation, :func:`_interpolate`, reads both kinds of grid;
+:func:`bilinear_sample` and :func:`trilinear_sample` only map their points
+to fractional cell coordinates.
 
-Each refinement stage samples its anchors as one (M, N, 3) batch of
-points, one pass per modality: :func:`sample_camera` projects and bilinearly
-samples them, :func:`sample_lidar` transforms and trilinearly samples them,
-and :func:`fuse` joins the two batches into the head input.  The list form
-:func:`sample_anchors` and the one-anchor :func:`sample_anchor_lidar` are
-views of these batches kept for per-anchor callers.
+An anchor is the (N, 3) array of its points, and each refinement stage
+samples its anchors as one (M, N, 3) array, one pass per modality:
+:func:`sample_camera` projects and bilinearly samples them,
+:func:`sample_lidar` transforms and trilinearly samples them, and
+:func:`fuse` joins the two batches into the head input.  For per-anchor
+callers, :func:`sample_anchors` samples a list of (N, 3) anchors and returns
+views of the batch's rows, and ``sample_anchor_lidar`` is another name of
+:func:`sample_lidar`, which samples one anchor as well as a batch.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import Anchor3D
 from .errors import LengthMismatch, ShapeMismatch
 from .geometry import CameraRig, project_points_to_feature, project_points_to_lidar
 
@@ -98,13 +102,14 @@ def _interpolate(grid: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, np.nda
     fractional cell coordinates.
 
     Returns (values (M, C), valid (M,)); a point outside the grid along any
-    axis is zeroed and flagged invalid.  The lerps nest with the last axis
-    innermost.
+    axis, or with a non-finite coordinate, is zeroed and flagged invalid.
+    Invalid rows are read at cell 0, so no NaN or infinity reaches the floor.
+    The lerps nest with the last axis innermost.
     """
     d = frac.shape[1]
     size = np.array(grid.shape[:d])
     valid = np.all((frac >= 0.0) & (frac <= size - 1.0), axis=1)
-    frac = np.clip(frac, 0.0, size - 1.0)
+    frac = np.clip(np.where(valid[:, None], frac, 0.0), 0.0, size - 1.0)
     lo = np.minimum(np.floor(frac).astype(np.intp), np.maximum(size - 2, 0))
     corners = (lo, np.minimum(lo + 1, size - 1))
     t = frac - lo
@@ -136,7 +141,8 @@ def trilinear_sample(fv: FeatureVolume, xyz: np.ndarray) -> tuple[np.ndarray, np
     lo, hi = fv.extent[:, 0], fv.extent[:, 1]
     origin = np.where(counts > 1, lo, (lo + hi) * 0.5)
     step = np.where(counts > 1, (hi - lo) / np.maximum(counts - 1, 1), 1.0)
-    rel = (np.asarray(xyz, dtype=np.float64) - origin) / step
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is off the grid
+        rel = (np.asarray(xyz, dtype=np.float64) - origin) / step
     return _interpolate(fv.data, rel[:, ::-1])  # -> (iz, iy, ix)
 
 
@@ -150,7 +156,8 @@ def sample_camera(points: np.ndarray, fm: FeatureMap, rig: CameraRig) -> AnchorF
     if rig.feature_size != fm.data.shape[:2]:
         raise ShapeMismatch("feature grid", rig.feature_size, fm.data.shape[:2])
     points = np.asarray(points, dtype=np.float64)
-    uv, _, in_front = project_points_to_feature(points.reshape(-1, 3), rig)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is flagged below
+        uv, _, in_front = project_points_to_feature(points.reshape(-1, 3), rig)
     values, in_grid = bilinear_sample(fm, uv[:, 0], uv[:, 1])
     valid = in_front & in_grid
     values[~valid] = 0.0
@@ -166,22 +173,23 @@ def sample_lidar(points: np.ndarray, fv: FeatureVolume, rig: CameraRig) -> Ancho
     outside the volume's extent contribute zeros with a False mask.
     """
     points = np.asarray(points, dtype=np.float64)
-    values, valid = trilinear_sample(fv, project_points_to_lidar(points.reshape(-1, 3), rig))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is off the grid
+        xyz = project_points_to_lidar(points.reshape(-1, 3), rig)
+    values, valid = trilinear_sample(fv, xyz)
     lead = points.shape[:-1]
     return AnchorFeature(values=values.reshape(*lead, values.shape[-1]), valid=valid.reshape(lead))
 
 
-def sample_anchors(anchors: list[Anchor3D], fm: FeatureMap, rig: CameraRig) -> list[AnchorFeature]:
-    """:func:`sample_camera` of every anchor's points, as one (N, C) feature
-    per anchor: views of the batch's rows, kept for per-anchor callers."""
-    points = np.stack([a.points for a in anchors]) if anchors else np.empty((0, 0, 3))
+def sample_anchors(anchors: list[np.ndarray], fm: FeatureMap,
+                   rig: CameraRig) -> list[AnchorFeature]:
+    """:func:`sample_camera` of the stacked (N, 3) anchors, as one (N, C)
+    feature per anchor: views of the batch's rows, kept for per-anchor callers."""
+    points = np.stack(anchors) if len(anchors) else np.empty((0, 0, 3))
     batch = sample_camera(points, fm, rig)
     return [AnchorFeature(values=v, valid=m) for v, m in zip(batch.values, batch.valid)]
 
 
-def sample_anchor_lidar(anchor: Anchor3D, fv: FeatureVolume, rig: CameraRig) -> AnchorFeature:
-    """:func:`sample_lidar` of one anchor's points."""
-    return sample_lidar(anchor.points, fv, rig)
+sample_anchor_lidar = sample_lidar
 
 
 def fuse(camera_feat: AnchorFeature, lidar_feat: AnchorFeature) -> AnchorFeature:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,20 +163,21 @@ def test_pool_and_weigh_shape_mismatch():
 
 def test_materialize_tan45():
     a = materialize(AnchorMetas(xs=2.0, phi=math.radians(45.0), theta=0.0), np.array([10.0]))
-    np.testing.assert_allclose(a.points[0], [12.0, 10.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(a[0], [12.0, 10.0, 0.0], atol=1e-12)
 
 
 def test_materialize_straight_ray():
     y = np.linspace(3, 103, 20)
     a = materialize(AnchorMetas(xs=-3.0, phi=0.0, theta=0.0), y)
-    np.testing.assert_array_equal(a.x, np.full(20, -3.0))
-    np.testing.assert_array_equal(a.z, np.zeros(20))
-    np.testing.assert_array_equal(a.y, y)
+    assert a.shape == (20, 3)
+    np.testing.assert_array_equal(a[:, 0], np.full(20, -3.0))
+    np.testing.assert_array_equal(a[:, 2], np.zeros(20))
+    np.testing.assert_array_equal(a[:, 1], y)
 
 
 def test_materialize_hand_tangent():
     a = materialize(AnchorMetas(xs=0.0, phi=0.0, theta=math.atan(0.02)), np.array([50.0]))
-    assert a.z[0] == pytest.approx(1.0, abs=1e-12)
+    assert a[0, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_materialized_anchors_are_straight(rng):
@@ -187,8 +189,35 @@ def test_materialized_anchors_are_straight(rng):
             theta=rng.uniform(-0.1, 0.1),
         )
         a = materialize(metas, y)
-        slopes = np.diff(a.x) / np.diff(a.y)
+        slopes = np.diff(a[:, 0]) / np.diff(a[:, 1])
         assert np.ptp(slopes) < 1e-12
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ({"xs_min": 1.0, "xs_max": 1.0}, "xs range [1.0, 1.0] is empty"),
+    ({"theta_min": math.nan, "theta_max": 0.0}, "theta range [nan, 0.0] is empty"),
+    ({"xs_min": -1e308, "xs_max": 1e308},
+     "xs range [-1e+308, 1e+308] is wider than float64 can hold"),
+    ({"xs_min": -math.inf, "xs_max": 0.0}, "xs range [-inf, 0.0] is wider than float64 can hold"),
+    ({"phi_min": -math.pi / 2, "phi_max": 0.0},
+     "phi range [-1.5707963267948966, 0.0] is not inside (-pi/2, pi/2)"),
+    ({"theta_min": 0.0, "theta_max": 1.6}, "theta range [0.0, 1.6] is not inside (-pi/2, pi/2)"),
+], ids=["empty", "nan", "xs-width-overflows", "xs-infinite", "phi-at-90-deg", "theta-past-90-deg"])
+def test_meta_ranges_refuse_what_materialize_cannot_honour(bounds, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MetaRanges(**bounds)
+
+
+def test_every_meta_of_the_widest_angle_ranges_materializes():
+    # (1 + 1) / 2 * (hi - lo) + lo rounds one ulp past this hi, onto pi/2.
+    edge, lo = math.nextafter(math.pi / 2, 0.0), -1.0698005404080533
+    ranges = MetaRanges(phi_min=lo, phi_max=edge, theta_min=-edge, theta_max=edge)
+    bank = bank_with([0.0], phi=[1.0, -1.0], theta=[1.0, -1.0])
+    coeffs = CoefficientMatrices(xs=np.ones((2, 1)), phi=np.eye(2), theta=np.eye(2))
+    metas = combine_metas(bank, coeffs, ranges)
+    assert [(m.phi, m.theta) for m in metas] == [(edge, edge), (lo, -edge)]
+    for m in metas:
+        assert np.isfinite(materialize(m, np.array([1.0, 2.0]))).all()
 
 
 def test_materialize_rejects_right_angle():

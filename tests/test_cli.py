@@ -550,11 +550,25 @@ def _plot_with_frame_id(tmp_path, fid) -> tuple[int, str, Path, Path]:
     return code, err, gt, plot
 
 
-@pytest.mark.parametrize("fid", ["a/b", "a\0b"])
+@pytest.mark.parametrize("fid", ["a/b", "a\0b", "\ud800"])
 def test_a_plot_id_that_cannot_name_a_file_exits_2_before_any_plot(tmp_path, fid):
     code, err, gt, plot = _plot_with_frame_id(tmp_path, fid)
     assert code == EXIT_INPUT and f"{gt}: at /frames/2/id: " in err
     assert not plot.exists()
+
+
+def test_plots_written_before_any_error_are_removed(tmp_path, monkeypatch):
+    write_svg = cli._write_svg
+
+    def third_fails(path, gts, preds):
+        if path.name == "frame_2.svg":
+            raise ValueError("cannot draw frame 2")
+        write_svg(path, gts, preds)
+
+    monkeypatch.setattr(cli, "_write_svg", third_fails)
+    code, err, _, plot = _plot_with_frame_id(tmp_path, "2")
+    assert (code, err) == (EXIT_INPUT, "error: cannot draw frame 2\n")
+    assert list(plot.glob("frame_*.svg")) == []
 
 
 def test_a_plot_id_too_long_for_the_file_system_exits_2(tmp_path):
@@ -704,6 +718,46 @@ def test_weights_file_holds_exactly_the_constructor_fields(tmp_path):
     want = {f"{prefix}.{name}" for prefix, cls in parts.items()
             for name in inspect.signature(cls).parameters}
     assert set(read_tensors(weights)) == want
+
+
+@pytest.mark.parametrize("ranges, message", [
+    ({"phi_min": 1.58, "phi_max": 1.6}, "phi range [1.58, 1.6] is not inside (-pi/2, pi/2)"),
+    ({"phi_min": -3.0, "phi_max": 3.0}, "phi range [-3.0, 3.0] is not inside (-pi/2, pi/2)"),
+    ({"xs_min": -1e308, "xs_max": 1e308},
+     "xs range [-1e+308, 1e+308] is wider than float64 can hold"),
+], ids=["phi-past-90-deg", "phi-past-90-deg-unused", "xs-width-overflows"])
+def test_a_meta_range_anchors_cannot_honour_exits_2_at_the_config(tmp_path, ranges, message):
+    _, scene, weights = _chain_scene(tmp_path)
+    config = _bad_config(tmp_path, lambda d: d["meta_ranges"].update(ranges))
+    for command, result in _anchors_and_forward(config, scene, weights, tmp_path).items():
+        assert result == (EXIT_INPUT, "", f"error: {config}: at /meta_ranges: {message}\n"), command
+    assert not (tmp_path / "anchors.json").exists() and not (tmp_path / "preds.json").exists()
+
+
+def test_anchors_off_every_grid_give_a_located_error_and_no_warning(tmp_path):
+    # xs of about 1e307 m: every projection overflows, every sample is zero, and
+    # the lane writer refuses the proposals at their first point.
+    _, scene, weights = _chain_scene(tmp_path)
+    config = _bad_config(tmp_path, lambda d: d["meta_ranges"].update(xs_min=-8e307,
+                                                                      xs_max=8e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _anchors_and_forward(config, scene, weights, tmp_path)["forward"]
+    assert (code, out) == (EXIT_INPUT, "")
+    assert re.fullmatch(f"error: {re.escape(str(tmp_path / 'preds.json'))}: at "
+                        r"/frames/0/lanes/0/points/0/0: expected a magnitude below 1e150, "
+                        r"got \S+\n", err), err
+
+
+def test_a_lidar_transform_that_overflows_leaves_its_points_unseen(tmp_path):
+    config, scene, weights = _chain_scene(tmp_path)
+    gt = scene / "gt.json"
+    _edited(gt, gt,
+            lambda d: d["frames"][0]["camera"]["T_gl"].__setitem__(0, [1e308, 1e308, 0, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _anchors_and_forward(config, scene, weights, tmp_path)["forward"]
+    assert (code, err) == (EXIT_OK, "")
 
 
 # --- which tensors a frame reads -----------------------------------------------------

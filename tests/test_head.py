@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lane3d_kit import head
 from lane3d_kit.anchors import (
-    Anchor3D,
     CoefficientHeadWeights,
     MetaRanges,
     PrototypeBank,
@@ -37,7 +36,7 @@ from lane3d_kit.synth import SceneSpec, build_rig, generate_scene, rasterize_fea
 
 def anchors_at(xs, n=4):
     y = np.linspace(5.0, 35.0, n)
-    return [Anchor3D(x=np.full(n, float(x)), y=y, z=np.zeros(n)) for x in xs]
+    return np.stack([np.stack([np.full(n, float(x)), y, np.zeros(n)], axis=1) for x in xs])
 
 
 def reference_predict(features, anchors, w: HeadWeights) -> list[Proposal]:
@@ -49,7 +48,8 @@ def reference_predict(features, anchors, w: HeadWeights) -> list[Proposal]:
     reg = attended @ w.reg_w + w.reg_b
     n = w.num_points
     vis = head._sigmoid(reg[:, 2 * n:])
-    return [Proposal(class_probs=probs[j], x=a.x + reg[j, :n], z=a.z + reg[j, n:2 * n], vis=vis[j])
+    return [Proposal(class_probs=probs[j], x=a[:, 0] + reg[j, :n], z=a[:, 2] + reg[j, n:2 * n],
+                     vis=vis[j])
             for j, a in enumerate(anchors)]
 
 
@@ -136,9 +136,36 @@ def test_folded_head_matches_the_unfolded_reference(m, s, n, c_cam, c_lid, scale
     x = _head_input(rng, m, n, c_cam, c_lid)
     w = HeadWeights.random(rng, n * (c_cam + c_lid), s, n, scale=scale)
     y = np.linspace(5.0, 35.0, n)
-    anchors = [Anchor3D(x=rng.normal(0.0, 3.0, n), y=y, z=rng.normal(0.0, 0.5, n))
-               for _ in range(m)]
+    anchors = np.stack([np.stack([rng.normal(0.0, 3.0, n), y, rng.normal(0.0, 0.5, n)], axis=1)
+                        for _ in range(m)])
     assert_proposals_close(predict(x, anchors, w), reference_predict(x, anchors, w))
+
+
+@seed(24)
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 30), n=st.sampled_from([1, 2, 5, 10, 20]), c=st.integers(1, 4),
+       draw=st.integers(0, 2**32 - 1))
+def test_predict_on_a_list_of_anchors_equals_predict_on_their_stack(m, n, c, draw):
+    rng = np.random.default_rng(draw)
+    x = _head_input(rng, m, n, c, 0)
+    w = HeadWeights.random(rng, n * c, 3, n, scale=0.2)
+    anchors = rng.normal(size=(m, n, 3)) * [3.0, 20.0, 0.5]
+    listed = predict(x, [a.copy() for a in anchors], w)
+    for got, want in zip(listed, predict(x, anchors, w), strict=True):
+        for name in ("class_probs", "x", "z", "vis", "score"):
+            got_bytes, want_bytes = (np.asarray(getattr(p, name)).tobytes() for p in (got, want))
+            assert got_bytes == want_bytes, name
+
+
+def test_predict_refuses_anchors_that_do_not_fit(rng):
+    w = HeadWeights.random(rng, 4, 1, 2)
+    x = rng.normal(size=(2, 4))
+    with pytest.raises(ShapeMismatch, match=r"^features vs anchors: expected 3, got 2$"):
+        predict(x, anchors_at([0.0, 1.0, 2.0], n=2), w)
+    with pytest.raises(ShapeMismatch, match=r"^regression points: expected 3, got 2$"):
+        predict(x, anchors_at([0.0, 1.0], n=3), w)
+    with pytest.raises(ShapeMismatch, match=r"^anchor points: expected \(M, N, 3\), got \(2, 3\)$"):
+        predict(x, anchors_at([0.0], n=2)[0], w)
 
 
 def zero_weights(c: int, s: int, n: int, **given) -> HeadWeights:
@@ -193,8 +220,8 @@ def test_predict_zero_network():
     props = predict(feats, anchors, w)
     for p, a in zip(props, anchors):
         np.testing.assert_allclose(p.class_probs, 1.0 / (s + 1), atol=1e-12)
-        np.testing.assert_array_equal(p.x, a.x)
-        np.testing.assert_array_equal(p.z, a.z)
+        np.testing.assert_array_equal(p.x, a[:, 0])
+        np.testing.assert_array_equal(p.z, a[:, 2])
         np.testing.assert_allclose(p.vis, 0.5, atol=1e-15)
 
 
@@ -205,8 +232,8 @@ def test_predict_bias_only_offset():
     w = zero_weights(c, s, n, reg_b=reg_b)
     anchors = anchors_at([0.5], n=n)
     props = predict(np.zeros((1, c)), anchors, w)
-    np.testing.assert_allclose(props[0].x, anchors[0].x + 1.0, atol=1e-15)
-    np.testing.assert_array_equal(props[0].z, anchors[0].z)
+    np.testing.assert_allclose(props[0].x, anchors[0, :, 0] + 1.0, atol=1e-15)
+    np.testing.assert_array_equal(props[0].z, anchors[0, :, 2])
 
 
 def test_predict_matches_hand_matmul_oracle(rng):
@@ -229,8 +256,8 @@ def test_predict_matches_hand_matmul_oracle(rng):
         probs = hand_softmax(att_out[j] @ w.cls_w + w.cls_b)
         reg = att_out[j] @ w.reg_w + w.reg_b
         np.testing.assert_allclose(props[j].class_probs, probs, atol=1e-9)
-        np.testing.assert_allclose(props[j].x, anchors[j].x + reg[:n], atol=1e-9)
-        np.testing.assert_allclose(props[j].z, anchors[j].z + reg[n:2 * n], atol=1e-9)
+        np.testing.assert_allclose(props[j].x, anchors[j, :, 0] + reg[:n], atol=1e-9)
+        np.testing.assert_allclose(props[j].z, anchors[j, :, 2] + reg[n:2 * n], atol=1e-9)
         np.testing.assert_allclose(props[j].vis, 1 / (1 + np.exp(-reg[2 * n:])), atol=1e-9)
 
 
@@ -409,7 +436,7 @@ def test_fused_head_input_equals_the_per_anchor_fuse_layout(rng, monkeypatch):
     monkeypatch.setattr(head, "predict", recording)
     run_pipeline(features, lidar, rig, bank, coeff, heads, plan, y, MetaRanges())
 
-    anchors = generate_anchors(features[5], bank, coeff, MetaRanges(), y)
+    _, anchors = generate_anchors(features[5], bank, coeff, MetaRanges(), y)
     for stage, (level, _) in enumerate(plan.stages):
         cam = sample_anchors(anchors, features[level], rig)
         feats = [fuse(f, sample_anchor_lidar(a, lidar[level], rig)) for f, a in zip(cam, anchors)]

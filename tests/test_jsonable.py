@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -269,6 +270,15 @@ def ranges(draw):
 
 
 @st.composite
+def angle_ranges(draw):
+    """Two distinct angles strictly inside (-pi/2, pi/2), in order: the meta
+    ranges ``materialize`` can take the tangent of."""
+    angle = st.floats(min_value=-math.pi / 2, max_value=math.pi / 2,
+                      exclude_min=True, exclude_max=True)
+    return tuple(sorted(draw(st.lists(angle, min_size=2, max_size=2, unique=True))))
+
+
+@st.composite
 def increasing(draw, min_size=2, max_size=8):
     steps = draw(st.lists(st.floats(min_value=1e-3, max_value=50.0),
                           min_size=min_size - 1, max_size=max_size - 1))
@@ -277,7 +287,8 @@ def increasing(draw, min_size=2, max_size=8):
 
 @st.composite
 def run_configs(draw):
-    (xs_lo, xs_hi), (phi_lo, phi_hi), (th_lo, th_hi) = (draw(ranges()) for _ in range(3))
+    xs_lo, xs_hi = draw(ranges())
+    (phi_lo, phi_hi), (th_lo, th_hi) = draw(angle_ranges()), draw(angle_ranges())
     stride = draw(st.integers(1, 16))
     return RunConfig(
         profile=DatasetProfile(draw(st.text(max_size=8)), draw(increasing()),

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lane3d_kit.anchors import Anchor3D
+from lane3d_kit import sampling
 from lane3d_kit.config import make_profile
 from lane3d_kit.errors import LengthMismatch, MissingLidarExtrinsics, ShapeMismatch
 from lane3d_kit.geometry import project_points_to_lidar
@@ -266,13 +268,13 @@ def test_trilinear_sample_equals_the_nested_lerps_bitwise(case):
 
 def anchor_at(x, n=5, y_span=(5.0, 45.0), z=0.0):
     y = np.linspace(*y_span, n)
-    return Anchor3D(x=np.full(n, float(x)), y=y, z=np.full(n, float(z)))
+    return np.stack([np.full(n, float(x)), y, np.full(n, float(z))], axis=1)
 
 
 def test_sample_anchor_behind_camera():
     rig = unit_rig(ratio=8)
     y = np.linspace(-50.0, -10.0, 5)
-    anchor = Anchor3D(x=np.zeros(5), y=y, z=np.zeros(5))
+    anchor = np.stack([np.zeros(5), y, np.zeros(5)], axis=1)
     fm = FeatureMap(data=np.ones((45, 60, 2)))
     af = sample_anchors([anchor], fm, rig)[0]
     assert not af.valid.any()
@@ -293,7 +295,7 @@ def test_sample_anchor_hits_rasterized_lane_peak():
     gts, rig = generate_scene(SceneSpec(n_lanes=1, seed=0), profile)
     lane = gts[0]
     fm = rasterize_features(gts, rig, (*rig.feature_size, 1), sigma=6.0)
-    anchor = Anchor3D(x=lane.x, y=lane.y, z=lane.z)
+    anchor = np.stack([lane.x, lane.y, lane.z], axis=1)
     af = sample_anchors([anchor], fm, rig)[0]
     visible = lane.visible_mask
     assert np.all(af.values[visible, 0] >= 0.99)
@@ -362,7 +364,7 @@ def test_sample_anchor_lidar_single_hot_voxel():
     extent = np.array([[-10.0, 10.0], [5.0, 45.0], [-1.0, 1.0]])
     fv = FeatureVolume(data=data, extent=extent)
     # Voxel (iz=1, iy=2, ix=1) sits at x=0, y=25, z=0.
-    anchor = Anchor3D(x=np.zeros(5), y=np.array([5.0, 15.0, 25.0, 35.0, 45.0]), z=np.zeros(5))
+    anchor = np.stack([np.zeros(5), [5.0, 15.0, 25.0, 35.0, 45.0], np.zeros(5)], axis=1)
     af = sample_anchor_lidar(anchor, fv, lidar_rig())
     np.testing.assert_allclose(af.values[2, 0], 7.0, atol=1e-12)
     assert np.count_nonzero(af.values[:, 0] > 6.0) == 1
@@ -410,7 +412,7 @@ def lidar_cases(draw):
     )
     rot, t = rig.T_gl[:, :3], rig.T_gl[:, 3]
     ground = (lidar_pts - t) @ rot  # inverse of the rigid LiDAR transform
-    anchors = [Anchor3D(x=p[:, 0], y=p[:, 1], z=p[:, 2]) for p in np.split(ground, m)]
+    anchors = np.split(ground, m)
     return anchors, fv, rig
 
 
@@ -418,10 +420,10 @@ def lidar_cases(draw):
 @given(lidar_cases())
 def test_batched_lidar_sampling_equals_each_anchor_alone(case):
     anchors, fv, rig = case
-    feats = sample_lidar(np.stack([a.points for a in anchors]), fv, rig)
-    assert feats.valid.shape == (len(anchors), len(anchors[0].x))
+    feats = sample_lidar(np.stack(anchors), fv, rig)
+    assert feats.valid.shape == (len(anchors), len(anchors[0]))
     for a, f_values, f_valid in zip(anchors, feats.values, feats.valid):
-        values, valid = trilinear_sample(fv, project_points_to_lidar(a.points, rig))
+        values, valid = trilinear_sample(fv, project_points_to_lidar(a, rig))
         assert np.array_equal(f_values, values) and np.array_equal(f_valid, valid)
         one = sample_anchor_lidar(a, fv, rig)
         assert np.array_equal(one.values, values) and np.array_equal(one.valid, valid)
@@ -434,7 +436,7 @@ def test_batched_lidar_sampling_of_no_anchors_is_empty():
 
 
 def test_batched_lidar_sampling_requires_extrinsics():
-    points = np.stack([anchor_at(0.0).points, anchor_at(1.0).points])
+    points = np.stack([anchor_at(0.0), anchor_at(1.0)])
     with pytest.raises(MissingLidarExtrinsics):
         sample_lidar(points, volume_2x2x2(), unit_rig(ratio=8))
 
@@ -443,12 +445,12 @@ def test_batched_camera_sampling_equals_each_anchor_alone(rng):
     rig = unit_rig(ratio=8)
     fm = FeatureMap(data=rng.normal(size=(45, 60, 3)))
     anchors = [anchor_at(x, z=z) for x, z in ((-3.0, 0.0), (0.5, 40.0), (60.0, -1.0))]
-    feats = sample_camera(np.stack([a.points for a in anchors]), fm, rig)
+    feats = sample_camera(np.stack(anchors), fm, rig)
     assert feats.values.shape == (3, 5, 3) and feats.flat.shape == (3, 15)
     assert feats.valid.any() and not feats.valid.all()
     for a, f_values, f_valid, listed in zip(anchors, feats.values, feats.valid,
                                             sample_anchors(anchors, fm, rig)):
-        one = sample_camera(a.points, fm, rig)
+        one = sample_camera(a, fm, rig)
         assert np.array_equal(one.values, f_values) and np.array_equal(one.valid, f_valid)
         assert np.array_equal(listed.values, f_values) and np.array_equal(listed.valid, f_valid)
 
@@ -461,6 +463,39 @@ def test_batched_camera_sampling_of_no_anchors_is_empty():
     assert sample_anchors([], FeatureMap(data=np.ones((45, 60, 2))), unit_rig(ratio=8)) == []
     with pytest.raises(ShapeMismatch):  # a wrong grid is refused also for no anchors
         sample_anchors([], FeatureMap(data=np.ones((44, 60, 2))), unit_rig(ratio=8))
+
+
+def test_sample_anchor_lidar_is_sample_lidar():
+    assert sampling.sample_anchor_lidar is sampling.sample_lidar
+
+
+def _sample_camera(points):
+    return sample_camera(points, FeatureMap(data=np.full((45, 60, 2), 2.5)), unit_rig(ratio=8))
+
+
+def _sample_lidar(points):
+    # Cells 0.5 m wide or less, so mapping a 1e308 coordinate to cells overflows.
+    fv = FeatureVolume(data=np.full((13, 101, 41, 2), 1.25),
+                       extent=np.array([[-10.0, 10.0], [0.0, 50.0], [-1.0, 2.0]]))
+    return sample_lidar(points, fv, lidar_rig())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("sample", [_sample_camera, _sample_lidar], ids=["camera", "lidar"])
+def test_a_point_off_every_grid_samples_zeros_without_a_warning(sample, axis, value):
+    clean = np.stack([anchor_at(0.0), anchor_at(1.0, z=0.5)])
+    points = clean.copy()
+    points[1, 2, axis] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample(points)
+    want = sample(clean)
+    assert not got.valid[1, 2] and np.all(got.values[1, 2] == 0.0)
+    # Every other point keeps its bits.
+    got.valid[1, 2], got.values[1, 2] = want.valid[1, 2], want.values[1, 2]
+    assert np.array_equal(got.valid, want.valid) and want.valid.all()
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_fuse_layout():
