@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import CoefficientHeadWeights, PrototypeBank, generate_anchors
+from .anchors import META_NAMES, CoefficientHeadWeights, PrototypeBank, generate_anchors
 from .config import RunConfig, check_positive, make_profile
 from .errors import FileFormatError, Lane3DKitError
 from .evaluation import EvalReport, format_report_table
@@ -82,6 +82,13 @@ def _init_fields(cls) -> list[str]:
 
 
 def load_weights_file(path):
+    """The prototype bank, the coefficient head and the head weights by id
+    stored in the weights file ``path``.
+
+    Each record is built from the tensors ``<prefix>.<field>``: a missing one
+    is an error at its name, and a record that refuses its tensors (a shape
+    that does not fit) an error at its prefix, e.g. ``head.s1``.
+    """
     raw = read_tensors(path)
 
     def take(prefix, cls):
@@ -91,7 +98,10 @@ def load_weights_file(path):
             if name not in raw:
                 raise FileFormatError(path, name, "missing tensor")
             kwargs[field_name] = raw[name]
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except (ValueError, TypeError, Lane3DKitError) as e:
+            raise FileFormatError(path, prefix, str(e)) from e
 
     bank = take("proto", PrototypeBank)
     coeff = take("coeff", CoefficientHeadWeights)
@@ -106,10 +116,16 @@ def _need_axis(path, tensor: str, label: str, want: int, got: int, unit: str) ->
         raise FileFormatError(path, tensor, f"expected {label} = {want} {unit}, got {got}")
 
 
-def _check_coefficient_head(path, coeff: CoefficientHeadWeights, f5: FeatureMap) -> None:
-    """The coefficient head reads the F5 map pooled over its height: W_F·C values."""
+def _check_coefficient_head(path, bank: PrototypeBank, coeff: CoefficientHeadWeights,
+                            f5: FeatureMap) -> None:
+    """The coefficient head reads the F5 map pooled over its height, W_F·C
+    values, and gives each meta one column per prototype of the bank."""
     _, w_f, c = f5.data.shape
-    _need_axis(path, "coeff.a_xs", "W_F·C", w_f * c, coeff.a_xs.shape[0], "rows")
+    for name in META_NAMES:
+        tensor, a = f"coeff.a_{name}", getattr(coeff, f"a_{name}")
+        _need_axis(path, tensor, "W_F·C", w_f * c, a.shape[0], "rows")
+        _need_axis(path, tensor, f"len(proto.{name})", len(getattr(bank, name)), a.shape[2],
+                   "columns")
 
 
 def make_random_weights(cfg: RunConfig, seed: int, scale: float):
@@ -228,9 +244,11 @@ def cmd_anchors(args) -> int:
     bank, coeff_w, _ = load_weights_file(args.weights)
     (f5,) = _frame_tensors(read_tensors(args.features), args.features, "0", "F5")
     f5 = FeatureMap(f5, level=5)
-    _check_coefficient_head(args.weights, coeff_w, f5)
+    _check_coefficient_head(args.weights, bank, coeff_w, f5)
     metas, points = generate_anchors(f5, bank, coeff_w, cfg.meta_ranges, cfg.profile.y_samples)
-    Path(args.out).write_text(dumps({"metas": to_json(metas), "anchors": points.tolist()}) + "\n")
+    doc = {"metas": [dict(zip(META_NAMES, row)) for row in metas.tolist()],
+           "anchors": points.tolist()}
+    Path(args.out).write_text(dumps(doc) + "\n")
     print(f"wrote {len(metas)} anchors to {args.out}")
     return EXIT_OK
 
@@ -239,9 +257,10 @@ def _forward_frame(cfg: RunConfig, scene: Path, i: int, frame: Frame, tensors: d
                    weights_path, weights):
     """Run the pipeline on frame ``i`` of ``scene``'s ``gt.json``.
 
-    Before it runs, the coefficient head must fit the frame's F5 map and each
-    planned head's ``w_q`` the N·C values a stage samples (C counts the
-    LiDAR channels when fusion is on); a misfit is refused at its tensor.
+    Before it runs, the coefficient head must fit the frame's F5 map and the
+    prototype bank, and each planned head's ``w_q`` the N·C values a stage
+    samples (C counts the LiDAR channels when fusion is on); a misfit is
+    refused at its tensor.
     """
     rig = frame.camera
     if rig is None:
@@ -256,7 +275,7 @@ def _forward_frame(cfg: RunConfig, scene: Path, i: int, frame: Frame, tensors: d
     vols = ({level: FeatureVolume(*lookup(f"L{level}", f"L{level}.extent")) for level in levels}
             if cfg.fusion else None)
     bank, coeff_w, heads = weights
-    _check_coefficient_head(weights_path, coeff_w, maps[5])
+    _check_coefficient_head(weights_path, bank, coeff_w, maps[5])
     n = cfg.profile.num_points
     for level, wid in cfg.plan.stages:
         c = maps[level].data.shape[-1] + (vols[level].data.shape[-1] if vols else 0)

@@ -130,14 +130,15 @@ class HeadWeights:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
-        c = self.w_q.shape[0]
+        c = self.w_q.shape[0] if self.w_q.ndim else 0
         for name in ("w_q", "w_k", "w_v", "w_o"):
             if getattr(self, name).shape != (c, c):
                 raise ShapeMismatch(name, (c, c), getattr(self, name).shape)
-        if self.cls_w.shape[0] != c or self.cls_b.shape != (self.cls_w.shape[1],):
+        if (self.cls_w.ndim != 2 or self.cls_w.shape[0] != c
+                or self.cls_b.shape != self.cls_w.shape[1:]):
             raise ShapeMismatch("cls head", f"({c}, S+1) / (S+1,)",
                                 (self.cls_w.shape, self.cls_b.shape))
-        if self.reg_w.shape[0] != c or self.reg_w.shape[1] % 3 != 0:
+        if self.reg_w.ndim != 2 or self.reg_w.shape[0] != c or self.reg_w.shape[1] % 3 != 0:
             raise ShapeMismatch("reg head", f"({c}, 3N)", self.reg_w.shape)
         if self.reg_b.shape != (self.reg_w.shape[1],):
             raise ShapeMismatch("reg bias", (self.reg_w.shape[1],), self.reg_b.shape)

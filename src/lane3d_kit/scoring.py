@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import ROW_SUM_TOL
 from .config import DatasetProfile, RunConfig
 from .errors import FileFormatError, FrameLaneError
 from .evaluation import EvalReport, OnceReport, evaluate_once, evaluate_openlane
@@ -69,7 +68,7 @@ def _check_lane(lane: Lane3D, profile: DatasetProfile, path, where: str) -> None
     check_range([lane.class_probs], outside_unit, path, lambda _: f"{where}/class_probs",
                 OUTSIDE_UNIT)
     total = float(lane.class_probs.sum())
-    if abs(total - 1.0) > ROW_SUM_TOL:
+    if abs(total - 1.0) > 1e-6:
         raise FileFormatError(path, f"{where}/class_probs",
                               f"expected probabilities summing to 1, got a sum of {total}")
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane3d_kit.anchors import (
-    AnchorMetas,
+    META_NAMES,
     CoefficientHeadWeights,
-    CoefficientMatrices,
     MetaRanges,
     PrototypeBank,
     combine_metas,
@@ -30,13 +29,14 @@ def bank_with(xs, phi=None, theta=None):
 
 
 def coeffs_with(xs_rows, m_phi=1, m_theta=1):
+    """The (xs, phi, theta) coefficient matrices: ``xs_rows`` and uniform rows."""
     xs_rows = np.asarray(xs_rows, dtype=float)
     m_a = xs_rows.shape[0]
-    return CoefficientMatrices(
-        xs=xs_rows,
-        phi=np.full((m_a, m_phi), 1.0 / m_phi),
-        theta=np.full((m_a, m_theta), 1.0 / m_theta),
-    )
+    return xs_rows, np.full((m_a, m_phi), 1.0 / m_phi), np.full((m_a, m_theta), 1.0 / m_theta)
+
+
+def meta(xs, phi, theta):
+    return np.array([xs, phi, theta])
 
 
 def test_softmax_uniform_and_saturated():
@@ -66,14 +66,14 @@ def test_combine_symmetric_prototypes_give_midpoint():
     coeffs = coeffs_with(np.full((1, 3), 1.0 / 3.0))
     ranges = MetaRanges(xs_min=-10.0, xs_max=10.0)
     metas = combine_metas(bank, coeffs, ranges)
-    assert metas[0].xs == 0.0
+    assert metas.shape == (1, 3) and metas[0, 0] == 0.0
 
 
 def test_combine_one_hot_hits_range_endpoint():
     bank = bank_with([1.0, -1.0])
     coeffs = coeffs_with(np.array([[1.0, 0.0], [0.0, 1.0]]))
     ranges = MetaRanges(xs_min=-10.0, xs_max=10.0)
-    assert [m.xs for m in combine_metas(bank, coeffs, ranges)] == [10.0, -10.0]
+    assert combine_metas(bank, coeffs, ranges)[:, 0].tolist() == [10.0, -10.0]
 
 
 def test_combine_hand_case():
@@ -81,7 +81,7 @@ def test_combine_hand_case():
     bank = bank_with([0.5, -0.5, 2.0])
     coeffs = coeffs_with(np.array([[0.5, 0.25, 0.25]]))
     ranges = MetaRanges(xs_min=-12.0, xs_max=12.0)
-    assert combine_metas(bank, coeffs, ranges)[0].xs == pytest.approx(7.5, abs=1e-12)
+    assert combine_metas(bank, coeffs, ranges)[0, 0] == pytest.approx(7.5, abs=1e-12)
 
 
 def test_range_containment_property(rng):
@@ -93,15 +93,13 @@ def test_range_containment_property(rng):
             phi=rng.uniform(-1, 1, rng.integers(2, 8)),
             theta=rng.uniform(-1, 1, rng.integers(2, 8)),
         )
-        coeffs = CoefficientMatrices(
-            xs=softmax_rows(rng.normal(size=(m_a, bank.xs.shape[0]))),
-            phi=softmax_rows(rng.normal(size=(m_a, bank.phi.shape[0]))),
-            theta=softmax_rows(rng.normal(size=(m_a, bank.theta.shape[0]))),
-        )
-        for m in combine_metas(bank, coeffs, ranges):
-            assert ranges.xs_min < m.xs < ranges.xs_max
-            assert ranges.phi_min < m.phi < ranges.phi_max
-            assert ranges.theta_min < m.theta < ranges.theta_max
+        coeffs = tuple(softmax_rows(rng.normal(size=(m_a, getattr(bank, name).shape[0])))
+                       for name in META_NAMES)
+        metas = combine_metas(bank, coeffs, ranges)
+        assert metas.shape == (m_a, 3)
+        for k, name in enumerate(META_NAMES):
+            lo, hi = getattr(ranges, f"{name}_min"), getattr(ranges, f"{name}_max")
+            assert np.all((lo < metas[:, k]) & (metas[:, k] < hi))
 
 
 def test_convexity_within_prototype_extremes(rng):
@@ -111,9 +109,9 @@ def test_convexity_within_prototype_extremes(rng):
     for _ in range(100):
         bank = bank_with(rng.uniform(-1, 1, 5))
         coeffs = coeffs_with(softmax_rows(rng.normal(size=(1, 5))))
-        meta = combine_metas(bank, coeffs, ranges)[0]
+        xs = combine_metas(bank, coeffs, ranges)[0, 0]
         mapped = (bank.xs + 1.0) * 0.5 * 24.0 - 12.0
-        assert mapped.min() - 1e-12 <= meta.xs <= mapped.max() + 1e-12
+        assert mapped.min() - 1e-12 <= xs <= mapped.max() + 1e-12
 
 
 def test_pool_and_weigh_zero_weights_uniform():
@@ -123,9 +121,10 @@ def test_pool_and_weigh_zero_weights_uniform():
         a_phi=np.zeros((2, 3, 2)), b_phi=np.zeros((3, 2)),
         a_theta=np.zeros((2, 3, 2)), b_theta=np.zeros((3, 2)),
     )
-    coeffs = pool_and_weigh(fm, w)
-    np.testing.assert_allclose(coeffs.xs, 0.25)
-    np.testing.assert_allclose(coeffs.phi, 0.5)
+    xs, phi, theta = pool_and_weigh(fm, w)
+    np.testing.assert_allclose(xs, 0.25)
+    np.testing.assert_allclose(phi, 0.5)
+    assert xs.shape == (3, 4) and phi.shape == theta.shape == (3, 2)
 
 
 def test_pool_and_weigh_constant_feature_hand_dot(rng):
@@ -139,7 +138,7 @@ def test_pool_and_weigh_constant_feature_hand_dot(rng):
         a_theta=np.zeros((2, 1, 1)), b_theta=np.zeros((1, 1)),
     )
     logits = c * a.sum(axis=0) + b
-    np.testing.assert_allclose(pool_and_weigh(fm, w).xs, softmax_rows(logits), atol=1e-12)
+    np.testing.assert_allclose(pool_and_weigh(fm, w)[0], softmax_rows(logits), atol=1e-12)
 
 
 def test_pool_averages_height():
@@ -162,13 +161,13 @@ def test_pool_and_weigh_shape_mismatch():
 
 
 def test_materialize_tan45():
-    a = materialize(AnchorMetas(xs=2.0, phi=math.radians(45.0), theta=0.0), np.array([10.0]))
+    a = materialize(meta(2.0, math.radians(45.0), 0.0), np.array([10.0]))
     np.testing.assert_allclose(a[0], [12.0, 10.0, 0.0], atol=1e-12)
 
 
 def test_materialize_straight_ray():
     y = np.linspace(3, 103, 20)
-    a = materialize(AnchorMetas(xs=-3.0, phi=0.0, theta=0.0), y)
+    a = materialize(meta(-3.0, 0.0, 0.0), y)
     assert a.shape == (20, 3)
     np.testing.assert_array_equal(a[:, 0], np.full(20, -3.0))
     np.testing.assert_array_equal(a[:, 2], np.zeros(20))
@@ -176,19 +175,15 @@ def test_materialize_straight_ray():
 
 
 def test_materialize_hand_tangent():
-    a = materialize(AnchorMetas(xs=0.0, phi=0.0, theta=math.atan(0.02)), np.array([50.0]))
+    a = materialize(meta(0.0, 0.0, math.atan(0.02)), np.array([50.0]))
     assert a[0, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_materialized_anchors_are_straight(rng):
     y = np.sort(rng.uniform(3, 100, 15))
     for _ in range(50):
-        metas = AnchorMetas(
-            xs=rng.uniform(-12, 12),
-            phi=rng.uniform(-1.0, 1.0),
-            theta=rng.uniform(-0.1, 0.1),
-        )
-        a = materialize(metas, y)
+        a = materialize(meta(rng.uniform(-12, 12), rng.uniform(-1.0, 1.0),
+                             rng.uniform(-0.1, 0.1)), y)
         slopes = np.diff(a[:, 0]) / np.diff(a[:, 1])
         assert np.ptp(slopes) < 1e-12
 
@@ -199,10 +194,14 @@ def test_materialized_anchors_are_straight(rng):
     ({"xs_min": -1e308, "xs_max": 1e308},
      "xs range [-1e+308, 1e+308] is wider than float64 can hold"),
     ({"xs_min": -math.inf, "xs_max": 0.0}, "xs range [-inf, 0.0] is wider than float64 can hold"),
+    ({"xs_min": -8e307, "xs_max": 8e307},
+     "xs range [-8e+307, 8e+307] is not inside (-1e150, 1e150)"),
+    ({"xs_min": -1e150, "xs_max": 0.0}, "xs range [-1e+150, 0.0] is not inside (-1e150, 1e150)"),
     ({"phi_min": -math.pi / 2, "phi_max": 0.0},
      "phi range [-1.5707963267948966, 0.0] is not inside (-pi/2, pi/2)"),
     ({"theta_min": 0.0, "theta_max": 1.6}, "theta range [0.0, 1.6] is not inside (-pi/2, pi/2)"),
-], ids=["empty", "nan", "xs-width-overflows", "xs-infinite", "phi-at-90-deg", "theta-past-90-deg"])
+], ids=["empty", "nan", "xs-width-overflows", "xs-infinite", "xs-past-the-lane-file-limit",
+        "xs-at-the-lane-file-limit", "phi-at-90-deg", "theta-past-90-deg"])
 def test_meta_ranges_refuse_what_materialize_cannot_honour(bounds, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MetaRanges(**bounds)
@@ -213,13 +212,61 @@ def test_every_meta_of_the_widest_angle_ranges_materializes():
     edge, lo = math.nextafter(math.pi / 2, 0.0), -1.0698005404080533
     ranges = MetaRanges(phi_min=lo, phi_max=edge, theta_min=-edge, theta_max=edge)
     bank = bank_with([0.0], phi=[1.0, -1.0], theta=[1.0, -1.0])
-    coeffs = CoefficientMatrices(xs=np.ones((2, 1)), phi=np.eye(2), theta=np.eye(2))
-    metas = combine_metas(bank, coeffs, ranges)
-    assert [(m.phi, m.theta) for m in metas] == [(edge, edge), (lo, -edge)]
-    for m in metas:
-        assert np.isfinite(materialize(m, np.array([1.0, 2.0]))).all()
+    metas = combine_metas(bank, (np.ones((2, 1)), np.eye(2), np.eye(2)), ranges)
+    assert metas[:, 1:].tolist() == [[edge, edge], [lo, -edge]]
+    assert np.isfinite(materialize(metas, np.array([1.0, 2.0]))).all()
 
 
 def test_materialize_rejects_right_angle():
     with pytest.raises(ValueError):
-        materialize(AnchorMetas(xs=0.0, phi=math.pi / 2, theta=0.0), np.array([1.0]))
+        materialize(meta(0.0, math.pi / 2, 0.0), np.array([1.0]))
+
+
+def reference_anchor(row, y):
+    """One anchor by the one-row formula: libm's tangent of each angle."""
+    xs, phi, theta = row
+    return np.stack([xs + y * math.tan(phi), y, y * math.tan(theta)], axis=1)
+
+
+def test_materialize_of_many_metas_is_each_rows_anchor_bitwise(rng):
+    y = np.sort(rng.uniform(3, 103, 20))
+    for _ in range(300):
+        m = int(rng.integers(0, 8))
+        metas = np.stack([rng.uniform(-12, 12, m), rng.uniform(-1.5, 1.5, m),
+                          rng.uniform(-1.5, 1.5, m)], axis=1)
+        points = materialize(metas, y)
+        assert points.shape == (m, 20, 3)
+        rows = [materialize(row, y) for row in metas]
+        reference = [reference_anchor(row, y) for row in metas.tolist()]
+        for stacked in (rows, reference):
+            want = np.stack(stacked) if m else np.empty((0, 20, 3))
+            assert points.tobytes() == want.tobytes()
+        assert materialize(metas[None], y).tobytes() == points.tobytes()
+
+
+def test_coefficient_heads_must_agree_on_the_anchor_count():
+    with pytest.raises(ShapeMismatch,
+                       match=re.escape("coefficient row counts: expected equal, got [5, 6]")):
+        CoefficientHeadWeights(
+            a_xs=np.zeros((2, 6, 3)), b_xs=np.zeros((6, 3)),
+            a_phi=np.zeros((2, 5, 2)), b_phi=np.zeros((5, 2)),
+            a_theta=np.zeros((2, 6, 2)), b_theta=np.zeros((6, 2)),
+        )
+
+
+@pytest.mark.parametrize("xs, shape", [
+    (np.zeros((6, 1)), (6, 1)), (np.zeros((1, 6)), (1, 6)), (np.zeros(0), (0,)), (0.5, ()),
+], ids=["column", "row", "empty", "scalar"])
+def test_prototype_bank_holds_non_empty_vectors(xs, shape):
+    with pytest.raises(ShapeMismatch,
+                       match=re.escape(f"xs prototypes: expected a non-empty vector, got {shape}")):
+        bank_with(xs)
+
+
+def test_coefficient_heads_give_at_least_one_anchor():
+    with pytest.raises(ShapeMismatch, match=re.escape("anchor count: expected at least 1, got 0")):
+        CoefficientHeadWeights(
+            a_xs=np.zeros((2, 0, 3)), b_xs=np.zeros((0, 3)),
+            a_phi=np.zeros((2, 0, 2)), b_phi=np.zeros((0, 2)),
+            a_theta=np.zeros((2, 0, 2)), b_theta=np.zeros((0, 2)),
+        )

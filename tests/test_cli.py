@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -725,7 +726,9 @@ def test_weights_file_holds_exactly_the_constructor_fields(tmp_path):
     ({"phi_min": -3.0, "phi_max": 3.0}, "phi range [-3.0, 3.0] is not inside (-pi/2, pi/2)"),
     ({"xs_min": -1e308, "xs_max": 1e308},
      "xs range [-1e+308, 1e+308] is wider than float64 can hold"),
-], ids=["phi-past-90-deg", "phi-past-90-deg-unused", "xs-width-overflows"])
+    ({"xs_min": -1.0, "xs_max": 1e150}, "xs range [-1.0, 1e+150] is not inside (-1e150, 1e150)"),
+], ids=["phi-past-90-deg", "phi-past-90-deg-unused", "xs-width-overflows",
+        "xs-past-the-lane-file-limit"])
 def test_a_meta_range_anchors_cannot_honour_exits_2_at_the_config(tmp_path, ranges, message):
     _, scene, weights = _chain_scene(tmp_path)
     config = _bad_config(tmp_path, lambda d: d["meta_ranges"].update(ranges))
@@ -735,18 +738,22 @@ def test_a_meta_range_anchors_cannot_honour_exits_2_at_the_config(tmp_path, rang
 
 
 def test_anchors_off_every_grid_give_a_located_error_and_no_warning(tmp_path):
-    # xs of about 1e307 m: every projection overflows, every sample is zero, and
-    # the lane writer refuses the proposals at their first point.
+    # xs of about 1e307 m would give lanes no lane file holds: the config is
+    # refused.  Just inside the limit every projection lands off the grid,
+    # every sample is zero, and the proposals are written.
     _, scene, weights = _chain_scene(tmp_path)
-    config = _bad_config(tmp_path, lambda d: d["meta_ranges"].update(xs_min=-8e307,
-                                                                      xs_max=8e307))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _anchors_and_forward(config, scene, weights, tmp_path)["forward"]
-    assert (code, out) == (EXIT_INPUT, "")
-    assert re.fullmatch(f"error: {re.escape(str(tmp_path / 'preds.json'))}: at "
-                        r"/frames/0/lanes/0/points/0/0: expected a magnitude below 1e150, "
-                        r"got \S+\n", err), err
+    for bound, want in ((8e307, EXIT_INPUT), (9.9e149, EXIT_OK)):
+        config = _bad_config(tmp_path, lambda d: d["meta_ranges"].update(xs_min=-bound,
+                                                                          xs_max=bound))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = _anchors_and_forward(config, scene, weights, tmp_path)
+        for command, (code, _, err) in results.items():
+            assert code == want, (command, err)
+            assert err == ("" if want == EXIT_OK else
+                           f"error: {config}: at /meta_ranges: xs range [-{bound}, {bound}] "
+                           "is not inside (-1e150, 1e150)\n"), command
+    assert read_lane_file(tmp_path / "preds.json")[0].lanes
 
 
 def test_a_lidar_transform_that_overflows_leaves_its_points_unseen(tmp_path):
@@ -870,6 +877,112 @@ def test_weights_file_names_a_missing_tensor(tmp_path):
     code, _, err = call("anchors", "--config", config, "--features", weights,
                         "--weights", weights, "--out", tmp_path / "anchors.json")
     assert code == EXIT_INPUT and f"{weights}: at head.s2.cls_b: missing tensor" in err
+
+
+def _with(tensors: dict):
+    """An edit of a weights file's tensors that sets each name of ``tensors``
+    to its function of the file's tensors."""
+    def edit(t):
+        t.update({name: value(t) for name, value in tensors.items()})
+    return edit
+
+
+# Each row: an edit of the chain weights file (6 anchors, prototypes (6, 5, 3),
+# N·C = 40) that a record refuses, the tensor or record the error names, and why.
+@pytest.mark.parametrize("edit, pointer, message", [
+    (_with({"proto.xs": lambda t: t["proto.xs"][:, None]}),
+     "proto", "xs prototypes: expected a non-empty vector, got (6, 1)"),
+    (_with({"proto.xs": lambda t: t["proto.xs"][:0],
+            "coeff.a_xs": lambda t: t["coeff.a_xs"][..., :0],
+            "coeff.b_xs": lambda t: t["coeff.b_xs"][:, :0]}),
+     "proto", "xs prototypes: expected a non-empty vector, got (0,)"),
+    (_with({"head.s1.w_k": lambda t: t["head.s1.w_k"][:-1]}),
+     "head.s1", "w_k: expected (40, 40), got (39, 40)"),
+    (_with({"head.s1.w_q": lambda t: t["head.s1.w_q"][0]}),
+     "head.s1", "w_q: expected (40, 40), got (40,)"),
+    (_with({"head.s2.cls_w": lambda t: np.zeros(40)}),
+     "head.s2", "cls head: expected (40, S+1) / (S+1,), got ((40,), (2,))"),
+    (_with({"coeff.b_xs": lambda t: t["coeff.b_xs"][:-1]}),
+     "coeff", "xs bias: expected (6, 6), got (5, 6)"),
+    (_with({"coeff.a_phi": lambda t: t["coeff.a_phi"][:, :-1],
+            "coeff.b_phi": lambda t: t["coeff.b_phi"][:-1]}),
+     "coeff", "coefficient row counts: expected equal, got [5, 6]"),
+    (_with({f"coeff.{ab}_{meta}": (lambda t, n=f"coeff.{ab}_{meta}": t[n][..., :0, :])
+            for ab in "ab" for meta in ("xs", "phi", "theta")}),
+     "coeff", "anchor count: expected at least 1, got 0"),
+    (_with({"proto.xs": lambda t: t["proto.xs"][:-1]}),
+     "coeff.a_xs", "expected len(proto.xs) = 5 columns, got 6"),
+    (_with({"proto.theta": lambda t: np.zeros(4)}),
+     "coeff.a_theta", "expected len(proto.theta) = 4 columns, got 3"),
+    (_with({"coeff.a_phi": lambda t: t["coeff.a_phi"][:-1]}),
+     "coeff.a_phi", "expected W_F·C = 32 rows, got 31"),
+], ids=["prototype-matrix", "prototype-empty", "w_k-one-row-short", "w_q-vector", "cls_w-vector",
+        "xs-bias-one-row-short", "phi-one-anchor-short", "no-anchors", "xs-one-prototype-short",
+        "theta-one-prototype-more", "phi-one-pooled-row-short"])
+def test_a_weights_file_the_records_refuse_exits_2_at_its_tensor(tmp_path, edit, pointer,
+                                                                 message):
+    config, scene, weights = _chain_scene(tmp_path)
+    tensors = read_tensors(weights)
+    edit(tensors)
+    write_tensors(weights, tensors)
+    for command, result in _anchors_and_forward(config, scene, weights, tmp_path).items():
+        assert result == (EXIT_INPUT, "", f"error: {weights}: at {pointer}: {message}\n"), command
+    assert not (tmp_path / "anchors.json").exists() and not (tmp_path / "preds.json").exists()
+
+
+@pytest.fixture(scope="module")
+def chain_inputs(tmp_path_factory) -> tuple[Path, Path, Path]:
+    """Config, scene directory and weights of the golden chain, made once."""
+    return _chain_scene(tmp_path_factory.mktemp("chain"))
+
+
+WEIGHT_TENSORS = [f"{prefix}.{name}" for prefix, cls in (
+    ("proto", PrototypeBank), ("coeff", CoefficientHeadWeights),
+    ("head.s1", HeadWeights), ("head.s2", HeadWeights),
+) for name in inspect.signature(cls).parameters]
+
+
+def _drop_last_index(t, axis):
+    return np.delete(t, -1, axis=axis % t.ndim)
+
+
+def _empty_axis(t, axis):
+    return np.take(t, [], axis=axis % t.ndim)
+
+
+def _add_leading_axis(t, axis):
+    return t[None]
+
+
+def _take_first(t, axis):
+    return t[0]
+
+
+shape_edits = st.builds(functools.partial,
+                        st.sampled_from([_drop_last_index, _empty_axis, _add_leading_axis,
+                                         _take_first]),
+                        axis=st.integers(0, 2))
+
+
+@seed(2525)
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(WEIGHT_TENSORS), edit=shape_edits)
+@example(name="proto.xs", edit=lambda t: t[:, None])
+def test_a_weights_tensor_of_another_shape_exits_0_or_2_at_the_weights_file(chain_inputs,
+                                                                             name, edit):
+    config, scene, chain_weights = chain_inputs
+    tensors = read_tensors(chain_weights)
+    with tempfile.TemporaryDirectory() as work:
+        weights = Path(work) / "weights.a3t"
+        write_tensors(weights, {**tensors, name: edit(tensors[name])})
+        for command, (code, _, err) in _anchors_and_forward(config, scene, weights,
+                                                            Path(work)).items():
+            assert code in (EXIT_OK, EXIT_INPUT), (command, err)
+            if code == EXIT_INPUT:
+                assert err.startswith(f"error: {weights}: at "), (command, err)
+                assert "Traceback" not in err, (command, err)
+            else:
+                assert err == "", command
 
 
 def test_failing_grad_check_exits_3(capsys, monkeypatch):

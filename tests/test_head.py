@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,18 @@ def zero_weights(c: int, s: int, n: int, **given) -> HeadWeights:
 
 
 WEIGHT_ARRAYS = ("w_q", "w_k", "w_v", "w_o", "cls_w", "cls_b", "reg_w", "reg_b")
+
+
+# Each row: head weights for C = 4, S = 1, N = 2 with one array of another
+# rank, and the shape error that refuses it (never an IndexError).
+@pytest.mark.parametrize("given, message", [
+    ({"w_q": np.zeros(())}, "w_q: expected (0, 0), got ()"),
+    ({"cls_w": np.zeros(4)}, "cls head: expected (4, S+1) / (S+1,), got ((4,), (2,))"),
+    ({"reg_w": np.zeros(4)}, "reg head: expected (4, 3N), got (4,)"),
+], ids=["w_q-scalar", "cls_w-vector", "reg_w-vector"])
+def test_head_weights_refuse_an_array_of_another_rank(given, message):
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        zero_weights(4, 1, 2, **given)
 
 
 def test_head_weights_are_immutable(rng):
