@@ -20,13 +20,14 @@ import numpy as np
 
 from .anchors import META_NAMES, CoefficientHeadWeights, PrototypeBank, generate_anchors
 from .config import RunConfig, check_positive, make_profile
-from .errors import FileFormatError, Lane3DKitError
+from .errors import FileFormatError, InvalidExtent, Lane3DKitError
 from .evaluation import EvalReport, format_report_table
+from .geometry import CameraRig
 from .gradcheck import run_grad_check
 from .head import HeadWeights, run_pipeline
 from .jsonable import dumps, from_json, read_json, to_json
 from .laneio import Frame, read_lane_file, write_lane_file
-from .sampling import FeatureMap, FeatureVolume
+from .sampling import FeatureMap, FeatureVolume, check_feature_grid
 from .scoring import score_losses, score_protocol
 from .synth import (
     NoiseSpec,
@@ -153,8 +154,10 @@ def make_random_weights(cfg: RunConfig, seed: int, scale: float):
 # --- scene files --------------------------------------------------------------
 
 
-def _frame_tensors(tensors: dict, path, frame_id: str, *names: str) -> list[np.ndarray]:
-    """Tensors ``names`` of frame ``frame_id``, all under one prefix.
+def _frame_tensors(tensors: dict, path, frame_id: str,
+                   *names: str) -> tuple[list[str], list[np.ndarray]]:
+    """Tensors ``names`` of frame ``frame_id``, all under one prefix, and the
+    names they were found under.
 
     The frame's own ``<id>/<name>`` tensors win when the frame has every one
     of them; otherwise the shared ``<name>`` ones are used.  Names missing
@@ -162,8 +165,43 @@ def _frame_tensors(tensors: dict, path, frame_id: str, *names: str) -> list[np.n
     """
     for prefix in (f"{frame_id}/", ""):
         if all(prefix + name in tensors for name in names):
-            return [np.asarray(tensors[prefix + name], dtype=np.float64) for name in names]
+            return ([prefix + name for name in names],
+                    [np.asarray(tensors[prefix + name], dtype=np.float64) for name in names])
     raise FileFormatError(path, names[0], "missing tensor")
+
+
+def _feature_map(tensors: dict, path, frame_id: str, level: int,
+                 rig: CameraRig | None = None) -> FeatureMap:
+    """Frame ``frame_id``'s ``F<level>`` map of the features file ``path``.
+
+    A tensor that :class:`FeatureMap` refuses, or whose grid is not ``rig``'s
+    feature grid when a rig is given, is an error at the name it was found
+    under (``F5``, ``0/F5``).
+    """
+    (name,), (data,) = _frame_tensors(tensors, path, frame_id, f"F{level}")
+    try:
+        fm = FeatureMap(data, level=level)
+        if rig is not None:
+            check_feature_grid(fm, rig)
+    except (ValueError, Lane3DKitError) as e:
+        raise FileFormatError(path, name, str(e)) from e
+    return fm
+
+
+def _feature_volume(tensors: dict, path, frame_id: str, level: int) -> FeatureVolume:
+    """Frame ``frame_id``'s ``L<level>`` volume with its ``L<level>.extent``.
+
+    An extent that :class:`FeatureVolume` refuses is an error at the
+    extent's name, any other refusal at the volume's.
+    """
+    (name, extent_name), arrays = _frame_tensors(tensors, path, frame_id,
+                                                 f"L{level}", f"L{level}.extent")
+    try:
+        return FeatureVolume(*arrays)
+    except InvalidExtent as e:
+        raise FileFormatError(path, extent_name, str(e)) from e
+    except (ValueError, Lane3DKitError) as e:
+        raise FileFormatError(path, name, str(e)) from e
 
 
 @dataclass
@@ -242,8 +280,7 @@ def cmd_gen_weights(args) -> int:
 def cmd_anchors(args) -> int:
     cfg = _load_config(args.config)
     bank, coeff_w, _ = load_weights_file(args.weights)
-    (f5,) = _frame_tensors(read_tensors(args.features), args.features, "0", "F5")
-    f5 = FeatureMap(f5, level=5)
+    f5 = _feature_map(read_tensors(args.features), args.features, "0", 5)
     _check_coefficient_head(args.weights, bank, coeff_w, f5)
     metas, points = generate_anchors(f5, bank, coeff_w, cfg.meta_ranges, cfg.profile.y_samples)
     doc = {"metas": [dict(zip(META_NAMES, row)) for row in metas.tolist()],
@@ -257,22 +294,20 @@ def _forward_frame(cfg: RunConfig, scene: Path, i: int, frame: Frame, tensors: d
                    weights_path, weights):
     """Run the pipeline on frame ``i`` of ``scene``'s ``gt.json``.
 
-    Before it runs, the coefficient head must fit the frame's F5 map and the
-    prototype bank, and each planned head's ``w_q`` the N·C values a stage
-    samples (C counts the LiDAR channels when fusion is on); a misfit is
-    refused at its tensor.
+    Before it runs, each planned map's grid must be the rig's feature grid,
+    the coefficient head must fit the frame's F5 map and the prototype bank,
+    and each planned head's ``w_q`` the N·C values a stage samples (C counts
+    the LiDAR channels when fusion is on); a misfit is refused at its tensor.
     """
     rig = frame.camera
     if rig is None:
         raise FileFormatError(scene / "gt.json", f"/frames/{i}/camera", "frame has no rig")
-
-    def lookup(*names):
-        return _frame_tensors(tensors, scene / "features.a3t", frame.id, *names)
-
+    features = scene / "features.a3t"
     # The anchors are generated from level 5; each stage reads its own level.
     levels = [level for level, _ in cfg.plan.stages]
-    maps = {level: FeatureMap(*lookup(f"F{level}"), level=level) for level in (5, *levels)}
-    vols = ({level: FeatureVolume(*lookup(f"L{level}", f"L{level}.extent")) for level in levels}
+    maps = {level: _feature_map(tensors, features, frame.id, level,
+                                rig if level in levels else None) for level in (5, *levels)}
+    vols = ({level: _feature_volume(tensors, features, frame.id, level) for level in levels}
             if cfg.fusion else None)
     bank, coeff_w, heads = weights
     _check_coefficient_head(weights_path, bank, coeff_w, maps[5])

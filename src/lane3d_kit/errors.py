@@ -23,6 +23,10 @@ class ShapeMismatch(Lane3DKitError):
         self.actual = actual
 
 
+class InvalidExtent(Lane3DKitError):
+    """A feature volume's extent cannot place its cells."""
+
+
 class LengthMismatch(Lane3DKitError):
     """Two per-point sequences that must align have different lengths."""
 

@@ -66,19 +66,10 @@ longer than its lane.  A list that does not convert cleanly (a string, a
 located, as any other array is.  Each array field's finiteness
 (:func:`lane3d_kit.jsonable.decode_arrays`) and range are then checked once
 for the whole file.
-
-Reading is dominated by parsing.  ``read_lane_file`` pauses Python's cyclic
-garbage collector from the parse until the parsed document is dropped:
-``json.loads`` builds one short-lived list per point, and the collector
-would scan them again and again.  This is safe because neither the document
-nor the decoded frames hold reference cycles, so reference counting frees
-all of it and no collection is put off.  The collector's prior state is
-restored on return and on error; one that was off stays off.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import Any
 
@@ -253,16 +244,7 @@ def read_json(path):
 
 
 def read_lane_file(path) -> list[Frame]:
-    enabled = gc.isenabled()
-    gc.disable()  # see the module docstring
-    try:
-        return _decode(read_json(path), path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _decode(doc, path) -> list[Frame]:
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise FileFormatError(path, "/", "expected an object")
     for key in doc:

@@ -1,14 +1,13 @@
 """Dense feature containers and the interpolation used to read them.
 
 Grids are center-aligned: a sample exactly on an integer cell coordinate
-returns that cell's stored value.  Samples outside the grid (or behind the
-camera) return zeros and are flagged invalid so they stay inert downstream;
-so does a point with a non-finite coordinate, or one whose projection
-overflows.  The projections run with numpy's overflow and invalid-value
-warnings off, since every such result is flagged.  One multilinear
-interpolation, :func:`_interpolate`, reads both kinds of grid;
-:func:`bilinear_sample` and :func:`trilinear_sample` only map their points
-to fractional cell coordinates.
+returns that cell's stored value; :class:`FeatureVolume` places its cells.
+Samples outside the grid (or behind the camera), a point with a non-finite
+coordinate and one whose projection overflows return zeros and are flagged
+invalid, so they stay inert downstream; the projections run with numpy's
+overflow and invalid-value warnings off.  One multilinear interpolation,
+:func:`_interpolate`, reads both kinds of grid; :func:`bilinear_sample` and
+:func:`trilinear_sample` only map their points to fractional cell coordinates.
 
 An anchor is the (N, 3) array of its points, and each refinement stage
 samples its anchors as one (M, N, 3) array, one pass per modality:
@@ -26,21 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch
+from .errors import InvalidExtent, LengthMismatch, ShapeMismatch
 from .geometry import CameraRig, project_points_to_feature, project_points_to_lidar
 
 
 @dataclass
 class FeatureMap:
-    """A dense 2D feature grid of shape (H_F, W_F, C_F) at pyramid level 3-5."""
+    """A dense 2D feature grid of shape (H_F, W_F, C_F) at pyramid level 3-5,
+    with no empty axis."""
 
     data: np.ndarray
     level: int = 5
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ShapeMismatch("feature map", "(H, W, C)", self.data.shape)
+        if self.data.ndim != 3 or 0 in self.data.shape:
+            raise ShapeMismatch("feature map", "non-empty (H, W, C)", self.data.shape)
         if self.level not in (3, 4, 5):
             raise ValueError(f"pyramid level must be 3, 4 or 5, got {self.level}")
         if not np.all(np.isfinite(self.data)):
@@ -49,12 +49,15 @@ class FeatureMap:
 
 @dataclass
 class FeatureVolume:
-    """A dense 3D grid of shape (D, H, W, C) covering a ground-frame box.
+    """A dense 3D grid of shape (D, H, W, C), with no empty axis, covering a
+    ground-frame box.
 
     Axis mapping: D indexes z (up), H indexes y (forward), W indexes x
     (right).  ``extent`` is a (3, 2) array of per-axis (min, max) in x, y, z
-    order, giving the positions of the first and last cell centers.  Along
-    an axis with a single cell, that cell's center sits mid-extent.
+    order: the first and last cell centres, with min < max and a finite
+    width; an extent that breaks this raises :class:`InvalidExtent`.
+    :attr:`centres` and :attr:`spacing` place every cell, for the sampler
+    and the renderer.
     """
 
     data: np.ndarray
@@ -63,12 +66,26 @@ class FeatureVolume:
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
         self.extent = np.asarray(self.extent, dtype=np.float64)
-        if self.data.ndim != 4:
-            raise ShapeMismatch("feature volume", "(D, H, W, C)", self.data.shape)
+        if self.data.ndim != 4 or 0 in self.data.shape:
+            raise ShapeMismatch("feature volume", "non-empty (D, H, W, C)", self.data.shape)
         if self.extent.shape != (3, 2):
-            raise ShapeMismatch("volume extent", "(3, 2)", self.extent.shape)
-        if not np.all(self.extent[:, 0] < self.extent[:, 1]):
-            raise ValueError(f"volume extent min must be < max per axis: {self.extent}")
+            raise InvalidExtent(f"volume extent: expected (3, 2), got {self.extent.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = np.diff(self.extent)
+        if not np.all((width > 0) & (width < np.inf)):
+            raise InvalidExtent("volume extent: expected min < max per axis with a finite "
+                                f"width, got {self.extent.tolist()}")
+
+    @property
+    def centres(self) -> list[np.ndarray]:
+        """Cell centres along x, y, z: ``linspace(lo, hi, n)``, or mid-extent for one cell."""
+        return [np.linspace(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2.0])
+                for n, (lo, hi) in zip(self.data.shape[2::-1], self.extent)]
+
+    @property
+    def spacing(self) -> np.ndarray:
+        """Centre spacing along x, y, z: ``(hi - lo) / (n - 1)``, or ``hi - lo`` for one cell."""
+        return np.diff(self.extent)[:, 0] / np.maximum(np.array(self.data.shape[2::-1]) - 1, 1)
 
 
 @dataclass
@@ -135,15 +152,26 @@ def bilinear_sample(
 
 
 def trilinear_sample(fv: FeatureVolume, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trilinear interpolation of a feature volume at (M, 3) LiDAR-frame
-    points; the result is :func:`_interpolate`'s."""
-    counts = np.array(fv.data.shape[2::-1])  # cells along x, y, z
-    lo, hi = fv.extent[:, 0], fv.extent[:, 1]
-    origin = np.where(counts > 1, lo, (lo + hi) * 0.5)
-    step = np.where(counts > 1, (hi - lo) / np.maximum(counts - 1, 1), 1.0)
+    """Trilinear :func:`_interpolate` of ``fv`` at (M, 3) LiDAR-frame points,
+    in cells of ``fv.spacing`` from the first of ``fv.centres``.
+
+    A point between an axis's first and last centres is on the grid, also
+    where rounding maps the last centre a hair past it, which is then read
+    as the last cell.
+    """
+    xyz = np.asarray(xyz, dtype=np.float64)
+    first, last = np.array([(c[0], c[-1]) for c in fv.centres]).T
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite is off the grid
-        rel = (np.asarray(xyz, dtype=np.float64) - origin) / step
+        rel = (xyz - first) / fv.spacing
+    inside = (xyz >= first) & (xyz <= last)
+    rel = np.where(inside, np.clip(rel, 0.0, np.array(fv.data.shape[2::-1]) - 1.0), rel)
     return _interpolate(fv.data, rel[:, ::-1])  # -> (iz, iy, ix)
+
+
+def check_feature_grid(fm: FeatureMap, rig: CameraRig) -> None:
+    """Refuse a map whose (H, W) grid is not the rig's feature grid."""
+    if rig.feature_size != fm.data.shape[:2]:
+        raise ShapeMismatch("feature grid", rig.feature_size, fm.data.shape[:2])
 
 
 def sample_camera(points: np.ndarray, fm: FeatureMap, rig: CameraRig) -> AnchorFeature:
@@ -153,8 +181,7 @@ def sample_camera(points: np.ndarray, fm: FeatureMap, rig: CameraRig) -> AnchorF
     One projection and one interpolation pass cover the batch.
     Behind-camera and out-of-grid points contribute zeros with a False mask.
     """
-    if rig.feature_size != fm.data.shape[:2]:
-        raise ShapeMismatch("feature grid", rig.feature_size, fm.data.shape[:2])
+    check_feature_grid(fm, rig)
     points = np.asarray(points, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite is flagged below
         uv, _, in_front = project_points_to_feature(points.reshape(-1, 3), rig)

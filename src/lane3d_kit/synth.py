@@ -9,9 +9,10 @@ loss ground truth at zero.  A fork can be injected to exercise the
 threshold-exemption path.  Everything is a pure function of (spec, seed).
 
 A scene is built as (L, N) lane rows with one projection for all its
-points; the rasterizers splat all visible points of a lane in one
-broadcast and fold the bumps in by maximum, which is exact and does not
-depend on the order of points.
+points.  Both rasterizers render through one Gaussian splat,
+:func:`_splat`, which folds all visible points of a lane into channel 0 in
+one broadcast by maximum; that is exact and does not depend on the order of
+points.
 """
 
 from __future__ import annotations
@@ -169,62 +170,53 @@ def generate_scene(
                    category=i % profile.num_categories) for i in range(n)], rig
 
 
+def _splat(channel: np.ndarray, centres, spacing, points: np.ndarray, sigma: float = 1.0) -> None:
+    """Fold Gaussian bumps (peak 1.0, ``sigma`` cells wide) at (K, d) points
+    into the d-axis grid ``channel`` by maximum, in one (K, ...) broadcast.
+    Axis k has its cells at ``centres[k]``, ``spacing[k]`` apart, and column
+    k of ``points`` lies on it; squared distances in cells sum the axes in order."""
+    sq = 0.0
+    # A distance or quotient that overflows gives exp(-inf) = 0, its limit.
+    with np.errstate(over="ignore"):
+        for k, (c, step) in enumerate(zip(centres, spacing)):
+            f = (c - points[:, k, None]) / step  # (K, n_k)
+            sq = sq + np.expand_dims(f ** 2, [1 + j for j in range(len(centres)) if j != k])
+        bumps = np.exp(-sq / (2.0 * sigma ** 2))
+    np.maximum(channel, bumps.max(axis=0, initial=0.0), out=channel)
+
+
 def rasterize_features(
     gts: list[Lane3D], rig: CameraRig, dims: tuple[int, int, int], sigma: float, level: int = 5
 ) -> FeatureMap:
     """Splat Gaussian bumps (peak 1.0, width sigma in cells) at the
-    projected visible lane points into channel 0 of a feature map.
+    projected visible lane points into channel 0 of a feature map, whose
+    cell (row, column) is centred at (v, u) = (row, column).
 
     Bumps combine by maximum, so the peak stays exactly 1 where lanes
     overlap and the order of points does not matter; remaining channels are
-    zero.  Each lane is one projection and one broadcast, so a temporary
-    holds K (H, W) grids for the lane's K visible points.
+    zero.  Each lane is one projection and one :func:`_splat`.
     """
-    h, w, c = dims
-    data = np.zeros((h, w, c), dtype=np.float64)
-    cols = np.arange(w, dtype=np.float64)
-    rows = np.arange(h, dtype=np.float64)
+    data = np.zeros(dims, dtype=np.float64)
+    centres = [np.arange(n, dtype=np.float64) for n in dims[:2]]
     for lane in gts:
         uv, _, in_front = project_points_to_feature(lane.points[lane.visible_mask], rig)
-        u, v = uv[in_front].T[:, :, None, None]  # (K, 1, 1) columns
-        # A quotient that overflows gives exp(-inf) = 0, its limit.
-        with np.errstate(over="ignore"):
-            bumps = np.exp(-((cols - u) ** 2 + (rows[:, None] - v) ** 2) / (2.0 * sigma ** 2))
-        np.maximum(data[:, :, 0], bumps.max(axis=0, initial=0.0), out=data[:, :, 0])
+        _splat(data[:, :, 0], centres, (1.0, 1.0), uv[in_front][:, ::-1], sigma)
     return FeatureMap(data=data, level=level)
 
 
-def rasterize_volume(
-    gts: list[Lane3D],
-    dims: tuple[int, int, int, int],
-    extent: np.ndarray,
-) -> FeatureVolume:
-    """Voxel-grid analogue of :func:`rasterize_features` for fusion tests.
-
-    Visible lane points splat Gaussian bumps, of one cell's standard
-    deviation, into channel 0 of the volume; the extent gives first/last
-    cell-center positions per axis (x, y, z).  Each lane is one broadcast,
-    so a temporary holds K (D, H, W) grids for the lane's K visible points.
+def rasterize_volume(gts: list[Lane3D], dims: tuple[int, int, int, int],
+                     extent: np.ndarray) -> FeatureVolume:
+    """Voxel-grid analogue of :func:`rasterize_features` for fusion tests:
+    one point lookup and one :func:`_splat` (one cell wide) per lane, at the
+    cells of ``FeatureVolume.centres`` and ``.spacing``.  It splats the
+    ground-frame points, which lie in the LiDAR frame only while the rig's
+    ``T_gl`` is the identity that :func:`build_rig` gives.
     """
-    d, h, w, c = dims
-    extent = np.asarray(extent, dtype=np.float64)
-    data = np.zeros((d, h, w, c), dtype=np.float64)
-    axes = []
-    for count, (lo, hi) in zip((w, h, d), extent):
-        axes.append(np.linspace(lo, hi, count) if count > 1 else np.array([(lo + hi) / 2.0]))
-    xs, ys, zs = axes
-    steps = [
-        (hi - lo) / (count - 1) if count > 1 else (hi - lo)
-        for count, (lo, hi) in zip((w, h, d), extent)
-    ]
+    fv = FeatureVolume(data=np.zeros(dims, dtype=np.float64), extent=extent)
+    centres, spacing = fv.centres[::-1], fv.spacing[::-1]  # z, y, x: the grid's axis order
     for lane in gts:
-        px, py, pz = lane.points[lane.visible_mask].T[:, :, None]  # (K, 1) columns
-        fx = (xs - px) / steps[0]
-        fy = (ys - py) / steps[1]
-        fz = (zs - pz) / steps[2]
-        sq = fz[:, :, None, None] ** 2 + fy[:, None, :, None] ** 2 + fx[:, None, None, :] ** 2
-        np.maximum(data[..., 0], np.exp(-sq / 2.0).max(axis=0, initial=0.0), out=data[..., 0])
-    return FeatureVolume(data=data, extent=extent)
+        _splat(fv.data[..., 0], centres, spacing, lane.points[lane.visible_mask][:, ::-1])
+    return fv
 
 
 def perturb_predictions(

@@ -22,7 +22,7 @@ VERSION = 1
 
 def _tensor_bytes(name: str, array: np.ndarray) -> bytes:
     with np.errstate(over="ignore"):
-        arr = np.ascontiguousarray(array, dtype="<f4")
+        arr = np.asarray(array, dtype="<f4", order="C")  # keeps a 0-d shape
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise ValueError(f"tensor {name!r}: element {bad[0]} is not finite as float32")

@@ -985,6 +985,54 @@ def test_a_weights_tensor_of_another_shape_exits_0_or_2_at_the_weights_file(chai
                 assert err == "", command
 
 
+FEATURE_TENSORS = ["F3", "F4", "F5", *(f"L{level}{suffix}" for level in (3, 4, 5)
+                                       for suffix in ("", ".extent"))]
+
+
+def _extent_with_an_empty_x_range(t):
+    return np.array([[-15.0, -15.0], [0.0, 105.0], [-2.0, 3.0]])
+
+
+# Each @example is a case that the feature containers refused without naming
+# the features file or its tensor, or that reached a stage or numpy first.
+@seed(2626)
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(FEATURE_TENSORS), edit=shape_edits)
+@example(name="L4.extent", edit=_extent_with_an_empty_x_range)
+@example(name="L4.extent", edit=functools.partial(_drop_last_index, axis=0))
+@example(name="F5", edit=functools.partial(_take_first, axis=0))
+@example(name="F4", edit=functools.partial(_add_leading_axis, axis=0))
+@example(name="L3", edit=functools.partial(_take_first, axis=0))
+@example(name="F3", edit=functools.partial(_drop_last_index, axis=0))
+@example(name="L5", edit=functools.partial(_empty_axis, axis=0))
+@example(name="F5", edit=functools.partial(_empty_axis, axis=0))
+def test_a_features_tensor_of_another_shape_exits_0_or_2_at_its_tensor(chain_inputs, name,
+                                                                        edit):
+    config, chain_scene, weights = chain_inputs
+    tensors = read_tensors(chain_scene / "features.a3t")
+    with tempfile.TemporaryDirectory() as work:
+        scene = Path(work) / "scene"
+        scene.mkdir()
+        (scene / "gt.json").write_bytes((chain_scene / "gt.json").read_bytes())
+        features = scene / "features.a3t"
+        write_tensors(features, {**tensors, name: edit(tensors[name])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = _anchors_and_forward(config, scene, weights, Path(work))
+        # A map the coefficient head or a planned head does not fit is refused
+        # at the weights file's tensor, as before.
+        misfit = re.compile(rf"error: {re.escape(str(weights))}: at "
+                            r"(coeff\.a_\w+|head\.\w+\.w_q): ")
+        for command, (code, _, err) in results.items():
+            assert code in (EXIT_OK, EXIT_INPUT), (command, err)
+            if code == EXIT_INPUT:
+                assert (err.startswith(f"error: {features}: at {name}: ")
+                        or misfit.match(err)), (command, err)
+                assert "Traceback" not in err, (command, err)
+            else:
+                assert err == "", command
+
+
 def test_failing_grad_check_exits_3(capsys, monkeypatch):
     def failing(trials, seed, loss_cfg):
         return GradCheckResult(trials=trials, max_rel_error=0.5, tolerance=1e-5)

@@ -124,6 +124,28 @@ def test_trilinear_outside_extent():
     assert values[:, 0].tolist() == [0.0, 0.0, 0.0, 7.0]
 
 
+# With these cell counts, (hi - lo) / spacing rounds a hair past the last cell
+# index, so the extent's max, which is the last centre, used to read as off the grid.
+@pytest.mark.parametrize("axis, lo, hi, n", [(0, -15.0, 15.0, 14), (1, 0.0, 105.0, 48),
+                                             (2, -2.0, 3.0, 62)], ids=["x", "y", "z"])
+def test_the_extents_max_is_the_last_cell_centre(axis, lo, hi, n):
+    extent = np.array([[-1.0, 1.0]] * 3)
+    extent[axis] = lo, hi
+    shape = [2, 2, 2]
+    shape[2 - axis] = n
+    data = np.arange(4.0 * n).reshape(*shape, 1)
+    fv = FeatureVolume(data=data, extent=extent)
+    assert fv.centres[axis][-1] == hi
+    point = np.array([[-1.0, -1.0, -1.0]])
+    point[0, axis] = hi
+    values, valid = trilinear_sample(fv, point)
+    index = [0, 0, 0]
+    index[2 - axis] = n - 1
+    assert valid[0] and values[0, 0] == data[(*index, 0)]
+    point[0, axis] = np.nextafter(hi, np.inf)
+    assert not trilinear_sample(fv, point)[1][0]
+
+
 # --- the one interpolation against the two it replaced ------------------------------
 
 

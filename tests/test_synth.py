@@ -20,7 +20,7 @@ from lane3d_kit.synth import (
     rasterize_features,
     rasterize_volume,
 )
-from lane3d_kit.sampling import FeatureMap, FeatureVolume
+from lane3d_kit.sampling import FeatureMap, FeatureVolume, trilinear_sample
 
 from conftest import unit_rig
 
@@ -156,6 +156,32 @@ def test_volume_single_cell_axis_centre_is_mid_extent():
     assert fv.data[0, 0, 0, 0] == 1.0
     off = rasterize_volume([point_lane((1.5, 5.0, -1.0))], (1, 1, 1, 1), extent)
     assert off.data[0, 0, 0, 0] < 1.0
+
+
+@seed(2601)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.tuples(*[st.integers(1, 30)] * 3))
+def test_the_renderer_and_the_sampler_place_the_volume_cells_alike(draw_seed, counts):
+    # counts are the cells along z, y and x; every axis has one cell in some examples.
+    rng = np.random.default_rng(draw_seed)
+    lo = rng.uniform(-100.0, 100.0, size=3)
+    extent = np.stack([lo, lo + rng.uniform(1e-3, 200.0, size=3)], axis=1)
+    dims = (*counts, 1)
+    grid = FeatureVolume(data=np.zeros(dims), extent=extent)
+    cell = tuple(int(rng.integers(n)) for n in counts)
+    point = np.array([grid.centres[k][cell[2 - k]] for k in range(3)])  # x, y, z
+    fv = rasterize_volume([point_lane(point)], dims, extent)
+    assert fv.data[(*cell, 0)] == 1.0 == fv.data.max()
+    values, valid = trilinear_sample(fv, point[None])
+    # The sampler maps a centre to its cell index within a few roundings of
+    # the coordinates, measured in cells.
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(extent).max(axis=1) / grid.spacing)
+    assert valid[0] and abs(values[0, 0] - 1.0) <= tol
+    for k in range(3):
+        if counts[2 - k] == 1:
+            off = point.copy()
+            off[k] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-9, 1.0) * grid.spacing[k]
+            assert not trilinear_sample(fv, off[None])[1][0], k
 
 
 def test_perturb_zero_noise_is_oracle():

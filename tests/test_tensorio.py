@@ -29,6 +29,17 @@ def test_round_trip_is_byte_exact(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("value", [np.float32(2.0), 2.0, np.zeros((0, 3)), np.zeros((2, 0, 4)),
+                                   np.zeros(0)], ids=["0-d", "python-float", "empty-rows",
+                                                      "empty-middle", "empty-vector"])
+def test_round_trip_keeps_the_shape_of_0_d_and_empty_tensors(tmp_path, value):
+    path = tmp_path / "t.a3t"
+    write_tensors(path, {"t": value})
+    back = read_tensors(path)["t"]
+    assert back.shape == np.shape(value) and back.dtype == np.float32
+    np.testing.assert_array_equal(back, np.asarray(value, dtype=np.float32))
+
+
 def test_float64_inputs_stored_as_f32(tmp_path):
     path = tmp_path / "t.a3t"
     write_tensors(path, {"x": np.array([[1.0, 2.0]], dtype=np.float64)})
